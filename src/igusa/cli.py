@@ -13,6 +13,7 @@ violation.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import sys
 from fractions import Fraction
@@ -20,6 +21,7 @@ from fractions import Fraction
 from . import oracle, problem, zeta
 from .errors import (DegeneracyError, IgusaError, PolynomialParseError,
                      SizeGuardError)
+from .ratfun import Poly
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -29,33 +31,10 @@ EXIT_ORACLE = 4
 
 
 def _ratfun_str(doc):
-    num = _poly_str(doc["num"])
-    den = _poly_str(doc["den"])
+    num, den = str(Poly(doc["num"])), str(Poly(doc["den"]))
     if den == "1":
         return num
     return f"({num}) / ({den})"
-
-
-def _poly_str(coeffs):
-    parts = []
-    for e in range(len(coeffs) - 1, -1, -1):
-        c = int(coeffs[e])
-        if c == 0:
-            continue
-        mag = abs(c)
-        if e == 0:
-            body = str(mag)
-        elif e == 1:
-            body = "t" if mag == 1 else f"{mag}*t"
-        else:
-            body = f"t^{e}" if mag == 1 else f"{mag}*t^{e}"
-        parts.append(("-" if c < 0 else "+", body))
-    if not parts:
-        return "0"
-    out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-    for sign, body in parts[1:]:
-        out += f" {sign} {body}"
-    return out
 
 
 def _exp_str(p, a, b):
@@ -161,7 +140,7 @@ def render_compute(doc):
         zf = doc["zeta_factored"]
         den = f"{zf['constant_divisor']}" + "".join(
             f"({_exp_str(p, a, b)}-1)" for a, b in zf["factors"])
-        lines.append(f"     = ({_poly_str(zf['numerator'])})")
+        lines.append(f"     = ({Poly(zf['numerator'])})")
         lines.append(f"       / ({den})")
     lines.append("")
     lines.append("candidate poles (real parts):")
@@ -170,9 +149,9 @@ def render_compute(doc):
     return "\n".join(lines) + "\n"
 
 
-def check_report(specs_by_p):
+def check_report(reports_by_p):
     doc = {"command": "check", "results": []}
-    for p, (spec, reports) in specs_by_p.items():
+    for p, reports in reports_by_p.items():
         doc["results"].append({
             "p": p,
             "ok": all(rep.ok for rep in reports.values()),
@@ -278,12 +257,13 @@ def main(argv=None, out=None):
             return EXIT_OK
         if args.command == "check":
             primes = [int(x) for x in args.sweep.split(",") if x] or [spec.p]
+            comp = problem.build_geometry(spec)  # the same for every p
             results = {}
             for p in primes:
                 pspec = problem.ProblemSpec(spec.mode, spec.n, p,
                                             spec.fside, spec.g)
-                comp = problem.build_geometry(pspec)
-                results[p] = (pspec, problem.run_checks(comp))
+                results[p] = problem.run_checks(
+                    dataclasses.replace(comp, spec=pspec))
             doc = check_report(results)
             _emit(doc, render_check, args.json, out)
             ok = all(result["ok"] for result in doc["results"])
@@ -312,10 +292,6 @@ def main(argv=None, out=None):
     except IgusaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-
-
-def console_main():
-    raise SystemExit(main())
 
 
 if __name__ == "__main__":

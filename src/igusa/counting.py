@@ -52,10 +52,11 @@ def _vanishes(obj, point, p):
     return obj.evaluate_mod(point, p) == 0
 
 
-def _components(obj):
+def components(obj):
+    """The polynomials of a mapping, or [obj] for a single polynomial."""
     if isinstance(obj, PolynomialMapping):
-        return obj.components
-    return (obj,)
+        return list(obj.components)
+    return [obj]
 
 
 def count_triple(fpart, gpart, p) -> CountTriple:
@@ -65,6 +66,8 @@ def count_triple(fpart, gpart, p) -> CountTriple:
     monomial ideals); likewise gpart (trivial measure). A mapping
     vanishes when every component does.
     """
+    if fpart is None and gpart is None:
+        return CountTriple(0, 0, 0)  # nothing can vanish: no sweep needed
     n = fpart.n if fpart is not None else gpart.n
     N = P = Q = 0
     for a in _torus(p, n):
@@ -103,31 +106,34 @@ def rank_mod_p(rows, p):
     return rank
 
 
-def _jacobian_rows(polys, point, p):
+def jacobian_rows(polys, point, p):
+    """The gradients mod p of the given polynomials at point, one row each."""
     return [[poly.partial_derivative(i).evaluate_mod(point, p)
              for i in range(1, poly.n + 1)] for poly in polys]
 
 
-def check_nondegenerate_single(f: IntegerPolynomial, p) -> DegeneracyReport:
-    """For every face of the Newton polyhedron (the whole polyhedron
-    included), the face polynomial has no singular torus zero mod p."""
-    gamma = NewtonPolyhedron.of(f)
+def check_nondegenerate_single(f: IntegerPolynomial, gamma: NewtonPolyhedron,
+                               p) -> DegeneracyReport:
+    """For every face of gamma, the Newton polyhedron of f (the whole
+    polyhedron included), the face polynomial has no singular torus zero
+    mod p."""
     witnesses = []
     for face in gamma.enumerate_faces():
         ftau = face_restriction(f, face)
         for a in _torus(p, f.n):
             if ftau.evaluate_mod(a, p):
                 continue
-            if rank_mod_p(_jacobian_rows([ftau], a, p), p) == 0:
+            if rank_mod_p(jacobian_rows([ftau], a, p), p) == 0:
                 witnesses.append((face_name(face), a,
                                   "face polynomial has a singular torus zero"))
     return DegeneracyReport(not witnesses, tuple(witnesses))
 
 
-def check_strong_nondegenerate(ff: PolynomialMapping, p) -> DegeneracyReport:
-    """At every common torus zero of the face restrictions of all
-    components, the Jacobian has rank min(t, n) mod p."""
-    gamma = NewtonPolyhedron.of(ff)
+def check_strong_nondegenerate(ff: PolynomialMapping, gamma: NewtonPolyhedron,
+                               p) -> DegeneracyReport:
+    """For every face of gamma, the Newton polyhedron of ff: at every
+    common torus zero of the face restrictions of all components, the
+    Jacobian has rank min(t, n) mod p."""
     target = min(ff.t, ff.n)
     witnesses = []
     for face in gamma.enumerate_faces():
@@ -135,7 +141,7 @@ def check_strong_nondegenerate(ff: PolynomialMapping, p) -> DegeneracyReport:
         for a in _torus(p, ff.n):
             if any(part.evaluate_mod(a, p) for part in parts):
                 continue
-            if rank_mod_p(_jacobian_rows(parts, a, p), p) < target:
+            if rank_mod_p(jacobian_rows(parts, a, p), p) < target:
                 witnesses.append((face_name(face), a,
                                   f"Jacobian rank below {target}"))
     return DegeneracyReport(not witnesses, tuple(witnesses))
@@ -153,7 +159,7 @@ def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
     witnesses = []
     for cone in partition.cones:
         face_f, face_g = cone.labels
-        fparts = [face_restriction(c, face_f) for c in _components(fside)]
+        fparts = [face_restriction(c, face_f) for c in components(fside)]
         gpart = face_restriction(g, face_g)
         if gpart.is_zero() or len(gpart.terms) == 1:
             continue  # a monomial never vanishes on the torus
@@ -162,7 +168,7 @@ def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
                 continue
             if any(part.evaluate_mod(a, p) for part in fparts):
                 continue
-            rows = _jacobian_rows(fparts + [gpart], a, p)
+            rows = jacobian_rows(fparts + [gpart], a, p)
             if rank_mod_p(rows, p) < t + 1:
                 witnesses.append((cone_name(cone), a,
                                   f"stacked Jacobian rank below {t + 1}"))

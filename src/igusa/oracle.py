@@ -16,9 +16,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import ENUMERATION_LIMIT, rank_mod_p
+from .counting import ENUMERATION_LIMIT, components, jacobian_rows, rank_mod_p
 from .errors import HypothesisError, SizeGuardError
-from .polynomials import IntegerPolynomial, PolynomialMapping
 
 
 @dataclass(frozen=True)
@@ -63,22 +62,6 @@ def _min_ord(pairs):
     if exact and (not bounds or min(exact) <= min(bounds)):
         return min(exact), True
     return min(bounds + exact), False
-
-
-def _fside_ord(spec_mode, fside, point, p, M):
-    modulus = p**M
-    if spec_mode == "ideal":
-        coords = [_ord_residue(x % modulus, p, M) for x in point]
-        gens = []
-        for w in fside.generators:
-            e = sum(c * wi for (c, _), wi in zip(coords, w) if wi)
-            det = all(d for (_, d), wi in zip(coords, w) if wi)
-            gens.append((e, det))
-        return _min_ord(gens)
-    comps = fside.components if isinstance(fside, PolynomialMapping) \
-        else (fside,)
-    return _min_ord([_ord_residue(c.evaluate_mod(point, modulus), p, M)
-                     for c in comps])
 
 
 def _compile(poly, modulus):
@@ -128,7 +111,7 @@ def truncated_integral(mode, fside, g, p, s0, M) -> Bracket:
                 pairs.append((e, det))
             return _min_ord(pairs)
     else:
-        comps = [_compile(c, modulus) for c in _components(fside)]
+        comps = [_compile(c, modulus) for c in components(fside)]
 
         def fside_ord(a):
             return _min_ord([ords[ev(a)] for ev in comps])
@@ -153,36 +136,25 @@ def truncated_integral(mode, fside, g, p, s0, M) -> Bracket:
 # -- hypothesis checking ------------------------------------------------
 
 
-def _grad_rows(polys, point, p):
-    return [[poly.partial_derivative(i).evaluate_mod(point, p)
-             for i in range(1, poly.n + 1)] for poly in polys]
-
-
-def _components(fside):
-    if isinstance(fside, PolynomialMapping):
-        return list(fside.components)
-    return [fside]
-
-
 def check_coset_hypotheses(fside, g, a, p):
     """The conditions a coset base point must satisfy: wherever a factor
     vanishes mod p, the corresponding Jacobian has maximal rank mod p.
 
     Raises HypothesisError naming the failing condition.
     """
-    comps = _components(fside)
+    comps = components(fside)
     t = len(comps)
     n = comps[0].n
     fzero = all(c.evaluate_mod(a, p) == 0 for c in comps)
     gzero = g is not None and g.evaluate_mod(a, p) == 0
-    if fzero and rank_mod_p(_grad_rows(comps, a, p), p) < min(t, n):
+    if fzero and rank_mod_p(jacobian_rows(comps, a, p), p) < min(t, n):
         raise HypothesisError(
             f"f side vanishes at {a} mod {p} with a rank-deficient Jacobian")
-    if gzero and rank_mod_p(_grad_rows([g], a, p), p) < 1:
+    if gzero and rank_mod_p(jacobian_rows([g], a, p), p) < 1:
         raise HypothesisError(
             f"measure polynomial is singular at {a} mod {p}")
     if fzero and gzero \
-            and rank_mod_p(_grad_rows(comps + [g], a, p), p) < t + 1:
+            and rank_mod_p(jacobian_rows(comps + [g], a, p), p) < t + 1:
         raise HypothesisError(
             f"stacked Jacobian at {a} mod {p} has rank below {t + 1}")
     return fzero, gzero
@@ -191,7 +163,7 @@ def check_coset_hypotheses(fside, g, a, p):
 def find_base_point(fside, g, p, want_fzero=True, want_gzero=True):
     """Search {1..p-1}^n for a base point with the requested vanishing
     pattern and valid hypotheses; None when the pattern is vacuous."""
-    comps = _components(fside)
+    comps = components(fside)
     n = comps[0].n
     _guard((p - 1)**n, "base point search")
     for a in itertools.product(range(1, p), repeat=n):
@@ -217,7 +189,7 @@ def measure_A_kl(fside, g, a, p, k, l, mode="single") -> Fraction:
     The base point must satisfy the common-vanishing hypothesis with a
     full-rank stacked Jacobian; single mode additionally needs k >= l.
     """
-    comps = _components(fside)
+    comps = components(fside)
     t = len(comps)
     n = comps[0].n
     if k < 1 or l < 1:
@@ -248,7 +220,7 @@ def measure_A_kl(fside, g, a, p, k, l, mode="single") -> Fraction:
 def coset_integral(a, fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| over a + (pZ_p)^n."""
     check_coset_hypotheses(fside, g, a, p)
-    comps = _components(fside)
+    comps = components(fside)
     n = comps[0].n
     _guard(p**((M - 1) * n), "coset integration")
     modulus = p**M
@@ -275,7 +247,7 @@ def coset_integral(a, fside, g, p, s0, M) -> Bracket:
 def torus_integral(fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| over (Z_p^x)^n, after
     checking the coset hypotheses at every torus residue."""
-    comps = _components(fside)
+    comps = components(fside)
     n = comps[0].n
     for a in itertools.product(range(1, p), repeat=n):
         check_coset_hypotheses(fside, g, a, p)

@@ -13,13 +13,15 @@ from dataclasses import dataclass, field
 
 from . import counting, zeta
 from .cones import partition_pair, partition_single
-from .errors import PolynomialParseError
+from .errors import DegeneracyError, PolynomialParseError
 from .newton import NewtonPolyhedron, face_restriction
 from .polynomials import (IntegerPolynomial, MonomialIdealSpec,
                           PolynomialMapping, parse_monomial_generator,
                           parse_polynomial)
 
 MODES = ("ideal", "single", "mapping")
+DEGENERACY_NOTE = ("unverified hypothesis: non-degeneracy fails; "
+                   "formula output is not certified")
 
 
 def is_prime(m):
@@ -176,15 +178,19 @@ def build_geometry(spec: ProblemSpec) -> Computation:
 
 
 def run_checks(comp: Computation) -> dict:
-    """All non-degeneracy reports the chosen mode relies on."""
+    """All non-degeneracy reports the chosen mode relies on, at comp.spec.p,
+    on the polyhedra and partition that build_geometry made."""
     spec = comp.spec
     reports = {}
     if spec.mode == "single":
-        reports["f"] = counting.check_nondegenerate_single(spec.fside, spec.p)
+        reports["f"] = counting.check_nondegenerate_single(
+            spec.fside, comp.gamma_f, spec.p)
     elif spec.mode == "mapping":
-        reports["f"] = counting.check_strong_nondegenerate(spec.fside, spec.p)
+        reports["f"] = counting.check_strong_nondegenerate(
+            spec.fside, comp.gamma_f, spec.p)
     if spec.g is not None:
-        reports["g"] = counting.check_nondegenerate_single(spec.g, spec.p)
+        reports["g"] = counting.check_nondegenerate_single(
+            spec.g, comp.gamma_g, spec.p)
         if spec.mode in ("single", "mapping"):
             reports["pair"] = counting.check_pair_nondegenerate(
                 spec.fside, spec.g, comp.partition, spec.p)
@@ -213,14 +219,17 @@ def _cone_counts(comp: Computation):
 
 
 def compute(spec: ProblemSpec, override=False) -> Computation:
-    """Full pipeline: geometry, checks, counts, Z, factored view, poles."""
+    """Full pipeline, each stage once: geometry and candidate poles,
+    non-degeneracy checks, then (a degenerate input is refused here,
+    unless `override` asks to go on with a watermark) torus counts, the
+    per-cone L and S terms, and Z as their sum."""
     comp = build_geometry(spec)
-    run_checks(comp)
+    bad = [rep for rep in run_checks(comp).values() if not rep.ok]
+    if bad and not override:
+        raise DegeneracyError(bad[0])
     comp.counts = _cone_counts(comp)
-    comp.zeta = zeta.assemble(
-        spec.mode, comp.partition, comp.counts, comp.mf, comp.mg, spec.p,
-        spec.t_count, degeneracy_reports=tuple(comp.reports.values()),
-        override=override)
     comp.terms = zeta.cone_terms(spec.mode, comp.partition, comp.counts,
                                  comp.mf, comp.mg, spec.p, spec.t_count)
+    comp.zeta = zeta.assemble(comp.terms,
+                              notes=(DEGENERACY_NOTE,) if bad else ())
     return comp

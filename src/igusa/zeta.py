@@ -9,11 +9,11 @@ display and becomes (p^b - t^a)/t^a when expanded.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .cones import ConePartition, RationalCone, simplicial_decompose
-from .errors import DegeneracyError, InternalConsistencyError
+from .errors import InternalConsistencyError
 from .ratfun import Poly, RationalFunction
 
 
@@ -32,21 +32,10 @@ class ExpFactor:
         if (self.a, self.b) == (0, 0):
             raise ValueError("p^0 - 1 would be the zero factor")
 
-    def as_ratfun(self, p):
-        # (p^b - t^a) / t^a
-        return RationalFunction(self.numerator_poly(p), Poly.t_power(self.a))
-
     def numerator_poly(self, p):
         if self.a == 0:
             return Poly.const(p**self.b - 1)
         return Poly({0: p**self.b, self.a: -1})
-
-    def render(self, p):
-        s_part = f"{p}^({self.a}s+{self.b})" if self.b >= 0 \
-            else f"{p}^({self.a}s{self.b})"
-        if self.a == 0:
-            s_part = f"{p}^{self.b}"
-        return f"({s_part}-1)"
 
 
 @dataclass(frozen=True)
@@ -106,11 +95,6 @@ class CandidatePole:
     source: str
 
 
-def evaluate_at(z: ZetaRational, tval):
-    """Exact evaluation of the reduced form at a rational t."""
-    return z.reduced.evaluate(tval)
-
-
 # -- the S factor -------------------------------------------------------
 
 
@@ -161,17 +145,10 @@ def l_delta_ideal(counts, p, n) -> ZetaRational:
     return ZetaRational(RationalFunction.const(value))
 
 
-def l_delta_single(counts, p, n) -> ZetaRational:
-    """Four-term local factor for a single polynomial with measure."""
-    return _l_delta(counts, p, n, 1)
-
-
-def l_delta_mapping(counts, p, n, t_count) -> ZetaRational:
-    """Four-term local factor for a mapping with t_count components."""
-    return _l_delta(counts, p, n, t_count)
-
-
-def _l_delta(counts, p, n, tc) -> ZetaRational:
+def l_delta(counts, p, n, t_count) -> ZetaRational:
+    """Four-term local factor for a mapping with t_count components
+    (t_count = 1 for a single polynomial)."""
+    tc = t_count
     one = RationalFunction.const(1)
     t = RationalFunction(Poly.t_power(1))
     ptc_minus_t = RationalFunction(Poly({0: p**tc, 1: -1}))
@@ -205,31 +182,21 @@ def cone_terms(mode, partition: ConePartition, counts, mf, mg, p, t_count=1):
     for cone, ct in zip(partition.cones, counts):
         if mode == "ideal":
             L = l_delta_ideal(ct, p, partition.n)
-        elif mode == "single":
-            L = l_delta_single(ct, p, partition.n)
         else:
-            L = l_delta_mapping(ct, p, partition.n, t_count)
+            L = l_delta(ct, p, partition.n, t_count)
         S = s_delta(cone, mf, mg, p)
         out.append(ConeTerm(cone, ct, L, S))
     return out
 
 
-def assemble(mode, partition, counts, mf, mg, p, t_count=1,
-             degeneracy_reports=(), override=False) -> ZetaRational:
-    """Z(s) = sum over cones of L * S, as a reduced rational function in t.
+def assemble(terms, notes=()) -> ZetaRational:
+    """Z(s) = sum over the cone terms of L * S, as a reduced rational
+    function in t.
 
-    Refuses when any supplied degeneracy report carries witnesses, unless
-    `override` forces the computation (the result is then watermarked as
-    resting on an unverified hypothesis).
+    The terms come from `cone_terms`; a degenerate input has already been
+    refused (or overridden, with `notes` carrying the watermark) before
+    any of them was built.
     """
-    notes = []
-    bad = [r for r in degeneracy_reports if not r.ok]
-    if bad:
-        if not override:
-            raise DegeneracyError(bad[0])
-        notes.append("unverified hypothesis: non-degeneracy fails; "
-                     "formula output is not certified")
-    terms = cone_terms(mode, partition, counts, mf, mg, p, t_count)
     total = RationalFunction.const(0)
     for term in terms:
         total = total + term.L.reduced * term.S.reduced

@@ -142,9 +142,10 @@ def test_criterion_4_counts_and_degeneracy():
     g = example_measure()
     for p, expected in [(13, 36), (7, 18), (5, 4), (11, 10)]:
         assert count_triple(None, g, p).P == expected
-    assert not check_nondegenerate_single(g, 3).ok
+    gamma = NewtonPolyhedron.of(g)
+    assert not check_nondegenerate_single(g, gamma, 3).ok
     for p in (2, 5, 7, 11, 13):
-        assert check_nondegenerate_single(g, p).ok
+        assert check_nondegenerate_single(g, gamma, p).ok
     _report(4, "torus counts and the degeneracy detector", started, 5.0)
 
 

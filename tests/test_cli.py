@@ -69,6 +69,17 @@ g=x^4*y^2 + x*y^5
         assert code == 0
         assert "unverified hypothesis" in text
 
+    def test_trivial_measure_ideal(self, tmp_path):
+        path = write(tmp_path, """\
+mode=ideal
+n=2
+p=5
+generators=x^5*y, x^3*y^2, x^2*y^5
+""")
+        code, text = run(["compute", path])
+        assert code == 0
+        assert "measure: trivial" in text
+
     def test_malformed_file(self, tmp_path):
         path = write(tmp_path, "mode=single\nn=2\np=5\nf=x + %\n")
         code, _ = run(["compute", path])

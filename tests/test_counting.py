@@ -102,46 +102,51 @@ class TestRankModP:
 class TestSingleCheck:
     def test_example_measure_iff_p_not_3(self):
         g = example_measure()
-        report = check_nondegenerate_single(g, 3)
+        gamma = NewtonPolyhedron.of(g)
+        report = check_nondegenerate_single(g, gamma, 3)
         assert not report.ok
         assert report.witnesses
         for p in (2, 5, 7, 11, 13):
-            assert check_nondegenerate_single(g, p).ok
+            assert check_nondegenerate_single(g, gamma, p).ok
 
     def test_witness_is_singular_zero(self):
         g = example_measure()
-        report = check_nondegenerate_single(g, 3)
+        report = check_nondegenerate_single(g, NewtonPolyhedron.of(g), 3)
         _, point, _ = report.witnesses[0]
         assert g.evaluate(point) % 3 == 0
 
     def test_monomial_always_ok(self):
         mono = parse_polynomial("x^3*y", 2)
+        gamma = NewtonPolyhedron.of(mono)
         for p in (2, 3, 5):
-            assert check_nondegenerate_single(mono, p).ok
+            assert check_nondegenerate_single(mono, gamma, p).ok
 
 
 class TestStrongCheck:
     def test_coordinate_mapping_ok(self):
         ff = PolynomialMapping([parse_polynomial("x", 2),
                                 parse_polynomial("y", 2)])
+        gamma = NewtonPolyhedron.of(ff)
         for p in (2, 3, 5):
-            assert check_strong_nondegenerate(ff, p).ok
+            assert check_strong_nondegenerate(ff, gamma, p).ok
 
     def test_t1_reduces_to_single(self):
         f = parse_polynomial("x + y", 2)
         ff = PolynomialMapping([f])
+        gamma = NewtonPolyhedron.of(f)
         for p in (2, 3, 5, 7):
-            assert check_strong_nondegenerate(ff, p).ok == \
-                check_nondegenerate_single(f, p).ok
+            assert check_strong_nondegenerate(ff, gamma, p).ok == \
+                check_nondegenerate_single(f, gamma, p).ok
 
     def test_exhaustive_small_case(self):
         ff = PolynomialMapping([parse_polynomial("x + y", 2),
                                 parse_polynomial("x - y", 2)])
+        gamma = NewtonPolyhedron.of(ff)
         # common torus zeros need 2x = 0: vacuous for odd p, while mod 2
         # the point (1,1) kills both with Jacobian rows (1,1),(1,1)
         for p in (3, 5):
-            assert check_strong_nondegenerate(ff, p).ok
-        assert not check_strong_nondegenerate(ff, 2).ok
+            assert check_strong_nondegenerate(ff, gamma, p).ok
+        assert not check_strong_nondegenerate(ff, gamma, 2).ok
 
 
 class TestPairCheck:

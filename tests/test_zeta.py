@@ -68,7 +68,7 @@ class TestLDelta:
         from igusa.counting import CountTriple
         p = 5
         counts = CountTriple(3, 2, 1)
-        L = zeta.l_delta_single(counts, p, 2)
+        L = zeta.l_delta(counts, p, 2, 1)
         for s0 in (1, 2, 3):
             ps = p**s0
             expected = Fraction(
@@ -83,7 +83,7 @@ class TestLDelta:
         from igusa.counting import CountTriple
         p, tc = 3, 2
         counts = CountTriple(4, 1, 2)
-        L = zeta.l_delta_mapping(counts, p, 3, tc)
+        L = zeta.l_delta(counts, p, 3, tc)
         for s0 in (1, 2):
             ps = p**s0
             expected = Fraction(
@@ -96,10 +96,13 @@ class TestLDelta:
             assert L.reduced.evaluate(Fraction(1, ps)) == expected
 
     def test_mapping_with_one_component_is_single(self):
-        from igusa.counting import CountTriple
-        counts = CountTriple(2, 1, 1)
-        assert zeta.l_delta_mapping(counts, 5, 2, 1).reduced == \
-            zeta.l_delta_single(counts, 5, 2).reduced
+        # the same cones, counts and local factors through either mode
+        f = parse_polynomial("x^2 + y^3", 2)
+        single = compute(ProblemSpec("single", 2, 5, f, None))
+        mapped = compute(ProblemSpec("mapping", 2, 5,
+                                     PolynomialMapping([f]), None))
+        assert [(t.counts, t.L.reduced) for t in single.terms] == \
+            [(t.counts, t.L.reduced) for t in mapped.terms]
 
 
 class TestAssembly:
@@ -151,6 +154,32 @@ class TestAssembly:
             from igusa.oracle import truncated_integral
             bracket = truncated_integral("single", f, None, p, s0, 9)
             assert bracket.lo <= comp.zeta.evaluate(t0) <= bracket.hi
+
+
+    def test_trivial_measure_ideal_closed_forms(self):
+        from igusa.polynomials import MonomialIdealSpec
+        from igusa.ratfun import Poly, RationalFunction
+        for p in (2, 3, 5, 7):
+            # the maximal ideal (x, y): Z = (p^2 - 1) / (p^2 - t)
+            spec = ProblemSpec("ideal", 2, p,
+                               MonomialIdealSpec(2, [(1, 0), (0, 1)]), None)
+            assert compute(spec).zeta.reduced == RationalFunction(
+                Poly([p**2 - 1]), Poly([p**2, -1]))
+            # a principal ideal x^a y^b: Z = (p-1)^2 / ((p-t^a)(p-t^b))
+            for a, b in ((1, 2), (2, 3)):
+                spec = ProblemSpec("ideal", 2, p,
+                                   MonomialIdealSpec(2, [(a, b)]), None)
+                den = Poly({0: p, a: -1}) * Poly({0: p, b: -1})
+                assert compute(spec).zeta.reduced == RationalFunction(
+                    Poly([(p - 1)**2]), den)
+
+    def test_trivial_measure_ideal_against_oracle(self):
+        from igusa.oracle import truncated_integral
+        p = 5
+        comp = compute(ProblemSpec("ideal", 2, p, example_ideal(), None))
+        assert comp.zeta.evaluate(1) == 1  # s = 0: the volume of Z_p^2
+        bracket = truncated_integral("ideal", example_ideal(), None, p, 1, 3)
+        assert bracket.contains(comp.zeta.evaluate(Fraction(1, p)))
 
 
 class TestCandidatePoles:
