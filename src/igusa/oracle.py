@@ -101,35 +101,45 @@ def truncated_integral(mode, fside, g, p, s0, M) -> Bracket:
     ords = [_ord_residue(v, p, M) for v in range(modulus)]
     if mode == "ideal":
         gens = fside.generators
+        memo = {}
 
-        def fside_ord(a):
-            coords = [ords[x] for x in a]
+        def monomial_ords(coords):
             pairs = []
             for w in gens:
                 e = sum(c * wi for (c, _), wi in zip(coords, w) if wi)
                 det = all(d for (_, d), wi in zip(coords, w) if wi)
                 pairs.append((e, det))
             return _min_ord(pairs)
+
+        def fside_ord(a):
+            # The order of a monomial ideal depends only on the orders of
+            # the coordinates, which take few distinct values.
+            coords = tuple(ords[x] for x in a)
+            found = memo.get(coords)
+            if found is None:
+                found = memo[coords] = monomial_ords(coords)
+            return found
     else:
         comps = [_compile(c, modulus) for c in components(fside)]
 
         def fside_ord(a):
             return _min_ord([ords[ev(a)] for ev in comps])
     gev = None if g is None else _compile(g, modulus)
-    weights = {}
-    lo = hi = Fraction(0)
+    # Count residues per exponent in integers and weigh them once at the
+    # end: exact, and far cheaper than a Fraction sum per residue.
+    every = {}
+    determined = {}
     for a in itertools.product(range(modulus), repeat=n):
         vf, fdet = fside_ord(a)
         vg, gdet = (0, True) if gev is None else ords[gev(a)]
         e = s0 * vf + vg
-        value = weights.get(e)
-        if value is None:
-            value = weights[e] = coset * Fraction(1, p**e)
+        every[e] = every.get(e, 0) + 1
         if fdet and gdet:
-            lo += value
-            hi += value
-        else:
-            hi += value
+            determined[e] = determined.get(e, 0) + 1
+    lo = sum((coset * Fraction(c, p**e) for e, c in determined.items()),
+             Fraction(0))
+    hi = sum((coset * Fraction(c, p**e) for e, c in every.items()),
+             Fraction(0))
     return Bracket(lo, hi)
 
 
