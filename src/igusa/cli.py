@@ -243,6 +243,11 @@ def main(argv=None, out=None):
     parser.add_argument("--corrupt-zeta", action="store_true",
                         help=argparse.SUPPRESS)  # negative-control test hook
     args = parser.parse_args(argv)
+    for flag, value in (("--level", args.level), ("--s0", args.s0)):
+        if value < 1:
+            print(f"parse error: {flag} must be a positive integer, "
+                  f"got {value}", file=sys.stderr)
+            return EXIT_PARSE
 
     try:
         spec = problem.parse_problem_file(args.problem_file)

@@ -30,15 +30,6 @@ class RationalCone:
             return tuple([0] * _arity(self))
         return tuple(sum(col) for col in zip(*self.rays))
 
-    def to_json(self):
-        out = {"rays": [list(r) for r in self.rays], "dim": self.dim}
-        if len(self.labels) == 1:
-            out["labels"] = {"tau": self.labels[0].to_json()}
-        else:
-            out["labels"] = {"tau": self.labels[0].to_json(),
-                             "tau_prime": self.labels[1].to_json()}
-        return out
-
 
 def _arity(cone):
     if cone.rays:
@@ -59,10 +50,9 @@ class SimplicialPiece:
 class ConePartition:
     """Finite list of relatively open cones partitioning R_+^n."""
 
-    def __init__(self, cones, n, kind, polyhedra):
+    def __init__(self, cones, n, polyhedra):
         self.cones = list(cones)
         self.n = n
-        self.kind = kind  # "single" | "pair"
         self.polyhedra = tuple(polyhedra)
 
     def labels_at(self, k):
@@ -114,8 +104,7 @@ def partition_single(gamma: NewtonPolyhedron) -> ConePartition:
             raise InternalConsistencyError(
                 f"cone dimension {dim} != n - dim(face) = {gamma.n - face.dim}")
         cones.append(RationalCone(tuple(sorted(normals)), dim, (face,)))
-    return ConePartition(_angular_sort(cones, gamma.n), gamma.n,
-                         "single", (gamma,))
+    return ConePartition(_angular_sort(cones, gamma.n), gamma.n, (gamma,))
 
 
 def partition_pair(gamma1: NewtonPolyhedron,
@@ -135,7 +124,7 @@ def partition_pair(gamma1: NewtonPolyhedron,
         w = cone.witness()
         labels = (gamma1.first_meet_locus(w), gamma2.first_meet_locus(w))
         cones.append(RationalCone(cone.rays, cone.dim, labels))
-    return ConePartition(cones, gamma1.n, "pair", (gamma1, gamma2))
+    return ConePartition(cones, gamma1.n, (gamma1, gamma2))
 
 
 # -- multiplicities and parallelepiped points ---------------------------

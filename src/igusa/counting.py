@@ -4,6 +4,10 @@ Every count is an exact enumeration of the (p-1)^n points with nonzero
 coordinates; a size guard refuses anything beyond 10^8 points. All
 non-degeneracy conditions are congruences mod p, so checking residues
 on the torus is equivalent to checking units of the p-adic integers.
+
+Every sweep starts in `_torus`, whose guard comes before any evaluator
+is compiled; polynomials and their gradients are compiled once per face
+or cone. The three checks share one sweep, `singular_zeros`.
 """
 
 from __future__ import annotations
@@ -46,17 +50,20 @@ def _torus(p, n):
     return itertools.product(range(1, p), repeat=n)
 
 
-def _vanishes(obj, point, p):
-    if isinstance(obj, PolynomialMapping):
-        return all(c.evaluate_mod(point, p) == 0 for c in obj.components)
-    return obj.evaluate_mod(point, p) == 0
-
-
 def components(obj):
     """The polynomials of a mapping, or [obj] for a single polynomial."""
     if isinstance(obj, PolynomialMapping):
         return list(obj.components)
     return [obj]
+
+
+def _zero_test(polys, p):
+    """point -> whether every one of polys vanishes at point mod p."""
+    evaluators = [poly.mod_evaluator(p) for poly in polys]
+    if len(evaluators) > 1:
+        return lambda point: not any(ev(point) for ev in evaluators)
+    evaluate, = evaluators  # the common case, without any() per point
+    return lambda point: evaluate(point) == 0
 
 
 def count_triple(fpart, gpart, p) -> CountTriple:
@@ -69,15 +76,18 @@ def count_triple(fpart, gpart, p) -> CountTriple:
     if fpart is None and gpart is None:
         return CountTriple(0, 0, 0)  # nothing can vanish: no sweep needed
     n = fpart.n if fpart is not None else gpart.n
+    points = _torus(p, n)  # the size guard comes before any table
+    fzero, gzero = ((lambda point: False) if part is None
+                    else _zero_test(components(part), p)
+                    for part in (fpart, gpart))
     N = P = Q = 0
-    for a in _torus(p, n):
-        fzero = fpart is not None and _vanishes(fpart, a, p)
-        gzero = gpart is not None and _vanishes(gpart, a, p)
-        if fzero and gzero:
-            Q += 1
-        elif fzero:
-            N += 1
-        elif gzero:
+    for a in points:
+        if fzero(a):
+            if gzero(a):
+                Q += 1
+            else:
+                N += 1
+        elif gzero(a):
             P += 1
     return CountTriple(N, P, Q)
 
@@ -106,10 +116,38 @@ def rank_mod_p(rows, p):
     return rank
 
 
-def jacobian_rows(polys, point, p):
-    """The gradients mod p of the given polynomials at point, one row each."""
-    return [[poly.partial_derivative(i).evaluate_mod(point, p)
+def gradient_evaluators(polys, p):
+    """Per polynomial, the mod-p evaluators of its partial derivatives."""
+    return [[poly.partial_derivative(i).mod_evaluator(p)
              for i in range(1, poly.n + 1)] for poly in polys]
+
+
+def jacobian_rows(gradients, point):
+    """The gradients at point, one row per polynomial, from the
+    evaluators that gradient_evaluators compiled."""
+    return [[d(point) for d in row] for row in gradients]
+
+
+def singular_zeros(parts, n, p, target):
+    """Torus points mod p, in itertools.product order, where every part
+    vanishes and the Jacobian of the parts has rank below target."""
+    points = _torus(p, n)  # the size guard comes before any table
+    vanishes = _zero_test(parts, p)
+    gradients = gradient_evaluators(parts, p)
+    for a in points:
+        if vanishes(a) and rank_mod_p(jacobian_rows(gradients, a), p) < target:
+            yield a
+
+
+def _face_report(gamma, polys, p, target, condition):
+    """Over every face of gamma, the singular torus zeros of the face
+    restrictions of polys, each a witness of the failed condition."""
+    witnesses = [(face_name(face), a, condition)
+                 for face in gamma.enumerate_faces()
+                 for a in singular_zeros(
+                     [face_restriction(c, face) for c in polys],
+                     gamma.n, p, target)]
+    return DegeneracyReport(not witnesses, tuple(witnesses))
 
 
 def check_nondegenerate_single(f: IntegerPolynomial, gamma: NewtonPolyhedron,
@@ -117,16 +155,8 @@ def check_nondegenerate_single(f: IntegerPolynomial, gamma: NewtonPolyhedron,
     """For every face of gamma, the Newton polyhedron of f (the whole
     polyhedron included), the face polynomial has no singular torus zero
     mod p."""
-    witnesses = []
-    for face in gamma.enumerate_faces():
-        ftau = face_restriction(f, face)
-        for a in _torus(p, f.n):
-            if ftau.evaluate_mod(a, p):
-                continue
-            if rank_mod_p(jacobian_rows([ftau], a, p), p) == 0:
-                witnesses.append((face_name(face), a,
-                                  "face polynomial has a singular torus zero"))
-    return DegeneracyReport(not witnesses, tuple(witnesses))
+    return _face_report(gamma, [f], p, 1,
+                        "face polynomial has a singular torus zero")
 
 
 def check_strong_nondegenerate(ff: PolynomialMapping, gamma: NewtonPolyhedron,
@@ -135,16 +165,8 @@ def check_strong_nondegenerate(ff: PolynomialMapping, gamma: NewtonPolyhedron,
     common torus zero of the face restrictions of all components, the
     Jacobian has rank min(t, n) mod p."""
     target = min(ff.t, ff.n)
-    witnesses = []
-    for face in gamma.enumerate_faces():
-        parts = [face_restriction(c, face) for c in ff.components]
-        for a in _torus(p, ff.n):
-            if any(part.evaluate_mod(a, p) for part in parts):
-                continue
-            if rank_mod_p(jacobian_rows(parts, a, p), p) < target:
-                witnesses.append((face_name(face), a,
-                                  f"Jacobian rank below {target}"))
-    return DegeneracyReport(not witnesses, tuple(witnesses))
+    return _face_report(gamma, ff.components, p, target,
+                        f"Jacobian rank below {target}")
 
 
 def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
@@ -155,23 +177,17 @@ def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
     n = g.n
     if n < t + 1:
         raise ValueError(f"need n >= {t + 1} variables, got {n}")
-    gamma_f, gamma_g = partition.polyhedra
     witnesses = []
     for cone in partition.cones:
         face_f, face_g = cone.labels
-        fparts = [face_restriction(c, face_f) for c in components(fside)]
         gpart = face_restriction(g, face_g)
         if gpart.is_zero() or len(gpart.terms) == 1:
             continue  # a monomial never vanishes on the torus
-        for a in _torus(p, n):
-            if gpart.evaluate_mod(a, p):
-                continue
-            if any(part.evaluate_mod(a, p) for part in fparts):
-                continue
-            rows = jacobian_rows(fparts + [gpart], a, p)
-            if rank_mod_p(rows, p) < t + 1:
-                witnesses.append((cone_name(cone), a,
-                                  f"stacked Jacobian rank below {t + 1}"))
+        parts = [gpart] + [face_restriction(c, face_f)
+                           for c in components(fside)]
+        witnesses += [(cone_name(cone), a,
+                       f"stacked Jacobian rank below {t + 1}")
+                      for a in singular_zeros(parts, n, p, t + 1)]
     return DegeneracyReport(not witnesses, tuple(witnesses))
 
 

@@ -24,13 +24,6 @@ class Face:
         return (other.touching <= self.touching
                 and other.recession <= self.recession)
 
-    def to_json(self):
-        return {
-            "touching": sorted(map(list, self.touching)),
-            "recession": sorted(self.recession),
-            "dim": self.dim,
-        }
-
 
 def _unit(n, i):
     e = [0] * n
@@ -78,9 +71,6 @@ class NewtonPolyhedron:
                              if linalg.vec_dot(k, pt) == m)
         recession = frozenset(i + 1 for i in range(self.n) if k[i] == 0)
         return Face(touching, recession, self._face_dim(touching, recession))
-
-    def whole_face(self):
-        return Face(self.support, frozenset(range(1, self.n + 1)), self.n)
 
     def _check_weight(self, k):
         if len(k) != self.n:

@@ -8,6 +8,9 @@ at level M enumerates residues mod p^M; a coset on which the order of a
 factor is not yet determined contributes 0 to the lower bound and a
 worst-case value to the upper bound, so the true integral always lies
 inside the bracket.
+
+The truncated, coset and torus integrals differ only in the residues
+they visit: each is a guard plus one call of `_bracket`.
 """
 
 from __future__ import annotations
@@ -16,7 +19,8 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import ENUMERATION_LIMIT, components, jacobian_rows, rank_mod_p
+from .counting import (ENUMERATION_LIMIT, components, gradient_evaluators,
+                       jacobian_rows, rank_mod_p)
 from .errors import HypothesisError, SizeGuardError
 
 
@@ -64,128 +68,118 @@ def _min_ord(pairs):
     return min(bounds + exact), False
 
 
-def _compile(poly, modulus):
-    """Fast mod-modulus evaluator using per-variable power tables."""
-    cache = {}
-    terms = []
-    for exp, c in poly.terms.items():
-        factors = []
-        for i, e in enumerate(exp):
-            if e:
-                tab = cache.get((i, e))
-                if tab is None:
-                    tab = [pow(v, e, modulus) for v in range(modulus)]
-                    cache[(i, e)] = tab
-                factors.append((i, tab))
-        terms.append((c % modulus, factors))
+def _bracket(residues, fside, g, p, s0, M, ideal=False) -> Bracket:
+    """Bracket of the integral of |fside|^s0 |g| |dx| over the cosets
+    x + (p^M Z_p)^n for x in residues, each x with coordinates in
+    range(p^M). g may be None (trivial measure); ideal says fside is a
+    monomial ideal.
 
-    def evaluate(point):
-        total = 0
-        for c, factors in terms:
-            v = c
-            for i, tab in factors:
-                v = v * tab[point[i]] % modulus
-            total += v
-        return total % modulus
+    Residues are counted per exponent s0*ord(fside) + ord(g) in integers
+    and weighed once at the end: exact, and far cheaper than a Fraction
+    sum per residue.
+    """
+    n = fside.n
+    modulus = p**M
+    if n >= 2:  # values recur among the residues: tabulate their orders
+        order = [_ord_residue(v, p, M) for v in range(modulus)].__getitem__
+    else:
+        def order(v):
+            return _ord_residue(v, p, M)
+    if ideal:
+        gens = fside.generators
+        memo = {}
 
-    return evaluate
+        def fside_ord(a):
+            # The order of a monomial ideal depends only on the orders of
+            # the coordinates, which take few distinct values.
+            coords = tuple(map(order, a))
+            if coords not in memo:
+                memo[coords] = _min_ord([
+                    (sum(c * wi for (c, _), wi in zip(coords, w) if wi),
+                     all(d for (_, d), wi in zip(coords, w) if wi))
+                    for w in gens])
+            return memo[coords]
+    else:
+        comps = [c.mod_evaluator(modulus) for c in components(fside)]
+
+        def fside_ord(a):
+            return _min_ord([order(ev(a)) for ev in comps])
+    gev = None if g is None else g.mod_evaluator(modulus)
+    every = {}
+    determined = {}
+    for a in residues:
+        vf, fdet = fside_ord(a)
+        vg, gdet = (0, True) if gev is None else order(gev(a))
+        e = s0 * vf + vg
+        every[e] = every.get(e, 0) + 1
+        if fdet and gdet:
+            determined[e] = determined.get(e, 0) + 1
+
+    def weigh(counts):
+        return sum((Fraction(c, p**e) for e, c in counts.items()),
+                   Fraction(0)) / p**(M * n)
+
+    return Bracket(weigh(determined), weigh(every))
 
 
 def truncated_integral(mode, fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral over Z_p^n of |fside|^s0 |g| |dx| from the
     residues mod p^M. g may be None (trivial measure)."""
-    n = fside.n
-    _guard(p**(M * n), "truncated integration")
-    modulus = p**M
-    coset = Fraction(1, p**(M * n))
-    ords = [_ord_residue(v, p, M) for v in range(modulus)]
-    if mode == "ideal":
-        gens = fside.generators
-        memo = {}
-
-        def monomial_ords(coords):
-            pairs = []
-            for w in gens:
-                e = sum(c * wi for (c, _), wi in zip(coords, w) if wi)
-                det = all(d for (_, d), wi in zip(coords, w) if wi)
-                pairs.append((e, det))
-            return _min_ord(pairs)
-
-        def fside_ord(a):
-            # The order of a monomial ideal depends only on the orders of
-            # the coordinates, which take few distinct values.
-            coords = tuple(ords[x] for x in a)
-            found = memo.get(coords)
-            if found is None:
-                found = memo[coords] = monomial_ords(coords)
-            return found
-    else:
-        comps = [_compile(c, modulus) for c in components(fside)]
-
-        def fside_ord(a):
-            return _min_ord([ords[ev(a)] for ev in comps])
-    gev = None if g is None else _compile(g, modulus)
-    # Count residues per exponent in integers and weigh them once at the
-    # end: exact, and far cheaper than a Fraction sum per residue.
-    every = {}
-    determined = {}
-    for a in itertools.product(range(modulus), repeat=n):
-        vf, fdet = fside_ord(a)
-        vg, gdet = (0, True) if gev is None else ords[gev(a)]
-        e = s0 * vf + vg
-        every[e] = every.get(e, 0) + 1
-        if fdet and gdet:
-            determined[e] = determined.get(e, 0) + 1
-    lo = sum((coset * Fraction(c, p**e) for e, c in determined.items()),
-             Fraction(0))
-    hi = sum((coset * Fraction(c, p**e) for e, c in every.items()),
-             Fraction(0))
-    return Bracket(lo, hi)
+    _guard(p**(M * fside.n), "truncated integration")
+    residues = itertools.product(range(p**M), repeat=fside.n)
+    return _bracket(residues, fside, g, p, s0, M, ideal=mode == "ideal")
 
 
 # -- hypothesis checking ------------------------------------------------
 
 
-def check_coset_hypotheses(fside, g, a, p):
-    """The conditions a coset base point must satisfy: wherever a factor
-    vanishes mod p, the corresponding Jacobian has maximal rank mod p.
+def _hypotheses(fside, g, p):
+    """The conditions a coset base point must satisfy, compiled once:
+    wherever a factor vanishes mod p, the corresponding Jacobian has
+    maximal rank mod p.
 
-    Raises HypothesisError naming the failing condition.
+    The returned check takes a point with coordinates in range(p),
+    returns (fzero, gzero) and raises HypothesisError naming the failing
+    condition.
     """
     comps = components(fside)
     t = len(comps)
-    n = comps[0].n
-    fzero = all(c.evaluate_mod(a, p) == 0 for c in comps)
-    gzero = g is not None and g.evaluate_mod(a, p) == 0
-    if fzero and rank_mod_p(jacobian_rows(comps, a, p), p) < min(t, n):
-        raise HypothesisError(
-            f"f side vanishes at {a} mod {p} with a rank-deficient Jacobian")
-    if gzero and rank_mod_p(jacobian_rows([g], a, p), p) < 1:
-        raise HypothesisError(
-            f"measure polynomial is singular at {a} mod {p}")
-    if fzero and gzero \
-            and rank_mod_p(jacobian_rows(comps + [g], a, p), p) < t + 1:
-        raise HypothesisError(
-            f"stacked Jacobian at {a} mod {p} has rank below {t + 1}")
-    return fzero, gzero
+    n = fside.n
+    fevs = [c.mod_evaluator(p) for c in comps]
+    gev = None if g is None else g.mod_evaluator(p)
+    fgrad = gradient_evaluators(comps, p)
+    ggrad = [] if g is None else gradient_evaluators([g], p)
+
+    def check(a):
+        fzero = not any(ev(a) for ev in fevs)
+        gzero = gev is not None and gev(a) == 0
+        frows = jacobian_rows(fgrad, a) if fzero else []
+        grows = jacobian_rows(ggrad, a) if gzero else []
+        if fzero and rank_mod_p(frows, p) < min(t, n):
+            raise HypothesisError(
+                f"f side vanishes at {a} mod {p} with a rank-deficient Jacobian")
+        if gzero and rank_mod_p(grows, p) < 1:
+            raise HypothesisError(
+                f"measure polynomial is singular at {a} mod {p}")
+        if fzero and gzero and rank_mod_p(frows + grows, p) < t + 1:
+            raise HypothesisError(
+                f"stacked Jacobian at {a} mod {p} has rank below {t + 1}")
+        return fzero, gzero
+
+    return check
 
 
 def find_base_point(fside, g, p, want_fzero=True, want_gzero=True):
     """Search {1..p-1}^n for a base point with the requested vanishing
     pattern and valid hypotheses; None when the pattern is vacuous."""
-    comps = components(fside)
-    n = comps[0].n
-    _guard((p - 1)**n, "base point search")
-    for a in itertools.product(range(1, p), repeat=n):
-        fzero = all(c.evaluate_mod(a, p) == 0 for c in comps)
-        gzero = g is not None and g.evaluate_mod(a, p) == 0
-        if (fzero, gzero) != (want_fzero, want_gzero):
-            continue
+    _guard((p - 1)**fside.n, "base point search")
+    check = _hypotheses(fside, g, p)
+    for a in itertools.product(range(1, p), repeat=fside.n):
         try:
-            check_coset_hypotheses(fside, g, a, p)
+            if check(a) == (want_fzero, want_gzero):
+                return a
         except HypothesisError:
             continue
-        return a
     return None
 
 
@@ -201,86 +195,55 @@ def measure_A_kl(fside, g, a, p, k, l, mode="single") -> Fraction:
     """
     comps = components(fside)
     t = len(comps)
-    n = comps[0].n
+    n = fside.n
     if k < 1 or l < 1:
         raise ValueError("need k, l >= 1")
     if mode == "single" and k < l:
         raise ValueError("single mode needs k >= l")
     if n < t + 1:
         raise HypothesisError(f"need n >= {t + 1} variables, got {n}")
-    fzero, gzero = check_coset_hypotheses(fside, g, a, p)
+    fzero, gzero = _hypotheses(fside, g, p)(tuple(x % p for x in a))
     if not (fzero and gzero):
         raise HypothesisError(
             "the base point must annihilate both factors mod p")
     depth = max(k, l)
     _guard(p**((depth - 1) * n), "measure counting")
     pk, pl = p**k, p**l
-    pdepth = p**depth
+    fevs = [comp.mod_evaluator(pk) for comp in comps]
+    gev = g.mod_evaluator(pl)
     count = 0
     for c in itertools.product(range(p**(depth - 1)), repeat=n):
-        x = tuple(ai + p * ci for ai, ci in zip(a, c))
-        if any(comp.evaluate_mod(x, pk) for comp in comps):
+        x = [ai + p * ci for ai, ci in zip(a, c)]
+        xk = tuple(v % pk for v in x)
+        if any(ev(xk) for ev in fevs):
             continue
-        if g.evaluate_mod(x, pl):
+        if gev(tuple(v % pl for v in x)):
             continue
         count += 1
-    return Fraction(count, pdepth**n)
+    return Fraction(count, p**(depth * n))
 
 
 def coset_integral(a, fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| over a + (pZ_p)^n."""
-    check_coset_hypotheses(fside, g, a, p)
-    comps = components(fside)
-    n = comps[0].n
+    _hypotheses(fside, g, p)(tuple(x % p for x in a))
+    n = fside.n
     _guard(p**((M - 1) * n), "coset integration")
     modulus = p**M
-    coset = Fraction(1, p**(M * n))
-    lo = hi = Fraction(0)
-    for c in itertools.product(range(p**(M - 1)), repeat=n):
-        x = tuple((ai + p * ci) % modulus for ai, ci in zip(a, c))
-        vf, fdet = _min_ord(
-            [_ord_residue(comp.evaluate_mod(x, modulus), p, M)
-             for comp in comps])
-        if g is None:
-            vg, gdet = 0, True
-        else:
-            vg, gdet = _ord_residue(g.evaluate_mod(x, modulus), p, M)
-        value = coset * Fraction(1, p**(s0 * vf + vg))
-        if fdet and gdet:
-            lo += value
-            hi += value
-        else:
-            hi += value
-    return Bracket(lo, hi)
+    lifts = (tuple((ai + p * ci) % modulus for ai, ci in zip(a, c))
+             for c in itertools.product(range(p**(M - 1)), repeat=n))
+    return _bracket(lifts, fside, g, p, s0, M)
 
 
 def torus_integral(fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| over (Z_p^x)^n, after
     checking the coset hypotheses at every torus residue."""
-    comps = components(fside)
-    n = comps[0].n
-    for a in itertools.product(range(1, p), repeat=n):
-        check_coset_hypotheses(fside, g, a, p)
+    n = fside.n
     _guard(((p - 1) * p**(M - 1))**n, "torus integration")
-    modulus = p**M
-    coset = Fraction(1, p**(M * n))
-    lo = hi = Fraction(0)
-    units = [u for u in range(modulus) if u % p]
-    for x in itertools.product(units, repeat=n):
-        vf, fdet = _min_ord(
-            [_ord_residue(comp.evaluate_mod(x, modulus), p, M)
-             for comp in comps])
-        if g is None:
-            vg, gdet = 0, True
-        else:
-            vg, gdet = _ord_residue(g.evaluate_mod(x, modulus), p, M)
-        value = coset * Fraction(1, p**(s0 * vf + vg))
-        if fdet and gdet:
-            lo += value
-            hi += value
-        else:
-            hi += value
-    return Bracket(lo, hi)
+    check = _hypotheses(fside, g, p)
+    for a in itertools.product(range(1, p), repeat=n):
+        check(a)
+    units = [u for u in range(p**M) if u % p]
+    return _bracket(itertools.product(units, repeat=n), fside, g, p, s0, M)
 
 
 # -- closed values the brackets must contain ----------------------------

@@ -4,6 +4,9 @@ Exponent vectors are plain tuples of nonnegative ints of length n. Terms
 are stored in a dict mapping exponent tuple -> nonzero int coefficient.
 Printed output uses a fixed graded-lexicographic term order so that
 print -> parse -> print is a fixpoint.
+
+`IntegerPolynomial.mod_evaluator(m)` is the one evaluator mod m: points
+must have coordinates in range(m), and power tables exist only for n >= 2.
 """
 
 from __future__ import annotations
@@ -128,16 +131,40 @@ class IntegerPolynomial:
         return IntegerPolynomial(
             self.n, {e: c % p for e, c in self.terms.items() if c % p})
 
-    def evaluate_mod(self, point, modulus):
-        """f(point) mod modulus, without intermediate coefficient growth."""
-        total = 0
+    def mod_evaluator(self, modulus):
+        """The function point -> f(point) mod modulus, compiled once.
+
+        Coordinates must already lie in range(modulus); they are not
+        reduced. With n >= 2 residues recur among the points of a sweep,
+        so powers come from per-(variable, exponent) tables; with n = 1
+        each residue comes up once, and pow keeps memory flat.
+        """
+        if self.n == 1:
+            terms = [(c % modulus, e) for (e,), c in self.terms.items()]
+            return lambda point: sum(
+                c * pow(point[0], e, modulus) for c, e in terms) % modulus
+        tables = {}
+        terms = []
         for exp, c in self.terms.items():
-            v = c % modulus
-            for a, e in zip(point, exp):
+            factors = []
+            for i, e in enumerate(exp):
                 if e:
-                    v = (v * pow(a % modulus, e, modulus)) % modulus
-            total = (total + v) % modulus
-        return total
+                    if (i, e) not in tables:
+                        tables[i, e] = [pow(v, e, modulus)
+                                        for v in range(modulus)]
+                    factors.append((i, tables[i, e]))
+            terms.append((c % modulus, factors))
+
+        def evaluate(point):
+            total = 0
+            for c, factors in terms:
+                v = c
+                for i, tab in factors:
+                    v = v * tab[point[i]] % modulus
+                total += v
+            return total % modulus
+
+        return evaluate
 
     def evaluate(self, point):
         """Exact integer (or Fraction) evaluation."""

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .cones import ConePartition, RationalCone, simplicial_decompose
 from .errors import InternalConsistencyError
@@ -228,9 +229,12 @@ def display_factors(mode, terms, t_count=1):
 
 
 def common_denominator_form(z: ZetaRational, factors, p):
-    """(numerator Poly over Q, constant_divisor) with
+    """(numerator Poly with integer coefficients, constant_divisor) with
     z = numerator / (constant_divisor * prod factors), or None when the
-    reduced denominator does not divide that product."""
+    reduced denominator does not divide that product.
+
+    The constant divisor is p + 1 times the lcm of the denominators the
+    numerator would otherwise have."""
     den = Poly.const(p + 1)
     for f in factors:
         den = den * f.numerator_poly(p)
@@ -238,7 +242,9 @@ def common_denominator_form(z: ZetaRational, factors, p):
         cof = den.exact_div(z.reduced.den)
     except ValueError:
         return None
-    return z.reduced.num * cof, p + 1
+    numerator = z.reduced.num * cof
+    scale = lcm(*(c.denominator for c in numerator.coeffs))
+    return numerator * scale, (p + 1) * scale
 
 
 # -- candidate poles ----------------------------------------------------

@@ -7,6 +7,9 @@ import pathlib
 import pytest
 
 from igusa import cli
+from igusa.problem import compute, parse_problem_file
+from igusa.ratfun import Poly, RationalFunction
+from igusa.zeta import ExpFactor
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "example_ideal.txt")
 
@@ -80,6 +83,25 @@ generators=x^5*y, x^3*y^2, x^2*y^5
         assert code == 0
         assert "measure: trivial" in text
 
+    def test_mapping_pair_with_rational_numerator(self, tmp_path):
+        # p + 1 = 4 does not absorb the denominator 9 of Z's coefficients
+        text = """\
+mode=mapping
+n=3
+p=3
+f=x + z, y - z
+g=x + y + z + x*y*z
+"""
+        path = write(tmp_path, text)
+        code, payload = run(["compute", path, "--json"])
+        assert code == 0
+        zf = json.loads(payload)["zeta_factored"]
+        den = Poly.const(zf["constant_divisor"])
+        for a, b in zf["factors"]:
+            den = den * ExpFactor(a, b).numerator_poly(3)
+        comp = compute(parse_problem_file(path))
+        assert RationalFunction(Poly(zf["numerator"]), den) == comp.zeta.reduced
+
     def test_malformed_file(self, tmp_path):
         path = write(tmp_path, "mode=single\nn=2\np=5\nf=x + %\n")
         code, _ = run(["compute", path])
@@ -129,6 +151,14 @@ class TestOracle:
         code, text = run(["oracle", path, "--level", "6", "--corrupt-zeta"])
         assert code == 4
         assert "bracket violation" in text
+
+    @pytest.mark.parametrize("flag", ["--level", "--s0"])
+    @pytest.mark.parametrize("value", ["-1", "0"])
+    def test_nonpositive_flags_refused(self, flag, value, capsys):
+        code, text = run(["oracle", FIXTURE, flag, value])
+        assert code == 1
+        assert text == ""
+        assert capsys.readouterr().err.startswith("parse error:")
 
     def test_size_guard(self, tmp_path):
         path = write(tmp_path, "mode=single\nn=2\np=101\nf=x + y\n")

@@ -3,15 +3,17 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igusa.counting import (CountTriple, check_nondegenerate_single,
                             check_pair_nondegenerate,
-                            check_strong_nondegenerate, count_triple,
-                            rank_mod_p)
+                            check_strong_nondegenerate, cone_name,
+                            count_triple, face_name, rank_mod_p)
 from igusa.cones import partition_pair
 from igusa.errors import SizeGuardError
-from igusa.newton import NewtonPolyhedron
-from igusa.polynomials import PolynomialMapping, parse_polynomial
+from igusa.newton import NewtonPolyhedron, face_restriction
+from igusa.polynomials import (IntegerPolynomial, PolynomialMapping,
+                               parse_polynomial)
 
 from conftest import example_measure
 
@@ -177,3 +179,100 @@ class TestPairCheck:
         report = check_pair_nondegenerate(f, g, partition, 2)
         assert not report.ok
         assert check_pair_nondegenerate(f, g, partition, 5).ok
+
+
+# -- seeded property tests against exact integer arithmetic -------------
+
+
+def exact_singular_zeros(parts, n, p, target):
+    """Torus points where every part vanishes mod p and the Jacobian has
+    rank below target, from exact evaluation reduced mod p."""
+    found = []
+    for a in itertools.product(range(1, p), repeat=n):
+        if any(part.evaluate(a) % p for part in parts):
+            continue
+        rows = [[part.partial_derivative(i).evaluate(a) for i in range(1, n + 1)]
+                for part in parts]
+        if rank_mod_p(rows, p) < target:
+            found.append(a)
+    return found
+
+
+@st.composite
+def cases(draw, count, min_n=1, max_terms=4):
+    """(n, p, count nonzero polynomials in n <= 3 variables that vanish at
+    the origin)."""
+    n = draw(st.integers(min_n, 3))
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    coefficients = st.integers(-5, 5).filter(bool)
+    polys = [IntegerPolynomial(n, draw(st.dictionaries(
+        exponents, coefficients, min_size=1, max_size=max_terms)))
+        for _ in range(count)]
+    return n, p, polys
+
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+
+
+class TestAgainstExactArithmetic:
+    @PROPERTY
+    @given(cases(3), st.booleans(), st.booleans())
+    def test_count_triple(self, case, mapping, trivial_measure):
+        n, p, (f1, f2, g) = case
+        comps = [f1, f2] if mapping else [f1]
+        fpart = PolynomialMapping(comps) if mapping else f1
+        g = None if trivial_measure else g
+        assert count_triple(fpart, g, p) == brute_counts(comps, g, p, n)
+
+    @PROPERTY
+    @given(cases(1))
+    def test_single_check_witnesses(self, case):
+        n, p, (f,) = case
+        gamma = NewtonPolyhedron.of(f)
+        expected = [(face_name(face), a)
+                    for face in gamma.enumerate_faces()
+                    for a in exact_singular_zeros(
+                        [face_restriction(f, face)], n, p, 1)]
+        report = check_nondegenerate_single(f, gamma, p)
+        assert [w[:2] for w in report.witnesses] == expected
+
+    @PROPERTY
+    @given(cases(2))
+    def test_strong_check_witnesses(self, case):
+        n, p, comps = case
+        ff = PolynomialMapping(comps[:n])
+        gamma = NewtonPolyhedron.of(ff)
+        target = min(ff.t, n)
+        expected = [(face_name(face), a)
+                    for face in gamma.enumerate_faces()
+                    for a in exact_singular_zeros(
+                        [face_restriction(c, face) for c in ff.components],
+                        n, p, target)]
+        report = check_strong_nondegenerate(ff, gamma, p)
+        assert [w[:2] for w in report.witnesses] == expected
+
+    @PROPERTY
+    @given(cases(3, min_n=2, max_terms=3), st.booleans())
+    def test_pair_check_witnesses(self, case, mapping):
+        # few terms: the pair fan of three dense polynomials in three
+        # variables takes seconds to build
+        n, p, (f1, f2, g) = case
+        mapping = mapping and n == 3
+        fside = PolynomialMapping([f1, f2]) if mapping else f1
+        comps = [f1, f2] if mapping else [f1]
+        partition = partition_pair(NewtonPolyhedron.of(fside),
+                                   NewtonPolyhedron.of(g))
+        expected = []
+        for cone in partition.cones:
+            face_f, face_g = cone.labels
+            gpart = face_restriction(g, face_g)
+            if len(gpart.terms) == 1:
+                # skipped as in the program: a unit monomial never vanishes
+                # on the torus, and one that p divides fails g's own check
+                continue
+            parts = [face_restriction(c, face_f) for c in comps] + [gpart]
+            expected += [(cone_name(cone), a) for a in exact_singular_zeros(
+                parts, n, p, len(comps) + 1)]
+        report = check_pair_nondegenerate(fside, g, partition, p)
+        assert [w[:2] for w in report.witnesses] == expected

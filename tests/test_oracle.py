@@ -211,3 +211,43 @@ class TestTorusIntegral:
         f = poly("x + y")
         with pytest.raises(HypothesisError):
             oracle.torus_integral(f, g, 3, 1, 2)
+
+
+class TestPinnedBrackets:
+    """Exact brackets, recorded before the three integrators were merged
+    into one residue loop; any change to the loop must keep them."""
+
+    def test_truncated_fixture(self):
+        from conftest import example_ideal, example_measure
+        b = oracle.truncated_integral("ideal", example_ideal(),
+                                      example_measure(), 2, 1, 6)
+        assert (b.lo, b.hi) == (Fraction(488721, 4194304),
+                                Fraction(32865646415053, 281474976710656))
+
+    def test_truncated_single(self):
+        b = oracle.truncated_integral("single", poly("x^2 + y^3"),
+                                      poly("x*y"), 2, 1, 5)
+        assert (b.lo, b.hi) == (Fraction(4175, 16384), Fraction(4203, 16384))
+
+    def test_truncated_mapping(self):
+        ff = PolynomialMapping([poly("x", 3), poly("y", 3)])
+        b = oracle.truncated_integral("mapping", ff,
+                                      poly("x + y + z + x*y*z", 3), 3, 1, 3)
+        assert (b.lo, b.hi) == (Fraction(924316, 1594323),
+                                Fraction(8346307, 14348907))
+
+    def test_truncated_one_variable(self):
+        b = oracle.truncated_integral("single", poly("x", 1), None, 3, 1, 6)
+        assert (b.lo, b.hi) == (Fraction(132860, 177147),
+                                Fraction(398581, 531441))
+
+    def test_coset(self):
+        b = oracle.coset_integral((1, 1), poly("x + y + x*y"), poly("x - y"),
+                                  3, 1, 4)
+        assert (b.lo, b.hi) == (Fraction(33124, 4782969),
+                                Fraction(299209, 43046721))
+
+    def test_torus(self):
+        b = oracle.torus_integral(poly("x + y + x*y"), poly("x - y"), 3, 2, 3)
+        assert (b.lo, b.hi) == (Fraction(133798, 531441),
+                                Fraction(3619672, 14348907))
