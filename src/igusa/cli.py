@@ -244,7 +244,7 @@ def main(argv=None, out=None):
                         help=argparse.SUPPRESS)  # negative-control test hook
     args = parser.parse_args(argv)
     for flag, value in (("--level", args.level), ("--s0", args.s0)):
-        if value < 1:
+        if args.command == "oracle" and value < 1:  # only oracle reads them
             print(f"parse error: {flag} must be a positive integer, "
                   f"got {value}", file=sys.stderr)
             return EXIT_PARSE

@@ -60,10 +60,15 @@ def components(obj):
 def _zero_test(polys, p):
     """point -> whether every one of polys vanishes at point mod p."""
     evaluators = [poly.mod_evaluator(p) for poly in polys]
-    if len(evaluators) > 1:
-        return lambda point: not any(ev(point) for ev in evaluators)
-    evaluate, = evaluators  # the common case, without any() per point
-    return lambda point: evaluate(point) == 0
+
+    def vanishes(point):
+        # a plain loop: any() over a generator at every point made the
+        # torus benchmark 1.8 times slower
+        for evaluate in evaluators:
+            if evaluate(point):
+                return False
+        return True
+    return vanishes
 
 
 def count_triple(fpart, gpart, p) -> CountTriple:
@@ -181,8 +186,8 @@ def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
     for cone in partition.cones:
         face_f, face_g = cone.labels
         gpart = face_restriction(g, face_g)
-        if gpart.is_zero() or len(gpart.terms) == 1:
-            continue  # a monomial never vanishes on the torus
+        if len(gpart.terms) == 1 and next(iter(gpart.terms.values())) % p:
+            continue  # a unit monomial never vanishes on the torus
         parts = [gpart] + [face_restriction(c, face_f)
                            for c in components(fside)]
         witnesses += [(cone_name(cone), a,

@@ -22,6 +22,7 @@ from fractions import Fraction
 from .counting import (ENUMERATION_LIMIT, components, gradient_evaluators,
                        jacobian_rows, rank_mod_p)
 from .errors import HypothesisError, SizeGuardError
+from .polynomials import MonomialIdealSpec
 
 
 @dataclass(frozen=True)
@@ -68,11 +69,10 @@ def _min_ord(pairs):
     return min(bounds + exact), False
 
 
-def _bracket(residues, fside, g, p, s0, M, ideal=False) -> Bracket:
+def _bracket(residues, fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| |dx| over the cosets
     x + (p^M Z_p)^n for x in residues, each x with coordinates in
-    range(p^M). g may be None (trivial measure); ideal says fside is a
-    monomial ideal.
+    range(p^M). g may be None (trivial measure).
 
     Residues are counted per exponent s0*ord(fside) + ord(g) in integers
     and weighed once at the end: exact, and far cheaper than a Fraction
@@ -80,12 +80,8 @@ def _bracket(residues, fside, g, p, s0, M, ideal=False) -> Bracket:
     """
     n = fside.n
     modulus = p**M
-    if n >= 2:  # values recur among the residues: tabulate their orders
-        order = [_ord_residue(v, p, M) for v in range(modulus)].__getitem__
-    else:
-        def order(v):
-            return _ord_residue(v, p, M)
-    if ideal:
+    order = [_ord_residue(v, p, M) for v in range(modulus)].__getitem__
+    if isinstance(fside, MonomialIdealSpec):
         gens = fside.generators
         memo = {}
 
@@ -124,10 +120,11 @@ def _bracket(residues, fside, g, p, s0, M, ideal=False) -> Bracket:
 
 def truncated_integral(mode, fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral over Z_p^n of |fside|^s0 |g| |dx| from the
-    residues mod p^M. g may be None (trivial measure)."""
+    residues mod p^M. g may be None (trivial measure). The mode is kept
+    for the callers; the type of fside already tells an ideal apart."""
     _guard(p**(M * fside.n), "truncated integration")
     residues = itertools.product(range(p**M), repeat=fside.n)
-    return _bracket(residues, fside, g, p, s0, M, ideal=mode == "ideal")
+    return _bracket(residues, fside, g, p, s0, M)
 
 
 # -- hypothesis checking ------------------------------------------------

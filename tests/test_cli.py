@@ -160,6 +160,10 @@ class TestOracle:
         assert text == ""
         assert capsys.readouterr().err.startswith("parse error:")
 
+    @pytest.mark.parametrize("command", ["compute", "check", "poles"])
+    def test_flags_ignored_by_other_commands(self, command):
+        assert run([command, FIXTURE, "--level", "0", "--s0", "-1"])[0] == 0
+
     def test_size_guard(self, tmp_path):
         path = write(tmp_path, "mode=single\nn=2\np=101\nf=x + y\n")
         code, _ = run(["oracle", path, "--level", "4"])

@@ -180,6 +180,16 @@ class TestPairCheck:
         assert not report.ok
         assert check_pair_nondegenerate(f, g, partition, 5).ok
 
+    def test_monomial_that_p_divides(self):
+        # 3*y vanishes on the whole torus mod 3 with a zero gradient, so
+        # every torus zero of x + y is a witness, on each of the two cones
+        # (the origin and the ray (1, 1)) where f's face part is x + y
+        f = parse_polynomial("x + y", 2)
+        g = parse_polynomial("3*y", 2)
+        report = check_pair_nondegenerate(f, g, self._partition(f, g), 3)
+        assert [w[1] for w in report.witnesses] == [(1, 2), (2, 1)] * 2
+        assert check_pair_nondegenerate(f, g, self._partition(f, g), 5).ok
+
 
 # -- seeded property tests against exact integer arithmetic -------------
 
@@ -266,12 +276,8 @@ class TestAgainstExactArithmetic:
         expected = []
         for cone in partition.cones:
             face_f, face_g = cone.labels
-            gpart = face_restriction(g, face_g)
-            if len(gpart.terms) == 1:
-                # skipped as in the program: a unit monomial never vanishes
-                # on the torus, and one that p divides fails g's own check
-                continue
-            parts = [face_restriction(c, face_f) for c in comps] + [gpart]
+            parts = [face_restriction(c, face_f) for c in comps] + [
+                face_restriction(g, face_g)]
             expected += [(cone_name(cone), a) for a in exact_singular_zeros(
                 parts, n, p, len(comps) + 1)]
         report = check_pair_nondegenerate(fside, g, partition, p)
