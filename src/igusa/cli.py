@@ -7,7 +7,7 @@ table). Text rendering is a pure function of the JSON report, so JSON
 output round-trips to byte-identical text.
 
 Exit codes: 0 ok, 1 parse error, 2 degeneracy, 3 size guard, 4 oracle
-violation.
+violation, 5 internal error (a broken invariant: a bug).
 """
 
 from __future__ import annotations
@@ -19,8 +19,8 @@ import sys
 from fractions import Fraction
 
 from . import oracle, problem, zeta
-from .errors import (DegeneracyError, IgusaError, PolynomialParseError,
-                     SizeGuardError)
+from .errors import (DegeneracyError, IgusaError, InternalConsistencyError,
+                     PolynomialParseError, SizeGuardError)
 from .ratfun import Poly
 
 EXIT_OK = 0
@@ -28,10 +28,15 @@ EXIT_PARSE = 1
 EXIT_DEGENERATE = 2
 EXIT_SIZE = 3
 EXIT_ORACLE = 4
+EXIT_INTERNAL = 5
+
+
+def _poly_str(coeffs):
+    return str(Poly([int(c) for c in coeffs]))
 
 
 def _ratfun_str(doc):
-    num, den = str(Poly(doc["num"])), str(Poly(doc["den"]))
+    num, den = _poly_str(doc["num"]), _poly_str(doc["den"])
     if den == "1":
         return num
     return f"({num}) / ({den})"
@@ -107,7 +112,7 @@ def compute_report(comp):
     if common is not None:
         numerator, const = common
         doc["zeta_factored"] = {
-            "numerator": [str(c) for c in numerator.int_coeffs()],
+            "numerator": [str(c) for c in numerator.coeffs],
             "constant_divisor": const,
             "factors": [[f.a, f.b] for f in factors],
         }
@@ -140,7 +145,7 @@ def render_compute(doc):
         zf = doc["zeta_factored"]
         den = f"{zf['constant_divisor']}" + "".join(
             f"({_exp_str(p, a, b)}-1)" for a, b in zf["factors"])
-        lines.append(f"     = ({Poly(zf['numerator'])})")
+        lines.append(f"     = ({_poly_str(zf['numerator'])})")
         lines.append(f"       / ({den})")
     lines.append("")
     lines.append("candidate poles (real parts):")
@@ -294,6 +299,9 @@ def main(argv=None, out=None):
     except (PolynomialParseError, ValueError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except InternalConsistencyError as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except IgusaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

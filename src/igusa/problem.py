@@ -230,6 +230,6 @@ def compute(spec: ProblemSpec, override=False) -> Computation:
     comp.counts = _cone_counts(comp)
     comp.terms = zeta.cone_terms(spec.mode, comp.partition, comp.counts,
                                  comp.mf, comp.mg, spec.p, spec.t_count)
-    comp.zeta = zeta.assemble(comp.terms,
+    comp.zeta = zeta.assemble(comp.terms, spec.p,
                               notes=(DEGENERACY_NOTE,) if bad else ())
     return comp

@@ -1,42 +1,45 @@
 """Exact univariate rational-function arithmetic in the variable t.
 
-Polynomials are dense coefficient lists (index = power of t) over exact
-rationals; RationalFunction keeps a gcd-reduced fraction normalized to
-coprime integer-coefficient polynomials with a positive denominator
-leading coefficient, which makes equality a plain comparison.
+Polynomials are dense lists of integer coefficients (index = power of t).
+Division is integer pseudo-division, and the gcd is the primitive
+polynomial remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): each
+pseudo-remainder is divided by its content, so coefficients stay small.
+
+RationalFunction keeps its canonical form: coprime integer polynomials,
+jointly content-free, with a positive leading coefficient of the
+denominator, which makes equality a plain comparison. A rational constant
+such as 1/p^n is an integer numerator over an integer denominator.
+`sum_over` adds many fractions over one known common denominator and
+reduces once, instead of reducing every partial sum.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import index
 
-from .errors import PoleEvaluationError
+from .errors import InternalConsistencyError, PoleEvaluationError
 
 
 class Poly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs):
+        """coeffs: integers by power of t, as a sequence or a {power: c} dict."""
         if isinstance(coeffs, dict):
-            deg = max(coeffs, default=-1)
-            lst = [Fraction(0)] * (deg + 1)
+            lst = [0] * (max(coeffs, default=-1) + 1)
             for e, c in coeffs.items():
-                lst[e] = Fraction(c)
-            coeffs = lst
+                lst[e] = index(c)
         else:
-            coeffs = [Fraction(c) for c in coeffs]
-        while coeffs and coeffs[-1] == 0:
-            coeffs.pop()
-        self.coeffs = coeffs
+            lst = [index(c) for c in coeffs]
+        while lst and not lst[-1]:
+            lst.pop()
+        self.coeffs = lst
 
     @classmethod
     def const(cls, c):
         return cls([c])
-
-    @classmethod
-    def t_power(cls, e, c=1):
-        return cls({e: c})
 
     @property
     def degree(self):
@@ -53,9 +56,9 @@ class Poly:
 
     def __add__(self, other):
         a, b = self.coeffs, other.coeffs
-        out = [Fraction(0)] * max(len(a), len(b))
-        for i, c in enumerate(a):
-            out[i] += c
+        if len(a) < len(b):
+            a, b = b, a
+        out = list(a)
         for i, c in enumerate(b):
             out[i] += c
         return Poly(out)
@@ -67,78 +70,113 @@ class Poly:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return Poly([c * other for c in self.coeffs])
+        if isinstance(other, int):
+            return Poly([c * other for c in self.coeffs] if other else [])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return Poly([])
-        out = [Fraction(0)] * (len(a) + len(b) - 1)
+        out = [0] * (len(a) + len(b) - 1)
+        b_terms = [(j, c) for j, c in enumerate(b) if c]
         for i, ca in enumerate(a):
             if ca:
-                for j, cb in enumerate(b):
+                for j, cb in b_terms:
                     out[i + j] += ca * cb
         return Poly(out)
 
     __rmul__ = __mul__
 
+    def content(self):
+        """gcd of the coefficients (0 for the zero polynomial)."""
+        return gcd(*self.coeffs)
+
+    def primitive(self):
+        """self divided by its content."""
+        c = self.content()
+        if c <= 1:
+            return self
+        return Poly([x // c for x in self.coeffs])
+
     def divmod(self, other):
+        """Pseudo-division: (q, r) with lc(other)^k * self = q * other + r,
+        k = max(0, deg self - deg other + 1) and deg r < deg other."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
-        rem = list(self.coeffs)
-        q = [Fraction(0)] * max(0, len(rem) - len(other.coeffs) + 1)
-        d = other.degree
-        lead = other.coeffs[-1]
-        for i in range(len(rem) - 1, d - 1, -1):
-            if rem[i] == 0:
-                continue
-            f = rem[i] / lead
-            q[i - d] = f
-            for j, c in enumerate(other.coeffs):
-                rem[i - d + j] -= f * c
-        return Poly(q), Poly(rem)
+        u, v = list(self.coeffs), other.coeffs
+        n, lead = other.degree, v[-1]
+        steps = len(u) - n
+        if steps <= 0:
+            return Poly([]), self
+        v_terms = [(j, c) for j, c in enumerate(v[:-1]) if c]
+        q = [0] * steps
+        for k in range(steps - 1, -1, -1):
+            c = u[n + k]
+            q[k] = c * lead**k
+            u = [x * lead for x in u[:n + k]]
+            if c:
+                for j, vc in v_terms:
+                    u[j + k] -= c * vc
+        return Poly(q), Poly(u)
+
+    def quotient(self, other):
+        """self / other in Z[t], or None when other does not divide self
+        there (for a primitive `other`, the same as over Q)."""
+        if other.is_zero():
+            raise ZeroDivisionError("polynomial division by zero")
+        rem, v = list(self.coeffs), other.coeffs
+        n, lead = other.degree, v[-1]
+        if len(rem) <= n:
+            return None if rem else Poly([])
+        v_terms = [(j, c) for j, c in enumerate(v[:-1]) if c]
+        q = [0] * (len(rem) - n)
+        for k in range(len(q) - 1, -1, -1):
+            c = rem[n + k]
+            if c:
+                f, r = divmod(c, lead)
+                if r:
+                    return None
+                q[k] = f
+                for j, vc in v_terms:
+                    rem[j + k] -= f * vc
+        if any(rem[:n]):
+            return None
+        return Poly(q)
 
     def exact_div(self, other):
-        q, r = self.divmod(other)
-        if not r.is_zero():
-            raise ValueError("division is not exact")
+        """self / other, which the caller's invariants make a polynomial
+        in Z[t]."""
+        q = self.quotient(other)
+        if q is None:
+            raise InternalConsistencyError(
+                f"division is not exact: ({self}) / ({other})")
         return q
 
-    def monic(self):
-        if self.is_zero():
-            return self
-        return self * (1 / self.coeffs[-1])
-
     def gcd(self, other):
-        a, b = self, other
-        while not b.is_zero():
-            _, r = a.divmod(b)
-            a, b = b, r
-        return a.monic()
+        """Greatest common divisor in Z[t], with a positive leading
+        coefficient: the gcd of the contents times the last nonzero member
+        of the primitive remainder sequence."""
+        if self.is_zero() or other.is_zero():
+            g = other if self.is_zero() else self
+            return -g if g.coeffs and g.coeffs[-1] < 0 else g
+        c = gcd(self.content(), other.content())
+        a, b = self.primitive(), other.primitive()
+        if a.degree < b.degree:
+            a, b = b, a
+        while b.degree > 0:
+            r = a.divmod(b)[1]
+            if r.is_zero():
+                break
+            a, b = b, r.primitive()
+        else:
+            b = Poly([1])
+        if b.coeffs[-1] < 0:
+            c = -c
+        return b if c == 1 else b * c
 
     def evaluate(self, x):
         total = Fraction(0)
         for c in reversed(self.coeffs):
             total = total * x + c
         return total
-
-    def integerized(self):
-        """(integer-coefficient Poly, positive rational scale) with
-        self = scale * integer poly and the integer poly content-free."""
-        if self.is_zero():
-            return self, Fraction(1)
-        denom = 1
-        for c in self.coeffs:
-            denom = denom * c.denominator // gcd(denom, c.denominator)
-        ints = [int(c * denom) for c in self.coeffs]
-        content = 0
-        for c in ints:
-            content = gcd(content, abs(c))
-        return Poly([c // content for c in ints]), Fraction(content, denom)
-
-    def int_coeffs(self):
-        if any(c.denominator != 1 for c in self.coeffs):
-            raise ValueError("polynomial has non-integer coefficients")
-        return [int(c) for c in self.coeffs]
 
     def __str__(self):
         if self.is_zero():
@@ -182,7 +220,8 @@ class RationalFunction:
     @classmethod
     def const(cls, c):
         c = Fraction(c)
-        return cls(Poly.const(c.numerator), Poly.const(c.denominator))
+        return cls(Poly.const(c.numerator), Poly.const(c.denominator),
+                   _normalized=True)
 
     def is_zero(self):
         return self.num.is_zero()
@@ -193,8 +232,8 @@ class RationalFunction:
     def as_fraction(self):
         if not self.is_constant():
             raise ValueError("not a constant")
-        num = self.num.coeffs[0] if self.num.coeffs else Fraction(0)
-        return num / self.den.coeffs[0]
+        num = self.num.coeffs[0] if self.num.coeffs else 0
+        return Fraction(num, self.den.coeffs[0])
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -244,8 +283,8 @@ class RationalFunction:
         return self.num.evaluate(tval) / den
 
     def to_json(self):
-        return {"num": [str(c) for c in self.num.int_coeffs()],
-                "den": [str(c) for c in self.den.int_coeffs()]}
+        return {"num": [str(c) for c in self.num.coeffs],
+                "den": [str(c) for c in self.den.coeffs]}
 
     def __str__(self):
         if self.den == Poly.const(1):
@@ -253,6 +292,26 @@ class RationalFunction:
         return f"({self.num}) / ({self.den})"
 
     __repr__ = __str__
+
+
+def sum_over(den, fractions):
+    """The sum of num/d over the (num, d) Poly pairs in `fractions`, where
+    every d divides `den` over Q, as one reduced RationalFunction.
+
+    Each d is split into its content c and primitive part, which divides
+    den in Z[t]; num * (den / primitive part) / c is brought over den times
+    the lcm of the contents, the numerators are added, and the sum is
+    reduced once."""
+    parts = []
+    for num, d in fractions:
+        c = d.content()
+        cofactor = den.exact_div(d.primitive())
+        parts.append((num * cofactor, c))
+    common = lcm(*(c for _, c in parts))
+    total = Poly([])
+    for num, c in parts:
+        total = total + num * (common // c)
+    return RationalFunction(total, den * common)
 
 
 def _coerce(x):
@@ -267,16 +326,8 @@ def _normalize(num, den):
     if num.is_zero():
         return Poly([]), Poly.const(1)
     g = num.gcd(den)
-    if g.degree > 0:
-        num = num.exact_div(g)
-        den = den.exact_div(g)
-    num, num_scale = num.integerized()
-    den, den_scale = den.integerized()
-    # contents scale.numerator and scale.denominator are coprime, so the
-    # resulting integer fraction is content-reduced
-    scale = num_scale / den_scale
-    num = num * scale.numerator
-    den = den * scale.denominator
+    if g.coeffs != [1]:
+        num, den = num.exact_div(g), den.exact_div(g)
     if den.coeffs[-1] < 0:
         num, den = -num, -den
     return num, den

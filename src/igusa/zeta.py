@@ -9,13 +9,14 @@ display and becomes (p^b - t^a)/t^a when expanded.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd
 
 from .cones import ConePartition, RationalCone, simplicial_decompose
 from .errors import InternalConsistencyError
-from .ratfun import Poly, RationalFunction
+from .ratfun import Poly, RationalFunction, sum_over
 
 
 def sigma(k):
@@ -47,17 +48,18 @@ class FactoredPiece:
     factors: tuple  # of ExpFactor
 
     def expand(self, p):
+        """(numerator, denominator) Polys of the piece, unreduced."""
         a_total = sum(f.a for f in self.factors)
         num = Poly({})
         for coeff, a, b in self.terms:
             if a > a_total:
                 raise InternalConsistencyError(
                     "numerator exponent escapes the denominator t-power")
-            num = num + Poly({a_total - a: coeff * Fraction(p)**b})
+            num = num + Poly({a_total - a: coeff * p**b})
         den = Poly.const(1)
         for f in self.factors:
             den = den * f.numerator_poly(p)
-        return RationalFunction(num, den)
+        return num, den
 
     def to_json(self):
         return {"terms": [[c, a, b] for c, a, b in self.terms],
@@ -76,10 +78,7 @@ class ZetaRational:
     def verify_factored(self, p):
         if not self.factored:
             return True
-        total = RationalFunction.const(0)
-        for piece in self.factored:
-            total = total + piece.expand(p)
-        return total == self.reduced
+        return _sum_pieces(self.factored, p) == self.reduced
 
     def to_json(self):
         out = self.reduced.to_json()
@@ -111,17 +110,31 @@ def s_delta(cone: RationalCone, mf, mg, p) -> ZetaRational:
         piece = FactoredPiece(((1, 0, 0),), ())
         return ZetaRational(RationalFunction.const(1), (piece,))
     pieces = []
-    total = RationalFunction.const(0)
     for sp in simplicial_decompose(cone):
         exps = [(mf(k), mg(k) + sigma(k)) for k in sp.rays]
         _check_linear(sp.rays, exps, mf, mg)
         factors = tuple(ExpFactor(a, b) for a, b in exps)
         terms = tuple(sorted((1, mf(h), mg(h) + sigma(h))
                              for h in sp.pp_points))
-        piece = FactoredPiece(terms, factors)
-        pieces.append(piece)
-        total = total + piece.expand(p)
-    return ZetaRational(total, tuple(pieces))
+        pieces.append(FactoredPiece(terms, factors))
+    return ZetaRational(_sum_pieces(pieces, p), tuple(pieces))
+
+
+def _sum_pieces(pieces, p):
+    den = _binomial_product((piece.factors for piece in pieces), p)
+    return sum_over(den, (piece.expand(p) for piece in pieces))
+
+
+def _binomial_product(factor_lists, p):
+    """Product of the ExpFactors, each at the largest multiplicity it has
+    in any one of the lists: a common denominator of the pieces."""
+    mult = Counter()
+    for factors in factor_lists:
+        mult |= Counter(factors)
+    den = Poly.const(1)
+    for f in mult.elements():
+        den = den * f.numerator_poly(p)
+    return den
 
 
 def _check_linear(rays, exps, mf, mg):
@@ -151,7 +164,7 @@ def l_delta(counts, p, n, t_count) -> ZetaRational:
     (t_count = 1 for a single polynomial)."""
     tc = t_count
     one = RationalFunction.const(1)
-    t = RationalFunction(Poly.t_power(1))
+    t = RationalFunction(Poly([0, 1]))
     ptc_minus_t = RationalFunction(Poly({0: p**tc, 1: -1}))
     total = RationalFunction.const((p - 1)**n)
     if counts.N:
@@ -190,17 +203,25 @@ def cone_terms(mode, partition: ConePartition, counts, mf, mg, p, t_count=1):
     return out
 
 
-def assemble(terms, notes=()) -> ZetaRational:
+def assemble(terms, p, notes=()) -> ZetaRational:
     """Z(s) = sum over the cone terms of L * S, as a reduced rational
     function in t.
 
     The terms come from `cone_terms`; a degenerate input has already been
     refused (or overridden, with `notes` carrying the watermark) before
-    any of them was built.
+    any of them was built. The products are added over one common
+    denominator, every ExpFactor of the S pieces at its largest
+    multiplicity in one piece times each non-constant L denominator
+    (p^tc - t), and reduced once.
     """
-    total = RationalFunction.const(0)
-    for term in terms:
-        total = total + term.L.reduced * term.S.reduced
+    den = _binomial_product(
+        (piece.factors for term in terms for piece in term.S.factored), p)
+    for L in {term.L.reduced.den.primitive() for term in terms}:
+        if L.degree > 0:
+            den = den * L
+    total = sum_over(den, ((term.L.reduced.num * term.S.reduced.num,
+                            term.L.reduced.den * term.S.reduced.den)
+                           for term in terms))
     _check_no_pole_at_origin(total)
     return ZetaRational(total, notes=tuple(notes))
 
@@ -238,13 +259,16 @@ def common_denominator_form(z: ZetaRational, factors, p):
     den = Poly.const(p + 1)
     for f in factors:
         den = den * f.numerator_poly(p)
-    try:
-        cof = den.exact_div(z.reduced.den)
-    except ValueError:
+    content = z.reduced.den.content()
+    cof = den.quotient(z.reduced.den.primitive())
+    if cof is None:
         return None
+    # z = num * cof / (content * den); cancel what content shares with
+    # the numerator's content
     numerator = z.reduced.num * cof
-    scale = lcm(*(c.denominator for c in numerator.coeffs))
-    return numerator * scale, (p + 1) * scale
+    common = gcd(numerator.content(), content)
+    scale = content // common
+    return Poly([c // common for c in numerator.coeffs]), (p + 1) * scale
 
 
 # -- candidate poles ----------------------------------------------------

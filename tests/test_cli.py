@@ -6,7 +6,8 @@ import pathlib
 
 import pytest
 
-from igusa import cli
+from igusa import cli, zeta
+from igusa.errors import InternalConsistencyError
 from igusa.problem import compute, parse_problem_file
 from igusa.ratfun import Poly, RationalFunction
 from igusa.zeta import ExpFactor
@@ -100,7 +101,18 @@ g=x + y + z + x*y*z
         for a, b in zf["factors"]:
             den = den * ExpFactor(a, b).numerator_poly(3)
         comp = compute(parse_problem_file(path))
-        assert RationalFunction(Poly(zf["numerator"]), den) == comp.zeta.reduced
+        assert RationalFunction(Poly([int(c) for c in zf["numerator"]]), den) == comp.zeta.reduced
+
+    def test_internal_error_has_its_own_exit_code(self, monkeypatch, capsys):
+        def broken(*args, **kwargs):
+            raise InternalConsistencyError("weight is not linear on the piece")
+
+        monkeypatch.setattr(zeta, "assemble", broken)
+        code, text = run(["compute", FIXTURE])
+        assert code == cli.EXIT_INTERNAL == 5
+        assert text == ""
+        assert capsys.readouterr().err == \
+            "internal error: weight is not linear on the piece\n"
 
     def test_malformed_file(self, tmp_path):
         path = write(tmp_path, "mode=single\nn=2\np=5\nf=x + %\n")

@@ -1,12 +1,13 @@
 """Exact univariate rational-function arithmetic."""
 
 from fractions import Fraction
+from math import gcd, lcm
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from igusa.errors import PoleEvaluationError
-from igusa.ratfun import Poly, RationalFunction
+from igusa.errors import InternalConsistencyError, PoleEvaluationError
+from igusa.ratfun import Poly, RationalFunction, sum_over
 
 
 def P(*coeffs):
@@ -22,23 +23,42 @@ class TestPoly:
         q, r = P(-1, 0, 1).divmod(P(1, 1))  # (t^2-1)/(t+1)
         assert q == P(-1, 1)
         assert r.is_zero()
+        # pseudo-division by a non-monic divisor: 2^2 (t^2+1) = q (2t+1) + r
+        q, r = P(1, 0, 1).divmod(P(1, 2))
+        assert q * P(1, 2) + r == P(1, 0, 1) * 4
+        assert r.degree < 1
 
     def test_exact_div_raises_on_remainder(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(InternalConsistencyError):
             P(1, 1).exact_div(P(0, 1))
+        with pytest.raises(InternalConsistencyError):
+            P(1, 1).exact_div(P(2))  # the quotient (t+1)/2 is not in Z[t]
+        assert P(1, 1).quotient(P(2)) is None
+        assert P(2, 6, 4).exact_div(P(1, 2)) == P(2, 2)
 
     def test_gcd(self):
         a = P(-1, 0, 1)  # (t-1)(t+1)
         b = P(1, 2, 1)   # (t+1)^2
         assert a.gcd(b) == P(1, 1)
+        # the gcd in Z[t] carries the gcd of the contents
+        assert (a * 6).gcd(b * -4) == P(2, 2)
+        assert P(3).gcd(P(0, 2)) == P(1)
 
     def test_evaluate(self):
         assert P(1, 2, 3).evaluate(Fraction(1, 2)) == Fraction(11, 4)
 
-    def test_integerized(self):
-        q, scale = Poly([Fraction(2, 3), Fraction(4, 3)]).integerized()
-        assert q == P(1, 2)
-        assert scale == Fraction(2, 3)
+    def test_content(self):
+        q = P(2, 4)
+        assert q.content() == 2
+        assert q.primitive() == P(1, 2)
+        # (2/3)(1 + 2t) is kept as an integer numerator over 3
+        f = RF(q, P(3))
+        assert (f.num, f.den) == (P(2, 4), P(3))
+        assert RF(q, P(6)).num == P(1, 2)
+
+    def test_rejects_non_integer_coefficients(self):
+        with pytest.raises(TypeError):
+            Poly([Fraction(1, 2)])
 
     def test_str(self):
         assert str(P(-1, 0, 2)) == "2*t^2 - 1"
@@ -46,7 +66,7 @@ class TestPoly:
 
 
 rationals = st.fractions(min_value=-5, max_value=5, max_denominator=6)
-small_polys = st.lists(rationals, min_size=0, max_size=4).map(Poly)
+small_polys = st.lists(st.integers(-30, 30), min_size=0, max_size=4).map(Poly)
 nonzero_polys = small_polys.filter(lambda q: not q.is_zero())
 
 
@@ -61,7 +81,7 @@ class TestRationalFunction:
         assert f == RF(P(-1, 1))
 
     def test_integer_normalization(self):
-        f = RF(Poly([Fraction(1, 2)]), P(0, 1))
+        f = RF(P(3), P(0, 6))
         assert f.num == P(1)
         assert f.den == P(0, 2)
 
@@ -113,3 +133,119 @@ class TestRationalFunction:
         x = RF(P(0, 1))
         assert 1 + x == RF(P(1, 1))
         assert Fraction(1, 2) * x == RF(P(0, 1), P(2))
+
+
+# -- against the arithmetic over Fraction -------------------------------
+#
+# The reference is Euclid's algorithm over Q followed by clearing
+# denominators and contents, the normalization RationalFunction used when
+# its coefficients were Fractions.
+
+
+def _strip(a):
+    a = list(a)
+    while a and a[-1] == 0:
+        a.pop()
+    return a
+
+
+def _qmul(a, b):
+    if not a or not b:
+        return []
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def _qdivmod(a, b):
+    rem = list(a)
+    q = [Fraction(0)] * max(0, len(rem) - len(b) + 1)
+    for i in range(len(rem) - 1, len(b) - 2, -1):
+        f = rem[i] / b[-1]
+        q[i - len(b) + 1] = f
+        for j, c in enumerate(b):
+            rem[i - len(b) + 1 + j] -= f * c
+    return _strip(q), _strip(rem)
+
+
+def _integerized(a):
+    denom = lcm(*(c.denominator for c in a))
+    ints = [int(c * denom) for c in a]
+    content = gcd(*ints)
+    return [c // content for c in ints], Fraction(content, denom)
+
+
+def _reference(num, den):
+    num, den = _strip(num), _strip(den)
+    if not num:
+        return [], [1]
+    a, b = num, den
+    while b:
+        a, b = b, _qdivmod(a, b)[1]
+    g = [c / a[-1] for c in a]
+    num, den = _qdivmod(num, g)[0], _qdivmod(den, g)[0]
+    num, num_scale = _integerized(num)
+    den, den_scale = _integerized(den)
+    scale = num_scale / den_scale
+    num = [c * scale.numerator for c in num]
+    den = [c * scale.denominator for c in den]
+    if den[-1] < 0:
+        num, den = [-c for c in num], [-c for c in den]
+    return num, den
+
+
+def _as_int_poly(a):
+    """(integer Poly, positive d) with a = Poly / d."""
+    d = lcm(*(c.denominator for c in a))
+    return Poly([int(c * d) for c in a]), d
+
+
+coefficients = st.one_of(st.integers(-9, 9), rationals).map(Fraction)
+low_degree = st.lists(coefficients, min_size=1, max_size=3)
+contents = st.sampled_from([1, 2, 6, Fraction(1, 4), Fraction(-10, 3)])
+
+
+@st.composite
+def fraction_pairs(draw):
+    """Rational polynomials num, den of degree <= 6 that share a factor of
+    degree <= 2 and carry contents."""
+    common = _strip(draw(low_degree)) or [Fraction(1)]
+    num = _qmul(_qmul(draw(low_degree), common), draw(low_degree))
+    den = _qmul(_qmul(draw(low_degree), common), draw(low_degree))
+    num = [c * draw(contents) for c in _strip(num)]
+    den = [c * draw(contents) for c in _strip(den)]
+    return num, den
+
+
+class TestAgainstFractionArithmetic:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(fraction_pairs())
+    def test_normal_form_matches_reference(self, pair):
+        num, den = pair
+        if not _strip(den):
+            return
+        want = _reference(num, den)
+        (a, da), (b, db) = _as_int_poly(num or [0]), _as_int_poly(den)
+        built = RationalFunction(a * db, b * da)
+        divided = (RationalFunction(a, Poly.const(da))
+                   / RationalFunction(b, Poly.const(db)))
+        for f in (built, divided):
+            assert (f.num.coeffs, f.den.coeffs) == want
+            assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs)
+
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(st.lists(fraction_pairs(), min_size=1, max_size=4))
+    def test_sum_over_matches_pairwise_sum(self, pairs):
+        pairs = [(num, den) for num, den in pairs if _strip(den)]
+        fractions, den = [], Poly.const(1)
+        for num, d in pairs:
+            (a, da), (b, db) = _as_int_poly(num or [0]), _as_int_poly(d)
+            fractions.append((a * db, b * da))
+            den = den * (b * da)
+        expected = sum((RationalFunction(n, d) for n, d in fractions),
+                       RationalFunction.const(0))
+        total = sum_over(den, fractions)
+        assert total == expected
+        assert all(type(c) is int for c in total.num.coeffs + total.den.coeffs)

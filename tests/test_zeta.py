@@ -1,6 +1,7 @@
 """Zeta assembly: S and L factors, candidate poles, structural identities."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -9,7 +10,8 @@ from igusa import zeta
 from igusa.errors import DegeneracyError
 from igusa.polynomials import PolynomialMapping, parse_polynomial
 from igusa.problem import ProblemSpec, build_geometry, compute
-from igusa.zeta import ExpFactor, FactoredPiece
+from igusa.ratfun import Poly, RationalFunction
+from igusa.zeta import ExpFactor, FactoredPiece, ZetaRational
 
 from conftest import example_ideal, example_measure, example_spec
 
@@ -180,6 +182,43 @@ class TestAssembly:
         assert comp.zeta.evaluate(1) == 1  # s = 0: the volume of Z_p^2
         bracket = truncated_integral("ideal", example_ideal(), None, p, 1, 3)
         assert bracket.contains(comp.zeta.evaluate(Fraction(1, p)))
+
+
+class TestLargeDiagonalCurves:
+    """x^a + y^b at p = 7: t-degree about ab, which per-sum reduction over
+    Fractions could not reach in minutes."""
+
+    @pytest.mark.parametrize("a, b", [(12, 19), (20, 31)])
+    def test_values_at_zero_and_one(self, a, b):
+        started = time.perf_counter()
+        p = 7
+        f = parse_polynomial(f"x^{a} + y^{b}", 2)
+        comp = compute(ProblemSpec("single", 2, p, f, None))
+        z = comp.zeta
+        assert z.evaluate(1) == 1  # s = 0: the volume of Z_p^2
+        zeros = sum(1 for x in range(p) for y in range(p)
+                    if (x**a + y**b) % p == 0)
+        assert z.evaluate(0) == 1 - Fraction(zeros, p**2)  # mu(ord f = 0)
+        factors = zeta.display_factors("single", comp.terms)
+        assert zeta.common_denominator_form(z, factors, p) is not None
+        elapsed = time.perf_counter() - started
+        status = "PASS" if elapsed <= 10.0 else "FAIL"
+        print(f"{status} x^{a}+y^{b} at p = 7 ({elapsed:.2f}s of 10s budget)")
+        assert elapsed <= 10.0, f"x^{a}+y^{b} exceeded 10s"
+
+
+class TestCommonDenominatorForm:
+    @pytest.mark.parametrize("content, form", [(4, (Poly([3]), 12)),
+                                               (6, (Poly([1]), 6))])
+    def test_denominator_content_is_carried(self, content, form):
+        # z = 1 / (content * (2 - t)) over (p + 1)(2^(s+1) - 1) at p = 2
+        z = ZetaRational(RationalFunction(Poly([1]),
+                                          Poly([2 * content, -content])))
+        assert zeta.common_denominator_form(z, [ExpFactor(1, 1)], 2) == form
+
+    def test_none_when_the_denominator_does_not_divide(self):
+        z = ZetaRational(RationalFunction(Poly([1]), Poly([1, 1])))
+        assert zeta.common_denominator_form(z, [ExpFactor(1, 1)], 2) is None
 
 
 class TestCandidatePoles:
