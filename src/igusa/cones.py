@@ -11,10 +11,12 @@ first-meet-locus faces of an interior witness.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 
 from . import linalg
-from .errors import InternalConsistencyError
+from .counting import ENUMERATION_LIMIT
+from .errors import InternalConsistencyError, SizeGuardError
 from .newton import NewtonPolyhedron
 
 
@@ -130,42 +132,56 @@ def partition_pair(gamma1: NewtonPolyhedron,
 # -- multiplicities and parallelepiped points ---------------------------
 
 
+def _ray_smith_form(rays):
+    """(rays, V, d) for the matrix K whose columns are the rays, with
+    U K V = diag(d); raises ValueError unless the rays are independent."""
+    rays = [tuple(map(int, r)) for r in rays]
+    _, v, d = linalg.smith_form(list(zip(*rays)))
+    if len(d) < len(rays) or 0 in d:
+        raise ValueError("rays are linearly dependent")
+    return rays, v, d
+
+
 def multiplicity(rays):
     """Index of Z k_1 + ... + Z k_r in the lattice points of their span."""
-    rays = [tuple(map(int, r)) for r in rays]
-    if linalg.rank([list(r) for r in rays]) != len(rays):
-        raise ValueError("rays are linearly dependent")
-    factors = linalg.smith_invariant_factors(rays)
-    out = 1
-    for f in factors:
-        out *= f
-    return out
+    return math.prod(_ray_smith_form(rays)[2])
 
 
 def parallelepiped_points(rays):
     """Integer points sum lambda_j k_j with all 0 <= lambda_j < 1.
 
-    Includes the origin; the count equals multiplicity(rays). Enumerated
-    by scanning the bounding box and solving for lambda exactly.
+    Includes the origin; the count equals multiplicity(rays). With
+    U K V = diag(d_1 | ... | d_r) for K = (k_1 ... k_r), the point K lambda
+    is integral exactly when V^-1 lambda lies in prod (1/d_i) Z, so the
+    points are lambda = V (y_i / d_i) mod 1 for y in prod range(d_i): one
+    per element of (Z^n cap span) / <rays>. Scaled by L = d_r, lambda and
+    the sum are integers and the division by L is exact.
     """
-    rays = [tuple(map(int, r)) for r in rays]
-    if linalg.rank([list(r) for r in rays]) != len(rays):
-        raise ValueError("rays are linearly dependent")
-    n = len(rays[0])
-    bounds = [max(1, sum(abs(r[i]) for r in rays)) for i in range(n)]
-    points = []
-    for h in itertools.product(*(range(b) for b in bounds)):
-        lam = linalg.solve_columns(rays, h)
-        if lam is None:
-            continue
-        if all(0 <= x < 1 for x in lam):
-            points.append(tuple(h))
-    points.sort()
-    expected = multiplicity(rays)
-    if len(points) != expected:
+    rays, v, d = _ray_smith_form(rays)
+    mult = math.prod(d)
+    if mult > ENUMERATION_LIMIT:
+        raise SizeGuardError(
+            f"parallelepiped of multiplicity {mult} exceeds the limit "
+            f"{ENUMERATION_LIMIT}")
+    scale = d[-1]
+    # V with column i scaled by L / d_i, so that L lambda = scaled y mod L
+    scaled = [[x * (scale // di) for x, di in zip(row, d)] for row in v]
+    points = set()
+    for y in itertools.product(*(range(di) for di in d)):
+        lam = [linalg.vec_dot(row, y) % scale for row in scaled]
+        h = []
+        for coords in zip(*rays):
+            total = linalg.vec_dot(lam, coords)
+            if total % scale:
+                raise InternalConsistencyError(
+                    f"parallelepiped point {total}/{scale} of {rays} "
+                    f"is not integral")
+            h.append(total // scale)
+        points.add(tuple(h))
+    if len(points) != mult:
         raise InternalConsistencyError(
-            f"parallelepiped count {len(points)} != multiplicity {expected}")
-    return points
+            f"parallelepiped count {len(points)} != multiplicity {mult}")
+    return sorted(points)
 
 
 # -- simplicial decomposition ------------------------------------------

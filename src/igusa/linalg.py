@@ -1,8 +1,10 @@
 """Small exact linear algebra helpers (rationals and integer lattices).
 
 Everything here works on tiny matrices (a handful of rows in dimension
-<= 4), so plain Fraction Gaussian elimination and a textbook Smith normal
-form are both fast enough and fully auditable.
+<= 4), so plain Fraction Gaussian elimination is fast enough and fully
+auditable. Integer work stays in integers: determinants by Bareiss
+elimination, normals of hyperplanes as maximal minors, and the Smith
+normal form with the unimodular transforms that bring a matrix to it.
 """
 
 from fractions import Fraction
@@ -106,65 +108,107 @@ def solve_columns(columns, target):
     return lam
 
 
+def smith_form(rows):
+    """Smith normal form of an integer matrix A, given by its rows.
+
+    Returns (U, V, d): unimodular integer matrices U (rows x rows) and
+    V (columns x columns) and the diagonal d of length min(rows, columns)
+    with U A V = D = diag(d), every d_i >= 0 and d_1 | d_2 | ... (any
+    zeros last). Row operations are applied to U and column operations
+    to V as they are applied to A.
+    """
+    m = [list(map(int, row)) for row in rows]
+    nr = len(m)
+    nc = len(m[0]) if m else 0
+    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
+    v = [[int(i == j) for j in range(nc)] for i in range(nc)]
+
+    def add_row(dst, src, q):  # row dst += q * row src
+        for mat in (m, u):
+            mat[dst] = [a + q * b for a, b in zip(mat[dst], mat[src])]
+
+    def add_col(dst, src, q):  # column dst += q * column src
+        for mat in (m, v):
+            for row in mat:
+                row[dst] += q * row[src]
+
+    def swap_cols(a, b):
+        for mat in (m, v):
+            for row in mat:
+                row[a], row[b] = row[b], row[a]
+
+    diag = []
+    for t in range(min(nr, nc)):
+        entries = [(abs(m[i][j]), i, j) for i in range(t, nr)
+                   for j in range(t, nc) if m[i][j]]
+        if not entries:
+            diag += [0] * (min(nr, nc) - t)
+            break
+        _, i0, j0 = min(entries)
+        m[t], m[i0] = m[i0], m[t]
+        u[t], u[i0] = u[i0], u[t]
+        swap_cols(t, j0)
+        while True:
+            # Euclid steps on column t and row t; a nonzero remainder is
+            # smaller than the pivot and takes its place
+            clean = True
+            for i in range(t + 1, nr):
+                if m[i][t]:
+                    add_row(i, t, -(m[i][t] // m[t][t]))
+                    if m[i][t]:
+                        m[t], m[i] = m[i], m[t]
+                        u[t], u[i] = u[i], u[t]
+                        clean = False
+            for j in range(t + 1, nc):
+                if m[t][j]:
+                    add_col(j, t, -(m[t][j] // m[t][t]))
+                    if m[t][j]:
+                        swap_cols(t, j)
+                        clean = False
+            if not clean:
+                continue
+            # the pivot must divide the rest; if not, pull an offending
+            # row into row t and clear again with a smaller pivot
+            bad = next((i for i in range(t + 1, nr)
+                        if any(x % m[t][t] for x in m[i][t + 1:])), None)
+            if bad is None:
+                break
+            add_row(t, bad, 1)
+        if m[t][t] < 0:
+            add_row(t, t, -2)  # negate row t
+        diag.append(m[t][t])
+    return u, v, diag
+
+
 def smith_invariant_factors(rows):
     """Nonzero diagonal entries of the Smith normal form of an integer matrix."""
-    m = [list(map(int, row)) for row in rows]
-    if not m or not m[0]:
-        return []
-    nr, nc = len(m), len(m[0])
-    factors = []
-    top = 0
-    left = 0
-    while top < nr and left < nc:
-        # find a nonzero entry to move to the corner
-        pos = None
-        for i in range(top, nr):
-            for j in range(left, nc):
-                if m[i][j] != 0:
-                    pos = (i, j)
-                    break
-            if pos:
-                break
-        if pos is None:
-            break
-        i0, j0 = pos
-        m[top], m[i0] = m[i0], m[top]
-        for row in m:
-            row[left], row[j0] = row[j0], row[left]
-        while True:
-            # clear the column with Euclid steps
-            dirty = False
-            for i in range(top + 1, nr):
-                if m[i][left] != 0:
-                    q = m[i][left] // m[top][left]
-                    for j in range(left, nc):
-                        m[i][j] -= q * m[top][j]
-                    if m[i][left] != 0:
-                        m[top], m[i] = m[i], m[top]
-                        dirty = True
-            for j in range(left + 1, nc):
-                if m[top][j] != 0:
-                    q = m[top][j] // m[top][left]
-                    for i in range(top, nr):
-                        m[i][j] -= q * m[i][left]
-                    if m[top][j] != 0:
-                        for i in range(top, nr):
-                            m[i][left], m[i][j] = m[i][j], m[i][left]
-                        dirty = True
-            if not dirty:
-                break
-        factors.append(abs(m[top][left]))
-        top += 1
-        left += 1
-    # the corner elimination gives a diagonal form; restore the
-    # divisibility chain d_1 | d_2 | ... with pairwise gcd/lcm swaps
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(factors) - 1):
-            a, b = factors[i], factors[i + 1]
-            if b % a != 0:
-                g = gcd(a, b)
-                factors[i], factors[i + 1] = g, a * b // g
-                changed = True
-    return factors
+    return [d for d in smith_form(rows)[2] if d]
+
+
+def det(rows):
+    """Determinant of a square integer matrix (Bareiss elimination, which
+    divides exactly at every step)."""
+    m = [list(row) for row in rows]
+    size = len(m)
+    sign, prev = 1, 1
+    for k in range(size - 1):
+        if not m[k][k]:
+            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
+            if swap is None:
+                return 0
+            m[k], m[swap] = m[swap], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * m[-1][-1] if size else 1
+
+
+def normal_vector(vectors):
+    """The signed maximal minors of n-1 integer vectors in Z^n: a vector
+    orthogonal to all of them, or None when their rank is below n-1."""
+    n = len(vectors) + 1
+    minors = tuple((-1)**i * det([row[:i] + row[i + 1:] for row in vectors])
+                   for i in range(n))
+    return minors if any(minors) else None

@@ -103,56 +103,75 @@ class NewtonPolyhedron:
         return list(self._facets)
 
     def _compute_facets(self):
+        """Facets through n-1 independent directions from a vertex.
+
+        The vertices of Gamma are among the minimal support points (no
+        other support point lies coordinatewise below them), and a facet
+        is spanned by its vertices and its recession directions. So from
+        each minimal point, the normals of n-1 directions to later minimal
+        points or along the axes include every facet whose least vertex
+        that point is; a candidate is a facet when its first meet locus
+        over the whole support has dimension n-1.
+        """
         n = self.n
         if n == 1:
             m = min(pt[0] for pt in self.support)
             face = self.first_meet_locus((1,))
             return [((1,), m, face)]
         units = [_unit(n, i) for i in range(n)]
+        minimal = [pt for pt in self._support_list
+                   if not any(q != pt and all(a <= b for a, b in zip(q, pt))
+                              for q in self._support_list)]
         seen = {}
-        for base in self._support_list:
-            pool = [linalg.vec_sub(pt, base)
-                    for pt in self._support_list if pt != base]
-            pool += units
-            for combo in itertools.combinations(pool, n - 1):
-                if linalg.rank(list(combo)) != n - 1:
+        rejected = set()
+        for i, base in enumerate(minimal):
+            pool = [linalg.vec_sub(pt, base) for pt in minimal[i + 1:]]
+            for combo in itertools.combinations(pool + units, n - 1):
+                normal = linalg.normal_vector(combo)
+                if normal is None:
                     continue
-                kernel = linalg.kernel_basis(list(combo))
-                if len(kernel) != 1:
-                    continue
-                normal = kernel[0]
+                normal = linalg.primitive(normal)
                 if all(x <= 0 for x in normal):
                     normal = tuple(-x for x in normal)
-                if any(x < 0 for x in normal) or not any(normal):
+                if any(x < 0 for x in normal):
                     continue
-                if normal in seen:
+                if normal in seen or normal in rejected:
                     continue
                 face = self.first_meet_locus(normal)
                 if face.dim == n - 1:
                     seen[normal] = (normal, self.m_value(normal), face)
+                else:
+                    rejected.add(normal)
         return sorted(seen.values())
 
     def enumerate_faces(self):
         """Every face of Gamma met by some k >= 0, the whole polyhedron included.
 
-        Faces are found as first meet loci of sums of facet-normal subsets;
-        every face arises this way, so this sweeps out one witness per cone of the
-        fan, hence one witness per face.
+        A proper face is the intersection of the facets containing it, and
+        a nonempty face holds a vertex, which is a support point (Gamma is
+        pointed). So the proper faces are the (touching, recession) pairs
+        of the facets closed under intersection with each facet, dropping
+        pairs that touch no support point: the face lattice from facet
+        incidences (Kaibel and Pfetsch 2002), at a cost of #faces x
+        #facets set intersections.
         """
         if self._faces is not None:
             return list(self._faces)
-        facets = self.facets()
-        normals = [normal for normal, _, _ in facets]
-        found = {}
-        for size in range(len(normals) + 1):
-            for combo in itertools.combinations(normals, size):
-                k = tuple(sum(col) for col in zip(*combo)) if combo \
-                    else tuple([0] * self.n)
-                face = self.first_meet_locus(k)
-                found.setdefault((face.touching, face.recession), face)
+        facets = [(face.touching, face.recession) for _, _, face in self.facets()]
+        found = set(facets)
+        todo = list(facets)
+        while todo:
+            touching, recession = todo.pop()
+            for facet_touching, facet_recession in facets:
+                pair = (touching & facet_touching, recession & facet_recession)
+                if pair[0] and pair not in found:
+                    found.add(pair)
+                    todo.append(pair)
+        faces = [Face(touching, recession, self._face_dim(touching, recession))
+                 for touching, recession in found]
+        faces.append(self.first_meet_locus(tuple([0] * self.n)))
         self._faces = sorted(
-            found.values(),
-            key=lambda f: (-f.dim, sorted(f.touching), sorted(f.recession)))
+            faces, key=lambda f: (-f.dim, sorted(f.touching), sorted(f.recession)))
         return list(self._faces)
 
     def facets_containing(self, face):

@@ -108,25 +108,11 @@ def parse_problem_text(text) -> ProblemSpec:
     except ValueError as exc:
         raise PolynomialParseError(f"n and p must be integers: {exc}", 0)
     gtext = entries.pop("g", "trivial")
-    g = None if gtext == "trivial" else parse_polynomial(gtext, n)
-    if mode == "ideal":
-        gens = entries.pop("generators", "")
-        if not gens:
-            raise PolynomialParseError("ideal mode needs generators=", 0)
-        fside = MonomialIdealSpec(
-            n, [parse_monomial_generator(part, n)
-                for part in gens.split(",")])
-    else:
-        ftext = entries.pop("f", "")
-        if not ftext:
-            raise PolynomialParseError(f"{mode} mode needs f=", 0)
-        parts = [parse_polynomial(part, n) for part in ftext.split(",")]
-        if mode == "single":
-            if len(parts) != 1:
-                raise PolynomialParseError("single mode takes exactly one f", 0)
-            fside = parts[0]
-        else:
-            fside = PolynomialMapping(parts)
+    try:
+        g = None if gtext == "trivial" else parse_polynomial(gtext, n)
+        fside = _parse_fside(mode, n, entries)
+    except ValueError as exc:  # a bad n, or an ideal or mapping refused
+        raise PolynomialParseError(str(exc), 0)
     if entries:
         raise PolynomialParseError(
             f"unknown keys: {', '.join(sorted(entries))}", 0)
@@ -134,6 +120,26 @@ def parse_problem_text(text) -> ProblemSpec:
         return ProblemSpec(mode, n, p, fside, g)
     except ValueError as exc:
         raise PolynomialParseError(str(exc), 0)
+
+
+def _parse_fside(mode, n, entries):
+    """The f side of a problem: its entries are popped from `entries`."""
+    if mode == "ideal":
+        gens = entries.pop("generators", "")
+        if not gens:
+            raise PolynomialParseError("ideal mode needs generators=", 0)
+        return MonomialIdealSpec(
+            n, [parse_monomial_generator(part, n)
+                for part in gens.split(",")])
+    ftext = entries.pop("f", "")
+    if not ftext:
+        raise PolynomialParseError(f"{mode} mode needs f=", 0)
+    parts = [parse_polynomial(part, n) for part in ftext.split(",")]
+    if mode == "single":
+        if len(parts) != 1:
+            raise PolynomialParseError("single mode takes exactly one f", 0)
+        return parts[0]
+    return PolynomialMapping(parts)
 
 
 def parse_problem_file(path) -> ProblemSpec:

@@ -5,10 +5,21 @@ measure polynomial g = x^4y^2 + xy^5. Its fan, counts and zeta function
 are known in closed form, which makes it the anchor for golden tests.
 """
 
+import time
+
 import pytest
 
 from igusa.polynomials import MonomialIdealSpec, parse_polynomial
 from igusa.problem import ProblemSpec
+
+
+def report_budget(label, started, limit):
+    """Print one PASS/FAIL line with the time since `started` (a
+    time.perf_counter() reading) and fail when it exceeds `limit` seconds."""
+    elapsed = time.perf_counter() - started
+    status = "PASS" if elapsed <= limit else "FAIL"
+    print(f"{status} {label} ({elapsed:.2f}s of {limit:g}s budget)")
+    assert elapsed <= limit, f"{label} exceeded {limit}s"
 
 
 def example_ideal():

@@ -20,15 +20,12 @@ from igusa.problem import ProblemSpec, build_geometry, compute
 from igusa.ratfun import Poly, RationalFunction
 from igusa.zeta import ExpFactor
 
-from conftest import example_ideal, example_measure, example_spec
+from conftest import (example_ideal, example_measure, example_spec,
+                      report_budget)
 
 
 def _report(number, label, started, limit):
-    elapsed = time.perf_counter() - started
-    status = "PASS" if elapsed <= limit else "FAIL"
-    print(f"{status} criterion-{number} {label} ({elapsed:.2f}s "
-          f"of {limit:.0f}s budget)")
-    assert elapsed <= limit, f"criterion {number} exceeded {limit}s"
+    report_budget(f"criterion-{number} {label}", started, limit)
 
 
 # expected ray data: primitive generator -> (m of the ideal, m of the

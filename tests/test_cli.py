@@ -123,6 +123,28 @@ g=x + y + z + x*y*z
         code, _ = run(["compute", "/no/such/file.txt"])
         assert code == 1
 
+    @pytest.mark.parametrize("text, message", [
+        ("mode=mapping\nn=2\np=3\nf=x + y, x*y - 1\n",
+         "every component must vanish at the origin"),
+        ("mode=ideal\nn=2\np=3\ngenerators=1, x\n",
+         "the zero exponent would make the ideal improper")])
+    def test_refused_f_side_is_a_parse_error(self, tmp_path, capsys, text,
+                                             message):
+        code, out = run(["compute", write(tmp_path, text)])
+        assert code == cli.EXIT_PARSE == 1
+        assert out == ""
+        assert capsys.readouterr().err == \
+            f"parse error: {message} (at position 0)\n"
+
+    def test_parallelepiped_size_guard(self, tmp_path, capsys):
+        # a simplicial piece of multiplicity 100460333 > ENUMERATION_LIMIT
+        path = write(tmp_path, "mode=single\nn=3\np=2\n"
+                               "f=x^10007 + y^10009 + z^10037\n")
+        code, out = run(["compute", path])
+        assert code == cli.EXIT_SIZE == 3
+        assert out == ""
+        assert capsys.readouterr().err.startswith("size guard: parallelepiped")
+
 
 class TestCheck:
     def test_clean_prime(self):

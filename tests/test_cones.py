@@ -1,18 +1,22 @@
 """Cone partitions, multiplicities and simplicial decomposition."""
 
 import itertools
+import math
 import random
 
 import pytest
+from hypothesis import assume, given, strategies as st
 
-from igusa import linalg
+from igusa import cones, linalg
 from igusa.cones import (ConePartition, multiplicity, parallelepiped_points,
                          partition_pair, partition_single,
                          simplicial_decompose)
+from igusa.errors import SizeGuardError
 from igusa.newton import NewtonPolyhedron
 from igusa.polynomials import parse_polynomial
 
 from conftest import example_ideal, example_measure
+from test_newton import PROPERTY, reference_faces, reference_facets, supports
 
 
 def pair_partition():
@@ -128,6 +132,60 @@ class TestMultiplicity:
                          + rows[0][2] * (rows[1][0] * rows[2][1] - rows[1][1] * rows[2][0]))
                     assert mult == abs(d)
             done += 1
+
+
+def box_scan_points(rays):
+    """Reference for parallelepiped_points on nonnegative rays: every point
+    of the bounding box whose coordinates lambda solve sum lambda_j k_j = h
+    with 0 <= lambda_j < 1."""
+    n = len(rays[0])
+    bounds = [max(1, sum(r[i] for r in rays)) for i in range(n)]
+    points = []
+    for h in itertools.product(*(range(b) for b in bounds)):
+        lam = linalg.solve_columns(rays, h)
+        if lam is not None and all(0 <= x < 1 for x in lam):
+            points.append(h)
+    return points
+
+
+# independent nonnegative rays in dimension <= 4 whose bounding box is small
+ray_sets = st.integers(1, 4).flatmap(lambda n: st.integers(1, n).flatmap(
+    lambda r: st.lists(st.tuples(*[st.integers(0, 4)] * n),
+                       min_size=r, max_size=r)))
+
+
+class TestAgainstReferences:
+    @PROPERTY
+    @given(ray_sets)
+    def test_parallelepiped_points(self, rays):
+        assume(linalg.rank([list(r) for r in rays]) == len(rays))
+        assume(math.prod(max(1, sum(col)) for col in zip(*rays)) <= 400)
+        assert parallelepiped_points(rays) == box_scan_points(rays)
+
+    @PROPERTY
+    @given(supports)
+    def test_single_partition(self, shaped):
+        # the same partition from the facets and faces of the references
+        n, support = shaped
+        gamma = NewtonPolyhedron(support, n)
+        reference = NewtonPolyhedron(support, n)
+        facets = reference_facets(reference)
+        faces = reference_faces(reference, facets)
+        reference.facets = lambda: list(facets)
+        reference.enumerate_faces = lambda: list(faces)
+        assert partition_single(gamma).cones == partition_single(reference).cones
+
+
+class TestEnumerationGuard:
+    def test_multiplicity_over_the_limit(self):
+        with pytest.raises(SizeGuardError):
+            parallelepiped_points([(1, 0), (1, 10**8 + 1)])
+
+    def test_limit_is_inclusive(self, monkeypatch):
+        monkeypatch.setattr(cones, "ENUMERATION_LIMIT", 6)
+        assert len(parallelepiped_points([(1, 0), (1, 6)])) == 6
+        with pytest.raises(SizeGuardError):
+            parallelepiped_points([(1, 0), (1, 7)])
 
 
 class TestSimplicialDecomposition:

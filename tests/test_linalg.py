@@ -3,7 +3,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from igusa import linalg
 
@@ -12,6 +12,28 @@ def det3(m):
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
+
+
+def laplace_det(m):
+    if not m:
+        return 1
+    return sum((-1)**j * m[0][j] * laplace_det([row[:j] + row[j + 1:]
+                                                 for row in m[1:]])
+               for j in range(len(m)))
+
+
+def matmul(a, b):
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)]
+            for row in a]
+
+
+def matrices(min_rows=1, max_rows=4, min_cols=1, max_cols=4):
+    return st.integers(min_cols, max_cols).flatmap(lambda c: st.lists(
+        st.lists(st.integers(-6, 6), min_size=c, max_size=c),
+        min_size=min_rows, max_size=max_rows))
+
+
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
 
 class TestRankKernel:
@@ -75,6 +97,36 @@ class TestSmith:
         for f in factors:
             product *= f
         assert product == d
+
+    @PROPERTY
+    @given(matrices())
+    def test_smith_form(self, rows):
+        u, v, d = linalg.smith_form(rows)
+        nr, nc = len(rows), len(rows[0])
+        assert matmul(matmul(u, rows), v) == [
+            [d[i] if i == j else 0 for j in range(nc)] for i in range(nr)]
+        assert abs(laplace_det(u)) == abs(laplace_det(v)) == 1
+        nonzero = [x for x in d if x]
+        assert d == nonzero + [0] * (len(d) - len(nonzero))
+        assert all(x > 0 for x in nonzero)
+        assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
+        assert len(nonzero) == linalg.rank(rows)
+        assert linalg.smith_invariant_factors(rows) == nonzero
+
+    @PROPERTY
+    @given(st.integers(1, 4).flatmap(lambda n: matrices(n, n, n, n)))
+    def test_det(self, rows):
+        assert linalg.det(rows) == laplace_det(rows)
+
+    @PROPERTY
+    @given(st.integers(2, 4).flatmap(lambda n: matrices(n - 1, n - 1, n, n)))
+    def test_normal_vector(self, vectors):
+        normal = linalg.normal_vector(vectors)
+        if linalg.rank(vectors) < len(vectors):
+            assert normal is None
+        else:
+            assert all(linalg.vec_dot(normal, v) == 0 for v in vectors)
+            assert linalg.rank(vectors + [list(normal)]) == len(normal)
 
     def test_primitive(self):
         assert linalg.primitive((2, 4, 6)) == (1, 2, 3)

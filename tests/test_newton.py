@@ -1,14 +1,18 @@
 """Newton polyhedra: weights, first meet loci, facets, faces, membership."""
 
 import itertools
+import random
+import time
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from igusa import linalg
 from igusa.newton import Face, NewtonPolyhedron, face_restriction
 from igusa.polynomials import parse_polynomial
 
-from conftest import example_ideal, example_measure
+from conftest import example_ideal, example_measure, report_budget
 
 
 def gamma_I():
@@ -17,6 +21,77 @@ def gamma_I():
 
 def gamma_g():
     return NewtonPolyhedron.of(example_measure())
+
+
+# -- references: the searches over the input space -----------------------
+
+
+def reference_facets(gamma):
+    """(normal, offset, face) of every facet: from each support point, the
+    kernel of every n-1 directions to other support points or along the
+    axes, kept when its first meet locus has dimension n-1."""
+    n = gamma.n
+    if n == 1:
+        return [((1,), gamma.m_value((1,)), gamma.first_meet_locus((1,)))]
+    points = sorted(gamma.support)
+    units = [tuple(int(i == j) for j in range(n)) for i in range(n)]
+    seen = {}
+    for base in points:
+        pool = [linalg.vec_sub(pt, base) for pt in points if pt != base]
+        for combo in itertools.combinations(pool + units, n - 1):
+            kernel = linalg.kernel_basis(list(combo))
+            if len(kernel) != 1:
+                continue
+            normal = kernel[0]
+            if all(x <= 0 for x in normal):
+                normal = tuple(-x for x in normal)
+            if any(x < 0 for x in normal) or normal in seen:
+                continue
+            face = gamma.first_meet_locus(normal)
+            if face.dim == n - 1:
+                seen[normal] = (normal, gamma.m_value(normal), face)
+    return sorted(seen.values())
+
+
+def reference_faces(gamma, facets):
+    """First meet loci of the sums of every subset of the facet normals,
+    in the order enumerate_faces promises."""
+    normals = [normal for normal, _, _ in facets]
+    found = {}
+    for size in range(len(normals) + 1):
+        for combo in itertools.combinations(normals, size):
+            k = tuple(sum(col) for col in zip(*combo)) if combo \
+                else tuple([0] * gamma.n)
+            face = gamma.first_meet_locus(k)
+            found.setdefault((face.touching, face.recession), face)
+    return sorted(found.values(), key=lambda f: (
+        -f.dim, sorted(f.touching), sorted(f.recession)))
+
+
+def _supports(n, top, size):
+    point = st.tuples(*[st.integers(0, top)] * n).filter(any)
+    return st.tuples(st.just(n), st.sets(point, min_size=1, max_size=size))
+
+
+# small supports, n = 2, 3, 4: the references take 2^#facets and
+# C(|S|+n-1, n-1) steps per point
+supports = st.sampled_from([(2, 6, 6), (3, 3, 5), (4, 2, 5)]).flatmap(
+    lambda shape: _supports(*shape))
+
+PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
+
+
+def staircase(facets):
+    """n=2 support on a strictly convex chain with facets-2 edges of
+    distinct slopes, so that Gamma has exactly `facets` facets."""
+    slopes = sorted({Fraction(a, b) for a in range(1, 8) for b in range(1, 8)},
+                    reverse=True)[:facets - 2]
+    x, y = 1, 1 + sum(s.numerator for s in slopes)
+    points = [(x, y)]
+    for s in slopes:
+        x, y = x + s.denominator, y - s.numerator
+        points.append((x, y))
+    return NewtonPolyhedron(points, 2)
 
 
 class TestWeights:
@@ -113,6 +188,41 @@ class TestFacets:
         vertex = g.first_meet_locus((2, 1))
         normals = [n for n, _, _ in g.facets_containing(vertex)]
         assert sorted(normals) == [(1, 2), (3, 1)]
+
+
+class TestAgainstReferences:
+    @PROPERTY
+    @given(supports)
+    def test_facets_and_faces(self, shaped):
+        n, support = shaped
+        gamma = NewtonPolyhedron(support, n)
+        facets = reference_facets(gamma)
+        assert gamma.facets() == facets
+        assert gamma.enumerate_faces() == reference_faces(gamma, facets)
+
+    def test_staircase_faces_budget(self):
+        gamma = staircase(16)
+        assert len(gamma.facets()) == 16
+        started = time.perf_counter()
+        faces = gamma.enumerate_faces()
+        report_budget("faces of the 16-facet staircase", started, 0.1)
+        assert len(faces) == 2 * 16  # 16 facets, 15 vertices, the whole
+
+    def test_four_dimensional_facets_budget(self):
+        rng = random.Random(4)
+        support = set()
+        while len(support) < 30:
+            pt = tuple(rng.randint(0, 6) for _ in range(4))
+            if any(pt):
+                support.add(pt)
+        gamma = NewtonPolyhedron(support, 4)
+        started = time.perf_counter()
+        facets = gamma.facets()
+        report_budget("facets of a 30-term support in n = 4", started, 2.0)
+        for normal, offset, face in facets:
+            assert gamma.m_value(normal) == offset and face.dim == 3
+        # reference_facets finds the same 21, in about 30 s
+        assert len(facets) == 21
 
 
 class TestMembership:

@@ -13,7 +13,8 @@ from igusa.problem import ProblemSpec, build_geometry, compute
 from igusa.ratfun import Poly, RationalFunction
 from igusa.zeta import ExpFactor, FactoredPiece, ZetaRational
 
-from conftest import example_ideal, example_measure, example_spec
+from conftest import (example_ideal, example_measure, example_spec,
+                      report_budget)
 
 
 def example_computation(p=13):
@@ -201,10 +202,22 @@ class TestLargeDiagonalCurves:
         assert z.evaluate(0) == 1 - Fraction(zeros, p**2)  # mu(ord f = 0)
         factors = zeta.display_factors("single", comp.terms)
         assert zeta.common_denominator_form(z, factors, p) is not None
-        elapsed = time.perf_counter() - started
-        status = "PASS" if elapsed <= 10.0 else "FAIL"
-        print(f"{status} x^{a}+y^{b} at p = 7 ({elapsed:.2f}s of 10s budget)")
-        assert elapsed <= 10.0, f"x^{a}+y^{b} exceeded 10s"
+        report_budget(f"x^{a}+y^{b} at p = 7", started, 10.0)
+
+
+class TestDiagonalSurface:
+    """x^5 + y^7 + z^11 at p = 2: the cost is the geometry, a fan with the
+    ray (77, 55, 35) and simplicial pieces of multiplicity up to 77."""
+
+    def test_values_at_zero_and_one(self):
+        started = time.perf_counter()
+        f = parse_polynomial("x^5 + y^7 + z^11", 3)
+        z = compute(ProblemSpec("single", 3, 2, f, None)).zeta
+        assert z.evaluate(1) == 1
+        zeros = sum(1 for x, y, w in itertools.product(range(2), repeat=3)
+                    if (x**5 + y**7 + w**11) % 2 == 0)
+        assert z.evaluate(0) == 1 - Fraction(zeros, 8)
+        report_budget("x^5+y^7+z^11 at p = 2", started, 10.0)
 
 
 class TestCommonDenominatorForm:
