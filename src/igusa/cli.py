@@ -101,13 +101,13 @@ def compute_report(comp):
             "rays": [list(r) for r in cone.rays],
             "counts": {"N": term.counts.N, "P": term.counts.P,
                        "Q": term.counts.Q},
-            "L": term.L.reduced.to_json(),
+            "L": term.L.to_json(),
             "S": term.S.reduced.to_json(),
             "S_factored": [piece.to_json() for piece in term.S.factored],
         })
     doc["cones"] = rows
     doc["zeta"] = comp.zeta.to_json()
-    factors = zeta.display_factors(spec.mode, comp.terms, spec.t_count)
+    factors = zeta.display_factors(comp.terms, spec.t_count)
     common = zeta.common_denominator_form(comp.zeta, factors, spec.p)
     if common is not None:
         numerator, const = common
@@ -148,10 +148,7 @@ def render_compute(doc):
         lines.append(f"     = ({_poly_str(zf['numerator'])})")
         lines.append(f"       / ({den})")
     lines.append("")
-    lines.append("candidate poles (real parts):")
-    for row in doc["poles"]:
-        lines.append(f"  {row['value']:<8} from {row['source']}")
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + render_poles(doc)
 
 
 def check_report(reports_by_p):
@@ -187,8 +184,7 @@ def oracle_report(comp, s0, M, corrupt=False):
     value = comp.zeta.evaluate(tval)
     if corrupt:
         value += Fraction(1, 2)
-    bracket = oracle.truncated_integral(spec.mode, spec.fside, spec.g,
-                                        spec.p, s0, M)
+    bracket = oracle.truncated_integral(spec.fside, spec.g, spec.p, s0, M)
     return {
         "command": "oracle", "spec": _spec_doc(spec),
         "s0": s0, "level": M, "t_value": str(tval),
@@ -256,11 +252,6 @@ def main(argv=None, out=None):
 
     try:
         spec = problem.parse_problem_file(args.problem_file)
-    except (PolynomialParseError, OSError) as exc:
-        print(f"parse error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
-
-    try:
         if args.command == "compute":
             comp = problem.compute(spec, override=args.override_degenerate)
             _emit(compute_report(comp), render_compute, args.json, out)
@@ -296,7 +287,7 @@ def main(argv=None, out=None):
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (PolynomialParseError, ValueError) as exc:
+    except (PolynomialParseError, ValueError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InternalConsistencyError as exc:

@@ -178,7 +178,7 @@ def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
     """At every common torus zero of the two face restrictions on a cone
     of the pair partition, the stacked Jacobian of (fside components, g)
     has full rank (2 for a polynomial side, t+1 for a mapping) mod p."""
-    t = fside.t if isinstance(fside, PolynomialMapping) else 1
+    t = len(components(fside))
     n = g.n
     if n < t + 1:
         raise ValueError(f"need n >= {t + 1} variables, got {n}")

@@ -118,10 +118,9 @@ def _bracket(residues, fside, g, p, s0, M) -> Bracket:
     return Bracket(weigh(determined), weigh(every))
 
 
-def truncated_integral(mode, fside, g, p, s0, M) -> Bracket:
+def truncated_integral(fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral over Z_p^n of |fside|^s0 |g| |dx| from the
-    residues mod p^M. g may be None (trivial measure). The mode is kept
-    for the callers; the type of fside already tells an ideal apart."""
+    residues mod p^M. g may be None (trivial measure)."""
     _guard(p**(M * fside.n), "truncated integration")
     residues = itertools.product(range(p**M), repeat=fside.n)
     return _bracket(residues, fside, g, p, s0, M)
@@ -183,20 +182,18 @@ def find_base_point(fside, g, p, want_fzero=True, want_gzero=True):
 # -- exact measures and coset/torus brackets ----------------------------
 
 
-def measure_A_kl(fside, g, a, p, k, l, mode="single") -> Fraction:
+def measure_A_kl(fside, g, a, p, k, l) -> Fraction:
     """Exact measure of {x in a + (pZ_p)^n : fside(x) = 0 mod p^k and
-    g(x) = 0 mod p^l}, by counting residues mod p^k.
+    g(x) = 0 mod p^l}, by counting residues mod p^max(k, l).
 
     The base point must satisfy the common-vanishing hypothesis with a
-    full-rank stacked Jacobian; single mode additionally needs k >= l.
+    full-rank stacked Jacobian.
     """
     comps = components(fside)
     t = len(comps)
     n = fside.n
     if k < 1 or l < 1:
         raise ValueError("need k, l >= 1")
-    if mode == "single" and k < l:
-        raise ValueError("single mode needs k >= l")
     if n < t + 1:
         raise HypothesisError(f"need n >= {t + 1} variables, got {n}")
     fzero, gzero = _hypotheses(fside, g, p)(tuple(x % p for x in a))

@@ -24,6 +24,30 @@ def _grlex_key(exponent):
     return (-sum(exponent), tuple(-e for e in exponent))
 
 
+def variable_names(n):
+    if n <= 3:
+        return _SHORT_NAMES[:n]
+    return tuple(f"x{i}" for i in range(1, n + 1))
+
+
+def render_terms(names, terms):
+    """'3*x^2*y - y + 1' from (coefficient, exponent) pairs in print
+    order, every coefficient nonzero; '0' when there are none. Every
+    printed polynomial and monomial goes through here."""
+    out = []
+    for c, exp in terms:
+        factors = [v if e == 1 else f"{v}^{e}"
+                   for v, e in zip(names, exp) if e]
+        if abs(c) != 1 or not factors:
+            factors.insert(0, str(abs(c)))
+        body = "*".join(factors)
+        if not out:
+            out.append("-" + body if c < 0 else body)
+        else:
+            out.append(("- " if c < 0 else "+ ") + body)
+    return " ".join(out) or "0"
+
+
 class IntegerPolynomial:
     __slots__ = ("n", "terms")
 
@@ -185,37 +209,10 @@ class IntegerPolynomial:
 
     # -- printing -------------------------------------------------------
 
-    def variable_names(self):
-        if self.n <= 3:
-            return _SHORT_NAMES[: self.n]
-        return tuple(f"x{i}" for i in range(1, self.n + 1))
-
     def __str__(self):
-        if not self.terms:
-            return "0"
-        names = self.variable_names()
-        parts = []
-        for exp in sorted(self.terms, key=_grlex_key):
-            c = self.terms[exp]
-            factors = []
-            for name, e in zip(names, exp):
-                if e == 1:
-                    factors.append(name)
-                elif e > 1:
-                    factors.append(f"{name}^{e}")
-            if not factors:
-                body = str(abs(c))
-            elif abs(c) == 1:
-                body = "*".join(factors)
-            else:
-                body = "*".join([str(abs(c))] + factors)
-            sign = "-" if c < 0 else "+"
-            parts.append((sign, body))
-        first_sign, first_body = parts[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return render_terms(variable_names(self.n),
+                            ((self.terms[e], e)
+                             for e in sorted(self.terms, key=_grlex_key)))
 
     def __repr__(self):
         return f"IntegerPolynomial({self.n}, {self})"
@@ -279,19 +276,10 @@ class MonomialIdealSpec:
     def support(self):
         return frozenset(self.generators)
 
-    def as_mapping(self):
-        return PolynomialMapping(
-            [IntegerPolynomial.monomial(self.n, g) for g in self.generators])
-
     def __str__(self):
-        names = (_SHORT_NAMES[: self.n] if self.n <= 3
-                 else tuple(f"x{i}" for i in range(1, self.n + 1)))
-        mons = []
-        for g in self.generators:
-            factors = [name if e == 1 else f"{name}^{e}"
-                       for name, e in zip(names, g) if e]
-            mons.append("*".join(factors) if factors else "1")
-        return "(" + ", ".join(mons) + ")"
+        names = variable_names(self.n)
+        return "(" + ", ".join(render_terms(names, [(1, g)])
+                               for g in self.generators) + ")"
 
 
 # -- parsing ------------------------------------------------------------

@@ -10,14 +10,14 @@ for the plain Haar measure).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 from . import counting, zeta
 from .cones import partition_pair, partition_single
-from .errors import DegeneracyError, PolynomialParseError
+from .errors import DegeneracyError, PolynomialParseError, SizeGuardError
 from .newton import NewtonPolyhedron, face_restriction
-from .polynomials import (IntegerPolynomial, MonomialIdealSpec,
-                          PolynomialMapping, parse_monomial_generator,
-                          parse_polynomial)
+from .polynomials import (MonomialIdealSpec, PolynomialMapping,
+                          parse_monomial_generator, parse_polynomial)
 
 MODES = ("ideal", "single", "mapping")
 DEGENERACY_NOTE = ("unverified hypothesis: non-degeneracy fails; "
@@ -25,14 +25,16 @@ DEGENERACY_NOTE = ("unverified hypothesis: non-degeneracy fails; "
 
 
 def is_prime(m):
+    """Trial division, refused before it starts when it would need more
+    than counting.ENUMERATION_LIMIT divisors."""
     if m < 2:
         return False
-    d = 2
-    while d * d <= m:
-        if m % d == 0:
-            return False
-        d += 1
-    return True
+    root = isqrt(m)
+    if root > counting.ENUMERATION_LIMIT:
+        raise SizeGuardError(
+            f"testing p = {m} for primality needs trial division up to "
+            f"{root}, over the limit {counting.ENUMERATION_LIMIT}")
+    return all(m % d for d in range(2, root + 1))
 
 
 @dataclass
@@ -72,14 +74,6 @@ class ProblemSpec:
         if self.mode == "mapping":
             return self.fside.t
         return 1
-
-    def fside_mapping(self):
-        """The f side viewed as a mapping (for oracles and restrictions)."""
-        if self.mode == "ideal":
-            return self.fside.as_mapping()
-        if self.mode == "single":
-            return PolynomialMapping([self.fside])
-        return self.fside
 
 
 def parse_problem_text(text) -> ProblemSpec:
@@ -178,8 +172,9 @@ def build_geometry(spec: ProblemSpec) -> Computation:
         gamma_g = NewtonPolyhedron.of(spec.g)
         partition = partition_pair(gamma_f, gamma_g)
     comp = Computation(spec, gamma_f, gamma_g, partition)
-    comp.poles = zeta.candidate_poles(partition, comp.mf, comp.mg,
-                                      spec.mode, spec.t_count)
+    comp.poles = zeta.candidate_poles(
+        partition, comp.mf, comp.mg,
+        None if spec.mode == "ideal" else spec.t_count)
     return comp
 
 
@@ -205,21 +200,17 @@ def run_checks(comp: Computation) -> dict:
 
 
 def _cone_counts(comp: Computation):
+    """(N, P, Q) per cone from the face restrictions of both sides: the f
+    side as one mapping (None for an ideal, which never vanishes on the
+    torus) and g (None for the trivial measure)."""
     spec = comp.spec
-    fmap = spec.fside_mapping()
+    fcomps = None if spec.mode == "ideal" else counting.components(spec.fside)
     counts = []
     for cone in comp.partition.cones:
-        face_f = cone.labels[0]
-        if spec.mode == "ideal":
-            fpart = None
-        else:
-            parts = [face_restriction(c, face_f) for c in fmap.components]
-            fpart = parts[0] if spec.mode == "single" \
-                else PolynomialMapping(parts)
-        if spec.g is None:
-            gpart = None
-        else:
-            gpart = face_restriction(spec.g, cone.labels[1])
+        fpart = None if fcomps is None else PolynomialMapping(
+            [face_restriction(c, cone.labels[0]) for c in fcomps])
+        gpart = None if spec.g is None else face_restriction(
+            spec.g, cone.labels[1])
         counts.append(counting.count_triple(fpart, gpart, spec.p))
     return counts
 
@@ -234,7 +225,7 @@ def compute(spec: ProblemSpec, override=False) -> Computation:
     if bad and not override:
         raise DegeneracyError(bad[0])
     comp.counts = _cone_counts(comp)
-    comp.terms = zeta.cone_terms(spec.mode, comp.partition, comp.counts,
+    comp.terms = zeta.cone_terms(comp.partition, comp.counts,
                                  comp.mf, comp.mg, spec.p, spec.t_count)
     comp.zeta = zeta.assemble(comp.terms, spec.p,
                               notes=(DEGENERACY_NOTE,) if bad else ())

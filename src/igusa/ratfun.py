@@ -20,6 +20,7 @@ from math import gcd, lcm
 from operator import index
 
 from .errors import InternalConsistencyError, PoleEvaluationError
+from .polynomials import render_terms
 
 
 class Poly:
@@ -179,25 +180,9 @@ class Poly:
         return total
 
     def __str__(self):
-        if self.is_zero():
-            return "0"
-        parts = []
-        for e in range(self.degree, -1, -1):
-            c = self.coeffs[e]
-            if c == 0:
-                continue
-            mag = abs(c)
-            if e == 0:
-                body = str(mag)
-            elif e == 1:
-                body = "t" if mag == 1 else f"{mag}*t"
-            else:
-                body = f"t^{e}" if mag == 1 else f"{mag}*t^{e}"
-            parts.append(("-" if c < 0 else "+", body))
-        out = ("-" if parts[0][0] == "-" else "") + parts[0][1]
-        for sign, body in parts[1:]:
-            out += f" {sign} {body}"
-        return out
+        return render_terms(("t",), ((self.coeffs[e], (e,))
+                                     for e in range(self.degree, -1, -1)
+                                     if self.coeffs[e]))
 
     __repr__ = __str__
 

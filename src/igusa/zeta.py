@@ -75,15 +75,8 @@ class ZetaRational:
     def evaluate(self, tval):
         return self.reduced.evaluate(tval)
 
-    def verify_factored(self, p):
-        if not self.factored:
-            return True
-        return _sum_pieces(self.factored, p) == self.reduced
-
     def to_json(self):
         out = self.reduced.to_json()
-        if self.factored:
-            out["factored"] = [piece.to_json() for piece in self.factored]
         if self.notes:
             out["notes"] = list(self.notes)
         return out
@@ -102,7 +95,7 @@ def s_delta(cone: RationalCone, mf, mg, p) -> ZetaRational:
     """Lattice sum over N^n intersect the relatively open cone.
 
     mf and mg are the weight functions of the two polyhedra (mg is the
-    zero function in trivial-measure mode). Uses the closed form over a
+    zero function for the trivial measure). Uses the closed form over a
     half-open simplicial decomposition; the zero-dimensional cone
     contributes 1.
     """
@@ -117,12 +110,9 @@ def s_delta(cone: RationalCone, mf, mg, p) -> ZetaRational:
         terms = tuple(sorted((1, mf(h), mg(h) + sigma(h))
                              for h in sp.pp_points))
         pieces.append(FactoredPiece(terms, factors))
-    return ZetaRational(_sum_pieces(pieces, p), tuple(pieces))
-
-
-def _sum_pieces(pieces, p):
     den = _binomial_product((piece.factors for piece in pieces), p)
-    return sum_over(den, (piece.expand(p) for piece in pieces))
+    return ZetaRational(sum_over(den, (piece.expand(p) for piece in pieces)),
+                        tuple(pieces))
 
 
 def _binomial_product(factor_lists, p):
@@ -148,35 +138,24 @@ def _check_linear(rays, exps, mf, mg):
 # -- the L factors ------------------------------------------------------
 
 
-def l_delta_ideal(counts, p, n) -> ZetaRational:
-    """Local factor of the monomial-ideal formula; constant in s.
+def l_delta(counts, p, n, t_count) -> RationalFunction:
+    """Four-term local factor for a mapping with tc = t_count components,
 
-    The relevant count is the number of torus zeros of the restricted
-    measure polynomial, stored as counts.P (the f side, a monomial
-    ideal, never vanishes on the torus).
+        L = ((p-1)^n - p^tc N (1-t)/(p^tc - t) - pP/(p+1)
+             - pQ (p^(tc-1)(p+1) - (p^(tc-1)+1) t) / ((p+1)(p^tc - t))) / p^n,
+
+    built over its common denominator p^n (p+1) (p^tc - t) and reduced once.
+
+    One formula serves every f side: a single polynomial is t_count = 1,
+    and a monomial ideal, whose f side never vanishes on the torus, has
+    N = Q = 0, which leaves the constant ((p-1)^n - pP/(p+1)) / p^n.
     """
-    value = Fraction((p - 1)**n, p**n) - Fraction(counts.P, p**(n - 1) * (p + 1))
-    return ZetaRational(RationalFunction.const(value))
-
-
-def l_delta(counts, p, n, t_count) -> ZetaRational:
-    """Four-term local factor for a mapping with t_count components
-    (t_count = 1 for a single polynomial)."""
-    tc = t_count
-    one = RationalFunction.const(1)
-    t = RationalFunction(Poly([0, 1]))
-    ptc_minus_t = RationalFunction(Poly({0: p**tc, 1: -1}))
-    total = RationalFunction.const((p - 1)**n)
-    if counts.N:
-        total = total - Fraction(p**tc * counts.N) * (one - t) / ptc_minus_t
-    if counts.P:
-        total = total - RationalFunction.const(Fraction(counts.P * p, p + 1))
-    if counts.Q:
-        qnum = RationalFunction(
-            Poly({0: p**(tc - 1) * (p + 1), 1: -(p**(tc - 1) + 1)}))
-        total = total - Fraction(p * counts.Q, p + 1) * qnum / ptc_minus_t
-    total = Fraction(1, p**n) * total
-    return ZetaRational(total)
+    q, ptc = p**(t_count - 1), p**t_count
+    ptc_minus_t = Poly({0: ptc, 1: -1})
+    num = (ptc_minus_t * ((p - 1)**n * (p + 1) - p * counts.P)
+           - Poly([1, -1]) * (ptc * (p + 1) * counts.N)
+           - Poly([q * (p + 1), -(q + 1)]) * (p * counts.Q))
+    return RationalFunction(num, ptc_minus_t * (p**n * (p + 1)))
 
 
 # -- assembly -----------------------------------------------------------
@@ -186,21 +165,15 @@ def l_delta(counts, p, n, t_count) -> ZetaRational:
 class ConeTerm:
     cone: RationalCone
     counts: object
-    L: ZetaRational
+    L: RationalFunction
     S: ZetaRational
 
 
-def cone_terms(mode, partition: ConePartition, counts, mf, mg, p, t_count=1):
+def cone_terms(partition: ConePartition, counts, mf, mg, p, t_count):
     """Per-cone (L, S) data in partition order."""
-    out = []
-    for cone, ct in zip(partition.cones, counts):
-        if mode == "ideal":
-            L = l_delta_ideal(ct, p, partition.n)
-        else:
-            L = l_delta(ct, p, partition.n, t_count)
-        S = s_delta(cone, mf, mg, p)
-        out.append(ConeTerm(cone, ct, L, S))
-    return out
+    return [ConeTerm(cone, ct, l_delta(ct, p, partition.n, t_count),
+                     s_delta(cone, mf, mg, p))
+            for cone, ct in zip(partition.cones, counts)]
 
 
 def assemble(terms, p, notes=()) -> ZetaRational:
@@ -216,11 +189,11 @@ def assemble(terms, p, notes=()) -> ZetaRational:
     """
     den = _binomial_product(
         (piece.factors for term in terms for piece in term.S.factored), p)
-    for L in {term.L.reduced.den.primitive() for term in terms}:
+    for L in {term.L.den.primitive() for term in terms}:
         if L.degree > 0:
             den = den * L
-    total = sum_over(den, ((term.L.reduced.num * term.S.reduced.num,
-                            term.L.reduced.den * term.S.reduced.den)
+    total = sum_over(den, ((term.L.num * term.S.reduced.num,
+                            term.L.den * term.S.reduced.den)
                            for term in terms))
     _check_no_pole_at_origin(total)
     return ZetaRational(total, notes=tuple(notes))
@@ -233,16 +206,17 @@ def _check_no_pole_at_origin(rf: RationalFunction):
             "residual negative power of t survived reduction")
 
 
-def display_factors(mode, terms, t_count=1):
-    """Distinct ExpFactors over all cones, for the common-denominator view."""
+def display_factors(terms, t_count):
+    """Distinct ExpFactors over all cones, for the common-denominator view:
+    those of the S pieces, and L's p^(s+t_count) - 1 where some cone has
+    N or Q."""
     factors = []
     for term in terms:
         for piece in term.S.factored:
             for f in piece.factors:
                 if f not in factors:
                     factors.append(f)
-    if mode in ("single", "mapping") and any(
-            term.counts.N or term.counts.Q for term in terms):
+    if any(term.counts.N or term.counts.Q for term in terms):
         lf = ExpFactor(1, t_count)
         if lf not in factors:
             factors.append(lf)
@@ -274,9 +248,11 @@ def common_denominator_form(z: ZetaRational, factors, p):
 # -- candidate poles ----------------------------------------------------
 
 
-def candidate_poles(partition: ConePartition, mf, mg, mode, t_count=1):
+def candidate_poles(partition: ConePartition, mf, mg, l_factor_t):
     """Real parts -(mg(k)+sigma(k))/mf(k) over primitive ray generators,
-    plus the L-factor candidate -t_count in single/mapping mode."""
+    plus the candidate -l_factor_t of L's factor p^(s+l_factor_t) - 1
+    unless l_factor_t is None (an f side that never vanishes on the
+    torus)."""
     found = {}
     for ray in partition.rays():
         m = mf(ray)
@@ -284,7 +260,6 @@ def candidate_poles(partition: ConePartition, mf, mg, mode, t_count=1):
             continue
         value = Fraction(-(mg(ray) + sigma(ray)), m)
         found.setdefault(value, []).append(f"ray {ray}")
-    if mode in ("single", "mapping"):
-        value = Fraction(-t_count)
-        found.setdefault(value, []).append("L-factor")
+    if l_factor_t is not None:
+        found.setdefault(Fraction(-l_factor_t), []).append("L-factor")
     return [CandidatePole(v, "; ".join(found[v])) for v in sorted(found)]

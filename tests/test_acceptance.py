@@ -151,8 +151,7 @@ def test_criterion_5_oracle_containment():
     spec = example_spec(2)
     comp = compute(spec)
     for s0 in (1, 2):
-        bracket = oracle.truncated_integral("ideal", spec.fside, spec.g,
-                                            2, s0, 10)
+        bracket = oracle.truncated_integral(spec.fside, spec.g, 2, s0, 10)
         assert bracket.width <= Fraction(1, 2**10)
         assert bracket.contains(comp.zeta.evaluate(Fraction(1, 2**s0)))
     _report(5, "truncated-integral brackets at p = 2", started, 30.0)
@@ -183,7 +182,7 @@ def test_criterion_6_measure_closed_values():
     for p in (3, 5):
         a = oracle.find_base_point(ff, g, p)
         for k, l in itertools.product((1, 2), (1, 2)):
-            assert oracle.measure_A_kl(ff, g, a, p, k, l, mode="mapping") == \
+            assert oracle.measure_A_kl(ff, g, a, p, k, l) == \
                 oracle.closed_measure_value(p, 3, k, l, t=2)
             checked += 1
     assert checked >= 18

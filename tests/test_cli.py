@@ -123,6 +123,16 @@ g=x + y + z + x*y*z
         code, _ = run(["compute", "/no/such/file.txt"])
         assert code == 1
 
+    def test_non_ascii_file_is_a_parse_error(self, tmp_path, capsys):
+        path = tmp_path / "problem.txt"
+        path.write_bytes("mode=single\nn=2\np=5\nf=x + y # \u00e9\n"
+                         .encode("utf-8"))
+        code, out = run(["compute", str(path)])
+        assert code == cli.EXIT_PARSE == 1
+        assert out == ""
+        assert capsys.readouterr().err.startswith(
+            "parse error: 'ascii' codec can't decode")
+
     @pytest.mark.parametrize("text, message", [
         ("mode=mapping\nn=2\np=3\nf=x + y, x*y - 1\n",
          "every component must vanish at the origin"),
@@ -144,6 +154,24 @@ g=x + y + z + x*y*z
         assert code == cli.EXIT_SIZE == 3
         assert out == ""
         assert capsys.readouterr().err.startswith("size guard: parallelepiped")
+
+    @pytest.mark.parametrize("command", ["compute", "check", "poles"])
+    def test_huge_prime_size_guard(self, tmp_path, capsys, command):
+        # trial division up to sqrt(p) > 10^9 is refused before it starts
+        path = write(tmp_path, "mode=single\nn=2\np=1000000000000000009\n"
+                               "f=x + y\n")
+        code, out = run([command, path])
+        assert code == cli.EXIT_SIZE == 3
+        assert out == ""
+        assert capsys.readouterr().err.startswith(
+            "size guard: testing p = 1000000000000000009 for primality")
+
+    def test_huge_swept_prime_size_guard(self, capsys):
+        code, out = run(["check", FIXTURE,
+                         "--sweep", "5,10000000000000000051"])
+        assert code == cli.EXIT_SIZE == 3
+        assert out == ""
+        assert capsys.readouterr().err.startswith("size guard: testing p")
 
 
 class TestCheck:

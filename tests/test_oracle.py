@@ -29,7 +29,7 @@ class TestTruncatedIntegral:
     def test_geometric_series_one_variable(self):
         # integral of |x|^s over Z_3 at s = 1 is (2/3)/(1 - 1/9) = 3/4
         f = parse_polynomial("x", 1)
-        b = oracle.truncated_integral("single", f, None, 3, 1, 6)
+        b = oracle.truncated_integral(f, None, 3, 1, 6)
         assert b.contains(Fraction(3, 4))
         assert b.width < Fraction(1, 3**5)
 
@@ -38,7 +38,7 @@ class TestTruncatedIntegral:
         g = poly("x*y")
         previous = None
         for M in (2, 3, 4, 5):
-            b = oracle.truncated_integral("single", f, g, 2, 1, M)
+            b = oracle.truncated_integral(f, g, 2, 1, M)
             if previous is not None:
                 assert previous.lo <= b.lo
                 assert b.hi <= previous.hi
@@ -50,7 +50,7 @@ class TestTruncatedIntegral:
         for p, s0 in [(2, 1), (3, 2)]:
             comp = compute(ProblemSpec("single", 2, p, f, g))
             value = comp.zeta.evaluate(Fraction(1, p**s0))
-            b = oracle.truncated_integral("single", f, g, p, s0, 5)
+            b = oracle.truncated_integral(f, g, p, s0, 5)
             assert b.contains(value)
 
     def test_ideal_mode_monomial_measure(self):
@@ -60,8 +60,7 @@ class TestTruncatedIntegral:
         comp = compute(spec)
         for s0 in (1, 2):
             value = comp.zeta.evaluate(Fraction(1, 2**s0))
-            b = oracle.truncated_integral("ideal", spec.fside, spec.g,
-                                          2, s0, 8)
+            b = oracle.truncated_integral(spec.fside, spec.g, 2, s0, 8)
             assert b.contains(value)
 
     def test_mapping_mode(self):
@@ -69,13 +68,13 @@ class TestTruncatedIntegral:
         g = parse_polynomial("x + y + z + x*y*z", 3)
         comp = compute(ProblemSpec("mapping", 3, 3, ff, g))
         value = comp.zeta.evaluate(Fraction(1, 3))
-        b = oracle.truncated_integral("mapping", ff, g, 3, 1, 3)
+        b = oracle.truncated_integral(ff, g, 3, 1, 3)
         assert b.contains(value)
 
     def test_size_guard(self):
         f = poly("x + y")
         with pytest.raises(SizeGuardError):
-            oracle.truncated_integral("single", f, None, 101, 1, 4)
+            oracle.truncated_integral(f, None, 101, 1, 4)
 
 
 class TestMeasureClosedValue:
@@ -110,8 +109,7 @@ class TestMeasureClosedValue:
                 continue
             for k in (1, 2):
                 for l in (1, 2):
-                    got = oracle.measure_A_kl(ff, g, a, p, k, l,
-                                              mode="mapping")
+                    got = oracle.measure_A_kl(ff, g, a, p, k, l)
                     assert got == oracle.closed_measure_value(p, 3, k, l, t=2)
                     found += 1
         assert found
@@ -124,12 +122,21 @@ class TestMeasureClosedValue:
             # (1, 2) annihilates neither factor mod 3
             oracle.measure_A_kl(f, g, (1, 2), 3, 1, 1)
 
-    def test_k_ge_l_enforced_in_single_mode(self):
-        f = poly("x + y + x*y")
-        g = poly("x - y")
-        a = oracle.find_base_point(f, g, 3)
-        with pytest.raises(ValueError):
-            oracle.measure_A_kl(f, g, a, 3, 1, 2)
+    def test_k_below_l(self):
+        # the closed value p^(-n-(k-1)t-l+1) holds for k < l as well
+        pairs = {2: (poly("x + y + x*y"), poly("x - y")),
+                 3: (parse_polynomial("x + y + x*y*z", 3),
+                     parse_polynomial("x - y + z^2", 3))}
+        found = 0
+        for p, (n, (f, g)) in itertools.product((2, 3, 5), pairs.items()):
+            a = oracle.find_base_point(f, g, p)
+            if a is None:
+                continue
+            for k, l in ((1, 2), (1, 3), (2, 3)):
+                assert oracle.measure_A_kl(f, g, a, p, k, l) == \
+                    oracle.closed_measure_value(p, n, k, l)
+                found += 1
+        assert found >= 9
 
 
 class TestCosetIntegral:
@@ -219,25 +226,24 @@ class TestPinnedBrackets:
 
     def test_truncated_fixture(self):
         from conftest import example_ideal, example_measure
-        b = oracle.truncated_integral("ideal", example_ideal(),
-                                      example_measure(), 2, 1, 6)
+        b = oracle.truncated_integral(example_ideal(), example_measure(),
+                                      2, 1, 6)
         assert (b.lo, b.hi) == (Fraction(488721, 4194304),
                                 Fraction(32865646415053, 281474976710656))
 
     def test_truncated_single(self):
-        b = oracle.truncated_integral("single", poly("x^2 + y^3"),
-                                      poly("x*y"), 2, 1, 5)
+        b = oracle.truncated_integral(poly("x^2 + y^3"), poly("x*y"), 2, 1, 5)
         assert (b.lo, b.hi) == (Fraction(4175, 16384), Fraction(4203, 16384))
 
     def test_truncated_mapping(self):
         ff = PolynomialMapping([poly("x", 3), poly("y", 3)])
-        b = oracle.truncated_integral("mapping", ff,
-                                      poly("x + y + z + x*y*z", 3), 3, 1, 3)
+        b = oracle.truncated_integral(ff, poly("x + y + z + x*y*z", 3),
+                                      3, 1, 3)
         assert (b.lo, b.hi) == (Fraction(924316, 1594323),
                                 Fraction(8346307, 14348907))
 
     def test_truncated_one_variable(self):
-        b = oracle.truncated_integral("single", poly("x", 1), None, 3, 1, 6)
+        b = oracle.truncated_integral(poly("x", 1), None, 3, 1, 6)
         assert (b.lo, b.hi) == (Fraction(132860, 177147),
                                 Fraction(398581, 531441))
 

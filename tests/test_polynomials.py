@@ -154,8 +154,7 @@ class TestMappingAndIdeal:
         with pytest.raises(ValueError):
             MonomialIdealSpec(2, [(1, -1)])
 
-    def test_ideal_as_mapping(self):
+    def test_ideal_support_and_str(self):
         spec = MonomialIdealSpec(2, [(5, 1), (3, 2)])
-        ff = spec.as_mapping()
-        assert ff.support == {(5, 1), (3, 2)}
+        assert spec.support == {(5, 1), (3, 2)}
         assert str(spec) == "(x^5*y, x^3*y^2)"

@@ -97,12 +97,3 @@ class TestSpecValidation:
         ff = PolynomialMapping([parse_polynomial("x", 3),
                                 parse_polynomial("y", 3)])
         assert ProblemSpec("mapping", 3, 5, ff, None).t_count == 2
-
-    def test_fside_mapping_views(self):
-        spec = example_spec(13)
-        mapped = spec.fside_mapping()
-        assert isinstance(mapped, PolynomialMapping)
-        assert len(mapped.components) == 3
-        single = ProblemSpec("single", 2, 5, parse_polynomial("x + y", 2),
-                             None)
-        assert len(single.fside_mapping().components) == 1

@@ -3,6 +3,7 @@
 import itertools
 import time
 from fractions import Fraction
+from math import prod
 
 import pytest
 
@@ -35,9 +36,20 @@ class TestSDelta:
         assert sorted(piece.terms) == [(1, 0, 0), (1, 8, 10)]
 
     def test_factored_expansion_matches_reduced(self):
-        comp = example_computation()
-        for term in comp.terms:
-            assert term.S.verify_factored(13)
+        # each piece evaluated straight from its terms and factors, with
+        # p^(a*s+b) = p^b / t^a, not through the sum that built S.reduced
+        p = 13
+        comp = example_computation(p)
+        for tval in (Fraction(1, p), Fraction(1, p**2), Fraction(2, 7)):
+            def power(a, b):
+                return Fraction(p**b) / tval**a
+
+            for term in comp.terms:
+                value = sum(
+                    sum(c * power(a, b) for c, a, b in piece.terms)
+                    / prod(power(f.a, f.b) - 1 for f in piece.factors)
+                    for piece in term.S.factored)
+                assert value == term.S.reduced.evaluate(tval)
 
     def test_series_agreement(self):
         # partial lattice sum vs closed form, within the geometric tail
@@ -61,11 +73,15 @@ class TestSDelta:
 
 class TestLDelta:
     def test_ideal_formula(self):
+        # an ideal's f side never vanishes on the torus: with N = Q = 0
+        # the mapping formula is a constant, whatever t is
         from igusa.counting import CountTriple
-        p = 13
-        L = zeta.l_delta_ideal(CountTriple(0, 36, 0), p, 2)
-        expected = Fraction((p - 1)**2, p**2) - Fraction(36, p * (p + 1))
-        assert L.reduced.as_fraction() == expected
+        for p, n, t, P in ((13, 2, 1, 36), (2, 1, 1, 0), (2, 3, 2, 1),
+                           (3, 3, 2, 5), (5, 4, 3, 17), (7, 2, 1, 6),
+                           (1009, 2, 3, 1000)):
+            L = zeta.l_delta(CountTriple(0, P, 0), p, n, t)
+            assert L.as_fraction() == \
+                (Fraction((p - 1)**n) - Fraction(p * P, p + 1)) / p**n
 
     def test_single_formula_at_sample_points(self):
         from igusa.counting import CountTriple
@@ -80,7 +96,7 @@ class TestLDelta:
                 - 2 * Fraction(p, p + 1)
                 - p * 1 * Fraction(ps * (p + 1) - 2, (ps * p - 1) * (p + 1)),
                 p**2)
-            assert L.reduced.evaluate(Fraction(1, ps)) == expected
+            assert L.evaluate(Fraction(1, ps)) == expected
 
     def test_mapping_formula_at_sample_points(self):
         from igusa.counting import CountTriple
@@ -96,7 +112,7 @@ class TestLDelta:
                 - p * 2 * Fraction(p**(tc - 1) * (ps * (p + 1) - 1) - 1,
                                    (ps * p**tc - 1) * (p + 1)),
                 p**3)
-            assert L.reduced.evaluate(Fraction(1, ps)) == expected
+            assert L.evaluate(Fraction(1, ps)) == expected
 
     def test_mapping_with_one_component_is_single(self):
         # the same cones, counts and local factors through either mode
@@ -104,8 +120,8 @@ class TestLDelta:
         single = compute(ProblemSpec("single", 2, 5, f, None))
         mapped = compute(ProblemSpec("mapping", 2, 5,
                                      PolynomialMapping([f]), None))
-        assert [(t.counts, t.L.reduced) for t in single.terms] == \
-            [(t.counts, t.L.reduced) for t in mapped.terms]
+        assert [(t.counts, t.L) for t in single.terms] == \
+            [(t.counts, t.L) for t in mapped.terms]
 
 
 class TestAssembly:
@@ -155,7 +171,7 @@ class TestAssembly:
             t0 = Fraction(1, p**s0)
             # direct: split by min coordinate order and Hensel structure
             from igusa.oracle import truncated_integral
-            bracket = truncated_integral("single", f, None, p, s0, 9)
+            bracket = truncated_integral(f, None, p, s0, 9)
             assert bracket.lo <= comp.zeta.evaluate(t0) <= bracket.hi
 
 
@@ -181,7 +197,7 @@ class TestAssembly:
         p = 5
         comp = compute(ProblemSpec("ideal", 2, p, example_ideal(), None))
         assert comp.zeta.evaluate(1) == 1  # s = 0: the volume of Z_p^2
-        bracket = truncated_integral("ideal", example_ideal(), None, p, 1, 3)
+        bracket = truncated_integral(example_ideal(), None, p, 1, 3)
         assert bracket.contains(comp.zeta.evaluate(Fraction(1, p)))
 
 
@@ -200,7 +216,7 @@ class TestLargeDiagonalCurves:
         zeros = sum(1 for x in range(p) for y in range(p)
                     if (x**a + y**b) % p == 0)
         assert z.evaluate(0) == 1 - Fraction(zeros, p**2)  # mu(ord f = 0)
-        factors = zeta.display_factors("single", comp.terms)
+        factors = zeta.display_factors(comp.terms, 1)
         assert zeta.common_denominator_form(z, factors, p) is not None
         report_budget(f"x^{a}+y^{b} at p = 7", started, 10.0)
 
