@@ -178,12 +178,10 @@ def render_check(doc):
     return "\n".join(lines) + "\n"
 
 
-def oracle_report(comp, s0, M, corrupt=False):
+def oracle_report(comp, s0, M):
     spec = comp.spec
     tval = Fraction(1, spec.p**s0)
     value = comp.zeta.evaluate(tval)
-    if corrupt:
-        value += Fraction(1, 2)
     bracket = oracle.truncated_integral(spec.fside, spec.g, spec.p, s0, M)
     return {
         "command": "oracle", "spec": _spec_doc(spec),
@@ -241,8 +239,6 @@ def main(argv=None, out=None):
                         help="integer evaluation point s = s0")
     parser.add_argument("--sweep", default="",
                         help="comma-separated primes for check")
-    parser.add_argument("--corrupt-zeta", action="store_true",
-                        help=argparse.SUPPRESS)  # negative-control test hook
     args = parser.parse_args(argv)
     for flag, value in (("--level", args.level), ("--s0", args.s0)):
         if args.command == "oracle" and value < 1:  # only oracle reads them
@@ -271,8 +267,7 @@ def main(argv=None, out=None):
             return EXIT_OK if ok else EXIT_DEGENERATE
         if args.command == "oracle":
             comp = problem.compute(spec, override=args.override_degenerate)
-            doc = oracle_report(comp, args.s0, args.level,
-                                corrupt=args.corrupt_zeta)
+            doc = oracle_report(comp, args.s0, args.level)
             _emit(doc, render_oracle, args.json, out)
             if not doc["contained"]:
                 print("bracket violation", file=sys.stderr)

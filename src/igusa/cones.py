@@ -101,7 +101,7 @@ def partition_single(gamma: NewtonPolyhedron) -> ConePartition:
     cones = []
     for face in gamma.enumerate_faces():
         normals = [normal for normal, _, _ in gamma.facets_containing(face)]
-        dim = linalg.rank([list(v) for v in normals]) if normals else 0
+        dim = linalg.rank(normals)
         if dim != gamma.n - face.dim:
             raise InternalConsistencyError(
                 f"cone dimension {dim} != n - dim(face) = {gamma.n - face.dim}")
@@ -187,42 +187,32 @@ def parallelepiped_points(rays):
 # -- simplicial decomposition ------------------------------------------
 
 
-def _span_complement(rays):
-    """Primitive basis of the orthogonal complement of span(rays)."""
-    return linalg.kernel_basis([list(r) for r in rays])
-
-
 def _cone_facet_normals(rays):
     """Supporting hyperplanes through 0 of the closed cone, within its span.
 
     Returns primitive h with h . r >= 0 for all rays and tight set of
     rank dim-1. Assumes dim(cone) >= 1.
     """
-    d = linalg.rank([list(r) for r in rays])
+    d = linalg.rank(rays)
     if d == 1:
         return []
-    complement = _span_complement(rays)
-    seen = {}
-    for combo in itertools.combinations(range(len(rays)), d - 1):
-        sub = [rays[i] for i in combo]
-        if linalg.rank([list(r) for r in sub]) != d - 1:
+    complement = linalg.kernel_basis(rays)  # basis of span(rays)^perp
+    facets = set()
+    for sub in itertools.combinations(rays, d - 1):
+        # orthogonal to the complement too, so h lies in span(rays); the
+        # d-1 independent rays it comes from are tight, so a supporting h
+        # is a facet
+        h = linalg.normal_vector(list(sub) + complement)
+        if h is None:
             continue
-        kernel = linalg.kernel_basis(
-            [list(r) for r in sub] + [list(c) for c in complement])
-        if len(kernel) != 1:
-            continue
-        h = kernel[0]
+        h = linalg.primitive(h)
         dots = [linalg.vec_dot(h, r) for r in rays]
         if all(x <= 0 for x in dots):
             h = tuple(-x for x in h)
-            dots = [-x for x in dots]
-        if any(x < 0 for x in dots):
+        elif any(x < 0 for x in dots):
             continue
-        tight = [rays[i] for i, x in enumerate(dots) if x == 0]
-        if linalg.rank([list(r) for r in tight]) != d - 1:
-            continue
-        seen[h] = h
-    return sorted(seen)
+        facets.add(h)
+    return sorted(facets)
 
 
 def _pull_triangulate(rays, idx):
@@ -233,7 +223,7 @@ def _pull_triangulate(rays, idx):
     no new rays.
     """
     sub = [rays[i] for i in idx]
-    d = linalg.rank([list(r) for r in sub])
+    d = linalg.rank(sub)
     if len(idx) == d:
         return {frozenset(idx)}
     v = idx[0]

@@ -1,10 +1,11 @@
-"""Small exact linear algebra helpers (rationals and integer lattices).
+"""Small exact linear algebra over the integers.
 
-Everything here works on tiny matrices (a handful of rows in dimension
-<= 4), so plain Fraction Gaussian elimination is fast enough and fully
-auditable. Integer work stays in integers: determinants by Bareiss
-elimination, normals of hyperplanes as maximal minors, and the Smith
-normal form with the unimodular transforms that bring a matrix to it.
+The geometry only needs integer matrices: a handful of rows in dimension
+<= 4. One fraction-free forward elimination (Bareiss) serves rank,
+determinant, kernel and linear solve, and every entry it makes is an
+integer; only the solutions of `solve_columns` are Fractions. Normals of
+hyperplanes are maximal minors, and the Smith normal form comes with the
+unimodular transforms that bring a matrix to it.
 """
 
 from fractions import Fraction
@@ -33,79 +34,87 @@ def primitive(v):
     return tuple(x // g for x in v)
 
 
-def _echelon(rows):
-    """Reduced row echelon form over Q. Returns (rref rows, pivot columns)."""
-    m = [[Fraction(x) for x in row] for row in rows]
+def _eliminate(rows):
+    """Fraction-free forward elimination (Bareiss 1968).
+
+    Returns (echelon rows, pivot columns, sign of the row permutation).
+    Each step divides exactly by the previous pivot, so every entry stays
+    an integer: after k pivots, an entry below them is the minor on the k
+    pivot rows and columns plus its own row and column. So the last of r
+    pivots is, up to the sign, the minor on all pivot rows and columns.
+    """
+    m = [list(row) for row in rows]
     pivots = []
-    r = 0
+    sign, prev = 1, 1
     ncols = len(m[0]) if m else 0
     for c in range(ncols):
-        pivot = next((i for i in range(r, len(m)) if m[i][c] != 0), None)
-        if pivot is None:
-            continue
-        m[r], m[pivot] = m[pivot], m[r]
-        inv = 1 / m[r][c]
-        m[r] = [x * inv for x in m[r]]
-        for i in range(len(m)):
-            if i != r and m[i][c] != 0:
-                f = m[i][c]
-                m[i] = [a - f * b for a, b in zip(m[i], m[r])]
-        pivots.append(c)
-        r += 1
+        r = len(pivots)
         if r == len(m):
             break
-    return m, pivots
+        if not m[r][c]:
+            pivot = next((i for i in range(r + 1, len(m)) if m[i][c]), None)
+            if pivot is None:
+                continue
+            m[r], m[pivot] = m[pivot], m[r]
+            sign = -sign
+        top, p = m[r], m[r][c]
+        for i in range(r + 1, len(m)):
+            f = m[i][c]
+            m[i] = [(a * p - f * b) // prev for a, b in zip(m[i], top)]
+        prev = p
+        pivots.append(c)
+    return m, pivots, sign
 
 
 def rank(rows):
-    if not rows:
-        return 0
-    _, pivots = _echelon(rows)
-    return len(pivots)
+    return len(_eliminate(rows)[1])
+
+
+def _kernel_vector(echelon, pivots, free):
+    """The primitive kernel vector with entry 1 at the free column `free`,
+    0 at the other free columns, and pivot entries by back-substitution."""
+    v = [0] * len(echelon[0])
+    v[free] = 1
+    # v stays an integer multiple of the solution: scale it by |pivot| / g
+    # before setting the pivot entry to -s / pivot
+    for row, c in reversed(list(zip(echelon, pivots))):
+        s = vec_dot(row[c + 1:], v[c + 1:])
+        g = gcd(s, row[c])
+        v = [x * (abs(row[c]) // g) for x in v]
+        v[c] = -s // g if row[c] > 0 else s // g
+    return primitive(v)
 
 
 def kernel_basis(rows):
     """Basis of {x : M x = 0} as primitive integer vectors.
 
     `rows` are the rows of M; the kernel lives in the column space side.
+    One vector per free column, in column order.
     """
     if not rows:
         return []
-    ncols = len(rows[0])
-    rref, pivots = _echelon(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for f in free:
-        v = [Fraction(0)] * ncols
-        v[f] = Fraction(1)
-        for r, c in enumerate(pivots):
-            v[c] = -rref[r][f]
-        denom = 1
-        for x in v:
-            denom = denom * x.denominator // gcd(denom, x.denominator)
-        basis.append(primitive(tuple(int(x * denom) for x in v)))
-    return basis
+    echelon, pivots, _ = _eliminate(rows)
+    return [_kernel_vector(echelon, pivots, f)
+            for f in range(len(rows[0])) if f not in pivots]
 
 
 def solve_columns(columns, target):
     """Solve sum_j lam_j * columns[j] = target exactly over Q.
 
     Returns the list of Fractions lam, or None when the system is
-    inconsistent. Columns must be linearly independent.
+    inconsistent. Columns must be linearly independent. The solution is
+    read off the kernel vector of [columns | target] at the last column.
     """
     ncols = len(columns)
-    nrows = len(target)
-    aug = [[Fraction(columns[j][i]) for j in range(ncols)] + [Fraction(target[i])]
-           for i in range(nrows)]
-    rref, pivots = _echelon(aug)
+    aug = [[col[i] for col in columns] + [target[i]]
+           for i in range(len(target))]
+    echelon, pivots, _ = _eliminate(aug)
     if ncols in pivots:
         return None  # inconsistent
     if len(pivots) != ncols:
         raise ValueError("columns are linearly dependent")
-    lam = [Fraction(0)] * ncols
-    for r, c in enumerate(pivots):
-        lam[c] = rref[r][ncols]
-    return lam
+    v = _kernel_vector(echelon, pivots, ncols)
+    return [Fraction(-x, v[ncols]) for x in v[:ncols]]
 
 
 def smith_form(rows):
@@ -180,29 +189,13 @@ def smith_form(rows):
     return u, v, diag
 
 
-def smith_invariant_factors(rows):
-    """Nonzero diagonal entries of the Smith normal form of an integer matrix."""
-    return [d for d in smith_form(rows)[2] if d]
-
-
 def det(rows):
-    """Determinant of a square integer matrix (Bareiss elimination, which
-    divides exactly at every step)."""
-    m = [list(row) for row in rows]
-    size = len(m)
-    sign, prev = 1, 1
-    for k in range(size - 1):
-        if not m[k][k]:
-            swap = next((i for i in range(k + 1, size) if m[i][k]), None)
-            if swap is None:
-                return 0
-            m[k], m[swap] = m[swap], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[-1][-1] if size else 1
+    """Determinant of a square integer matrix: the sign times the last
+    pivot of the elimination, or 0 below full rank."""
+    if not rows:
+        return 1
+    echelon, pivots, sign = _eliminate(rows)
+    return sign * echelon[-1][-1] if len(pivots) == len(rows) else 0
 
 
 def normal_vector(vectors):

@@ -210,20 +210,13 @@ def _convex_below(points, x):
     has |active lambdas| = |tight coordinates| + 1; solve each square
     system and accept any solution meeting every constraint.
     """
-    from fractions import Fraction
-
     n = len(x)
     idx = list(range(len(points)))
     for tight_coords in itertools.chain.from_iterable(
             itertools.combinations(range(n), r) for r in range(n + 1)):
         for free in itertools.combinations(idx, len(tight_coords) + 1):
-            rows = [[Fraction(1)] * len(free)]
-            rhs = [Fraction(1)]
-            for c in tight_coords:
-                rows.append([Fraction(points[i][c]) for i in free])
-                rhs.append(Fraction(x[c]))
-            cols = [list(tuple(rows[r][j] for r in range(len(rows))))
-                    for j in range(len(free))]
+            cols = [[1] + [points[i][c] for c in tight_coords] for i in free]
+            rhs = [1] + [x[c] for c in tight_coords]
             if linalg.rank(cols) != len(free):
                 continue
             sol = linalg.solve_columns(cols, rhs)

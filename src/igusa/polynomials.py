@@ -70,10 +70,6 @@ class IntegerPolynomial:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def zero(cls, n):
-        return cls(n, {})
-
-    @classmethod
     def constant(cls, n, c):
         return cls(n, {tuple([0] * n): c} if c else {})
 
@@ -89,9 +85,6 @@ class IntegerPolynomial:
 
     def is_zero(self):
         return not self.terms
-
-    def is_constant(self):
-        return all(sum(e) == 0 for e in self.terms)
 
     def vanishes_at_origin(self):
         return tuple([0] * self.n) not in self.terms

@@ -3,6 +3,7 @@
 import io
 import json
 import pathlib
+from fractions import Fraction
 
 import pytest
 
@@ -208,9 +209,13 @@ class TestOracle:
         assert code == 0
         assert "s0=2 level=5" in text
 
-    def test_corrupt_hook_trips_violation(self, tmp_path):
+    def test_corrupt_hook_trips_violation(self, tmp_path, monkeypatch):
+        evaluate = zeta.ZetaRational.evaluate
+        monkeypatch.setattr(zeta.ZetaRational, "evaluate",
+                            lambda self, tval: evaluate(self, tval)
+                            + Fraction(1, 2))
         path = write(tmp_path, SINGLE)
-        code, text = run(["oracle", path, "--level", "6", "--corrupt-zeta"])
+        code, text = run(["oracle", path, "--level", "6"])
         assert code == 4
         assert "bracket violation" in text
 

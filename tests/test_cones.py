@@ -5,12 +5,12 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from igusa import cones, linalg
-from igusa.cones import (ConePartition, multiplicity, parallelepiped_points,
-                         partition_pair, partition_single,
-                         simplicial_decompose)
+from igusa.cones import (ConePartition, RationalCone, multiplicity,
+                         parallelepiped_points, partition_pair,
+                         partition_single, simplicial_decompose)
 from igusa.errors import SizeGuardError
 from igusa.newton import NewtonPolyhedron
 from igusa.polynomials import parse_polynomial
@@ -242,3 +242,84 @@ class TestSimplicialDecomposition:
 def _inside_square_cone(pt):
     x, y, z = pt
     return x > y > 0 and x > z > 0
+
+
+# -- non-simplicial cones ------------------------------------------------
+
+
+def reference_cone_facet_normals(rays):
+    """_cone_facet_normals from one kernel per ray subset: h spans the
+    kernel of d-1 rays plus the span complement."""
+    d = linalg.rank(rays)
+    if d == 1:
+        return []
+    complement = linalg.kernel_basis(rays)
+    seen = set()
+    for sub in itertools.combinations(rays, d - 1):
+        if linalg.rank(sub) != d - 1:
+            continue
+        kernel = linalg.kernel_basis(list(sub) + complement)
+        if len(kernel) != 1:
+            continue
+        h = kernel[0]
+        dots = [linalg.vec_dot(h, r) for r in rays]
+        if all(x <= 0 for x in dots):
+            h = tuple(-x for x in h)
+            dots = [-x for x in dots]
+        if any(x < 0 for x in dots):
+            continue
+        tight = [r for r, x in zip(rays, dots) if x == 0]
+        if linalg.rank(tight) == d - 1:
+            seen.add(h)
+    return sorted(seen)
+
+
+# points in strictly convex position: the corners of an octagon in the
+# plane and of the unit cube in space; a cone over any of them has every
+# ray extreme
+OCTAGON = ((1, 0), (2, 0), (3, 1), (3, 2), (2, 3), (1, 3), (0, 2), (0, 1))
+CUBE = tuple(itertools.product((0, 1), repeat=3))
+
+
+@st.composite
+def non_simplicial_cones(draw):
+    """4-6 extreme rays: a 3-cone in Z^3 or Z^4, or a 4-cone in Z^4."""
+    shape = draw(st.sampled_from(["3 in 3", "3 in 4", "4 in 4"]))
+    base = OCTAGON if shape != "4 in 4" else CUBE
+    corners = draw(st.lists(st.sampled_from(base), min_size=4, max_size=6,
+                            unique=True))
+    height = draw(st.integers(1, 2))
+    rays = [(height,) + corner for corner in corners]
+    if shape == "3 in 4":  # into the hyperplane x_4 = x_1 + x_2
+        rays = [ray + (ray[0] + ray[1],) for ray in rays]
+    order = draw(st.permutations(range(len(rays[0]))))
+    rays = [linalg.primitive(tuple(ray[i] for i in order)) for ray in rays]
+    assume(linalg.rank(rays) == int(shape[0]))
+    return tuple(rays)
+
+
+class TestNonSimplicialCones:
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(non_simplicial_cones())
+    def test_facets_and_decomposition(self, rays):
+        facets = reference_cone_facet_normals(rays)
+        assert cones._cone_facet_normals(rays) == facets
+        complement = linalg.kernel_basis(rays)
+        cone = RationalCone(rays, linalg.rank(rays), ())
+        pieces = simplicial_decompose(cone)
+        # a box at the apex and one around the witness sum(rays)
+        boxes = [[range(3)] * len(rays[0]),
+                 [range(max(0, x - 2), x + 2) for x in cone.witness()]]
+        box = set().union(*(itertools.product(*ranges) for ranges in boxes))
+        inside_any = 0
+        for pt in sorted(box):
+            inside = (all(linalg.vec_dot(c, pt) == 0 for c in complement)
+                      and all(linalg.vec_dot(h, pt) > 0 for h in facets))
+            hits = 0
+            for piece in pieces:
+                lam = linalg.solve_columns(piece.rays, pt)
+                hits += lam is not None and all(x > 0 for x in lam)
+            assert hits == inside, (pt, hits)
+            inside_any += inside
+        assert 0 < inside_any < len(box)
+
