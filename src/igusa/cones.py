@@ -187,34 +187,6 @@ def parallelepiped_points(rays):
 # -- simplicial decomposition ------------------------------------------
 
 
-def _cone_facet_normals(rays):
-    """Supporting hyperplanes through 0 of the closed cone, within its span.
-
-    Returns primitive h with h . r >= 0 for all rays and tight set of
-    rank dim-1. Assumes dim(cone) >= 1.
-    """
-    d = linalg.rank(rays)
-    if d == 1:
-        return []
-    complement = linalg.kernel_basis(rays)  # basis of span(rays)^perp
-    facets = set()
-    for sub in itertools.combinations(rays, d - 1):
-        # orthogonal to the complement too, so h lies in span(rays); the
-        # d-1 independent rays it comes from are tight, so a supporting h
-        # is a facet
-        h = linalg.normal_vector(list(sub) + complement)
-        if h is None:
-            continue
-        h = linalg.primitive(h)
-        dots = [linalg.vec_dot(h, r) for r in rays]
-        if all(x <= 0 for x in dots):
-            h = tuple(-x for x in h)
-        elif any(x < 0 for x in dots):
-            continue
-        facets.add(h)
-    return sorted(facets)
-
-
 def _pull_triangulate(rays, idx):
     """Triangulate the closed cone on rays[idx] by pulling the first ray.
 
@@ -228,7 +200,7 @@ def _pull_triangulate(rays, idx):
         return {frozenset(idx)}
     v = idx[0]
     simplices = set()
-    for h in _cone_facet_normals(sub):
+    for h in linalg.cone_facets(sub):
         if linalg.vec_dot(h, rays[v]) <= 0:
             continue  # facet contains (or is behind) the pulled ray
         tight = [i for i in idx if linalg.vec_dot(h, rays[i]) == 0]
@@ -251,7 +223,7 @@ def simplicial_decompose(cone: RationalCone):
     rays = list(cone.rays)
     if len(rays) == cone.dim:
         return [_make_piece(tuple(rays))]
-    parent_facets = _cone_facet_normals(rays)
+    parent_facets = linalg.cone_facets(rays)
     simplices = _pull_triangulate(rays, list(range(len(rays))))
     pieces = set()
     for simplex in simplices:
@@ -267,5 +239,5 @@ def simplicial_decompose(cone: RationalCone):
 
 
 def _make_piece(rays):
-    return SimplicialPiece(rays, multiplicity(rays),
-                           tuple(parallelepiped_points(rays)))
+    points = tuple(parallelepiped_points(rays))  # as many as the multiplicity
+    return SimplicialPiece(rays, len(points), points)

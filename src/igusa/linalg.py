@@ -1,19 +1,23 @@
 """Small exact linear algebra over the integers.
 
 The geometry only needs integer matrices: a handful of rows in dimension
-<= 4. One fraction-free forward elimination (Bareiss) serves rank,
-determinant, kernel and linear solve, and every entry it makes is an
-integer; only the solutions of `solve_columns` are Fractions. Normals of
-hyperplanes are maximal minors, and the Smith normal form comes with the
-unimodular transforms that bring a matrix to it.
+<= 5. One fraction-free forward elimination (Bareiss) serves rank,
+kernel and linear solve, and every entry it makes is an integer; only the
+solutions of `solve_columns` are Fractions. Normals of hyperplanes are
+kernel vectors, and `cone_facets` is the one facet search: of the cones
+of the fan and, through the cone over it, of a Newton polyhedron. The
+Smith normal form comes with the unimodular transforms that bring a
+matrix to it.
 """
 
+import itertools
 from fractions import Fraction
 from math import gcd
+from operator import mul
 
 
 def vec_dot(a, b):
-    return sum(x * y for x, y in zip(a, b))
+    return sum(map(mul, a, b))
 
 
 def vec_add(a, b):
@@ -189,19 +193,32 @@ def smith_form(rows):
     return u, v, diag
 
 
-def det(rows):
-    """Determinant of a square integer matrix: the sign times the last
-    pivot of the elimination, or 0 below full rank."""
-    if not rows:
-        return 1
-    echelon, pivots, sign = _eliminate(rows)
-    return sign * echelon[-1][-1] if len(pivots) == len(rows) else 0
+def cone_facets(rays):
+    """Inward facet normals of the closed cone spanned by `rays`, within
+    its span: the sorted primitive h in span(rays) with h . r >= 0 for
+    every ray and d-1 independent rays tight, d = dim of the cone. A cone
+    of dimension 1 has none.
 
-
-def normal_vector(vectors):
-    """The signed maximal minors of n-1 integer vectors in Z^n: a vector
-    orthogonal to all of them, or None when their rank is below n-1."""
-    n = len(vectors) + 1
-    minors = tuple((-1)**i * det([row[:i] + row[i + 1:] for row in vectors])
-                   for i in range(n))
-    return minors if any(minors) else None
+    Each candidate is the one kernel vector of d-1 rays together with a
+    basis of span(rays)^perp, so it lies in the span and its d-1 rays are
+    tight; a candidate that supports the cone is a facet normal. The sum
+    of the rays lies in the relative interior, where every facet normal is
+    positive, so it orients the candidates; many ray subsets span the same
+    hyperplane, and each hyperplane is tested once.
+    """
+    complement = kernel_basis(rays)
+    d = len(rays[0]) - len(complement)
+    if d == 1:
+        return []
+    interior = [sum(col) for col in zip(*rays)]
+    supporting = {}
+    for sub in itertools.combinations(rays, d - 1):
+        kernel = kernel_basis(list(sub) + complement)
+        if len(kernel) != 1:
+            continue
+        h = kernel[0]
+        if vec_dot(h, interior) < 0:
+            h = tuple(-x for x in h)
+        if h not in supporting:
+            supporting[h] = all(vec_dot(h, r) >= 0 for r in rays)
+    return sorted(h for h, ok in supporting.items() if ok)

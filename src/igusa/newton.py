@@ -103,46 +103,25 @@ class NewtonPolyhedron:
         return list(self._facets)
 
     def _compute_facets(self):
-        """Facets through n-1 independent directions from a vertex.
+        """Facets of Gamma from the cone over it (homogenization; Ziegler,
+        Lectures on Polytopes, 1.5).
 
-        The vertices of Gamma are among the minimal support points (no
-        other support point lies coordinatewise below them), and a facet
-        is spanned by its vertices and its recession directions. So from
-        each minimal point, the normals of n-1 directions to later minimal
-        points or along the axes include every facet whose least vertex
-        that point is; a candidate is a facet when its first meet locus
-        over the whole support has dimension n-1.
+        Gamma is the section at height 1 of the cone in R^(n+1) spanned by
+        (v, 1) for the minimal support points v (no other support point
+        lies coordinatewise below them, so they include the vertices) and
+        by (e_i, 0) for the axes. That cone is full-dimensional, and each
+        of its facet normals h = (k, -m) with k != 0 is the facet
+        k . x >= m of Gamma; the one with k = 0 is the face at infinity.
+        k is primitive because the facet holds an integer vertex v, with
+        k . v = m. The facets come sorted by k, as the normals h are.
         """
         n = self.n
-        if n == 1:
-            m = min(pt[0] for pt in self.support)
-            face = self.first_meet_locus((1,))
-            return [((1,), m, face)]
-        units = [_unit(n, i) for i in range(n)]
         minimal = [pt for pt in self._support_list
                    if not any(q != pt and all(a <= b for a, b in zip(q, pt))
                               for q in self._support_list)]
-        seen = {}
-        rejected = set()
-        for i, base in enumerate(minimal):
-            pool = [linalg.vec_sub(pt, base) for pt in minimal[i + 1:]]
-            for combo in itertools.combinations(pool + units, n - 1):
-                normal = linalg.normal_vector(combo)
-                if normal is None:
-                    continue
-                normal = linalg.primitive(normal)
-                if all(x <= 0 for x in normal):
-                    normal = tuple(-x for x in normal)
-                if any(x < 0 for x in normal):
-                    continue
-                if normal in seen or normal in rejected:
-                    continue
-                face = self.first_meet_locus(normal)
-                if face.dim == n - 1:
-                    seen[normal] = (normal, self.m_value(normal), face)
-                else:
-                    rejected.add(normal)
-        return sorted(seen.values())
+        rays = [pt + (1,) for pt in minimal] + [_unit(n + 1, i) for i in range(n)]
+        return [(h[:n], -h[n], self.first_meet_locus(h[:n]))
+                for h in linalg.cone_facets(rays) if any(h[:n])]
 
     def enumerate_faces(self):
         """Every face of Gamma met by some k >= 0, the whole polyhedron included.
@@ -217,9 +196,10 @@ def _convex_below(points, x):
         for free in itertools.combinations(idx, len(tight_coords) + 1):
             cols = [[1] + [points[i][c] for c in tight_coords] for i in free]
             rhs = [1] + [x[c] for c in tight_coords]
-            if linalg.rank(cols) != len(free):
-                continue
-            sol = linalg.solve_columns(cols, rhs)
+            try:
+                sol = linalg.solve_columns(cols, rhs)
+            except ValueError:
+                continue  # dependent columns: not a vertex
             if sol is None or any(s < 0 for s in sol):
                 continue
             y = [sum(sol[j] * points[i][c] for j, i in enumerate(free))

@@ -143,11 +143,6 @@ class IntegerPolynomial:
             terms[tuple(new)] = terms.get(tuple(new), 0) + c * e
         return IntegerPolynomial(self.n, terms)
 
-    def reduce_mod(self, p):
-        """Coefficients reduced into {0..p-1}; vanishing terms dropped."""
-        return IntegerPolynomial(
-            self.n, {e: c % p for e, c in self.terms.items() if c % p})
-
     def mod_evaluator(self, modulus):
         """The function point -> f(point) mod modulus, compiled once.
 

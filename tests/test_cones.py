@@ -247,9 +247,10 @@ def _inside_square_cone(pt):
 # -- non-simplicial cones ------------------------------------------------
 
 
-def reference_cone_facet_normals(rays):
-    """_cone_facet_normals from one kernel per ray subset: h spans the
-    kernel of d-1 rays plus the span complement."""
+def reference_cone_facets(rays):
+    """linalg.cone_facets with every rank checked: h spans the kernel of
+    d-1 independent rays plus the span complement, and the rays tight on
+    it have rank d-1."""
     d = linalg.rank(rays)
     if d == 1:
         return []
@@ -302,8 +303,8 @@ class TestNonSimplicialCones:
     @settings(derandomize=True, max_examples=40, deadline=None)
     @given(non_simplicial_cones())
     def test_facets_and_decomposition(self, rays):
-        facets = reference_cone_facet_normals(rays)
-        assert cones._cone_facet_normals(rays) == facets
+        facets = reference_cone_facets(rays)
+        assert linalg.cone_facets(rays) == facets
         complement = linalg.kernel_basis(rays)
         cone = RationalCone(rays, linalg.rank(rays), ())
         pieces = simplicial_decompose(cone)

@@ -226,21 +226,6 @@ class TestSmith:
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
         assert len(nonzero) == linalg.rank(rows)
 
-    @PROPERTY
-    @given(st.integers(1, 4).flatmap(lambda n: matrices(n, n, n, n)))
-    def test_det(self, rows):
-        assert linalg.det(rows) == laplace_det(rows)
-
-    @PROPERTY
-    @given(st.integers(2, 4).flatmap(lambda n: matrices(n - 1, n - 1, n, n)))
-    def test_normal_vector(self, vectors):
-        normal = linalg.normal_vector(vectors)
-        if linalg.rank(vectors) < len(vectors):
-            assert normal is None
-        else:
-            assert all(linalg.vec_dot(normal, v) == 0 for v in vectors)
-            assert linalg.rank(vectors + [list(normal)]) == len(normal)
-
     def test_primitive(self):
         assert linalg.primitive((2, 4, 6)) == (1, 2, 3)
         assert linalg.primitive((0, 5)) == (0, 1)

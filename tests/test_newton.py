@@ -73,12 +73,12 @@ def _supports(n, top, size):
     return st.tuples(st.just(n), st.sets(point, min_size=1, max_size=size))
 
 
-# small supports, n = 2, 3, 4: the references take 2^#facets and
+# small supports, n = 1, 2, 3, 4: the references take 2^#facets and
 # C(|S|+n-1, n-1) steps per point
-supports = st.sampled_from([(2, 6, 6), (3, 3, 5), (4, 2, 5)]).flatmap(
+supports = st.sampled_from([(2, 6, 6), (3, 3, 5), (4, 2, 5), (1, 9, 4)]).flatmap(
     lambda shape: _supports(*shape))
 
-PROPERTY = settings(derandomize=True, max_examples=50, deadline=None)
+PROPERTY = settings(derandomize=True, max_examples=100, deadline=None)
 
 
 def staircase(facets):
