@@ -15,8 +15,8 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .counting import ENUMERATION_LIMIT
-from .errors import InternalConsistencyError, SizeGuardError
+from .counting import guard
+from .errors import InternalConsistencyError
 from .newton import NewtonPolyhedron
 
 
@@ -159,10 +159,7 @@ def parallelepiped_points(rays):
     """
     rays, v, d = _ray_smith_form(rays)
     mult = math.prod(d)
-    if mult > ENUMERATION_LIMIT:
-        raise SizeGuardError(
-            f"parallelepiped of multiplicity {mult} exceeds the limit "
-            f"{ENUMERATION_LIMIT}")
+    guard(mult, "parallelepiped point enumeration")
     scale = d[-1]
     # V with column i scaled by L / d_i, so that L lambda = scaled y mod L
     scaled = [[x * (scale // di) for x, di in zip(row, d)] for row in v]

@@ -5,9 +5,9 @@ coordinates; a size guard refuses anything beyond 10^8 points. All
 non-degeneracy conditions are congruences mod p, so checking residues
 on the torus is equivalent to checking units of the p-adic integers.
 
-Every sweep starts in `_torus`, whose guard comes before any evaluator
-is compiled; polynomials and their gradients are compiled once per face
-or cone. The three checks share one sweep, `singular_zeros`.
+Counts and checks share one pass per cone, `sweep`, which starts in
+`_torus`: its guard comes before any evaluator is compiled. A side with
+a unit monomial among its restrictions never vanishes, so it needs none.
 """
 
 from __future__ import annotations
@@ -20,6 +20,14 @@ from .newton import NewtonPolyhedron, face_restriction
 from .polynomials import IntegerPolynomial, PolynomialMapping
 
 ENUMERATION_LIMIT = 10**8
+
+
+def guard(work, what):
+    """Refuse, before it starts, an enumeration of `work` steps over the
+    limit; `what` names it in the message."""
+    if work > ENUMERATION_LIMIT:
+        raise SizeGuardError(
+            f"{what} needs {work} steps, over the limit {ENUMERATION_LIMIT}")
 
 
 @dataclass(frozen=True)
@@ -44,9 +52,7 @@ class DegeneracyReport:
 
 
 def _torus(p, n):
-    if (p - 1)**n > ENUMERATION_LIMIT:
-        raise SizeGuardError(
-            f"({p}-1)^{n} torus points exceed the limit {ENUMERATION_LIMIT}")
+    guard((p - 1)**n, f"the torus (F_{p}^x)^{n}")
     return itertools.product(range(1, p), repeat=n)
 
 
@@ -71,21 +77,64 @@ def _zero_test(polys, p):
     return vanishes
 
 
-def count_triple(fpart, gpart, p) -> CountTriple:
-    """Exact (N, P, Q) for face restrictions fpart and gpart.
+def rank_mod_p(rows, p):
+    """Rank of an integer matrix over F_p by row reduction."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv % p
+            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
-    fpart may be None (a side that never vanishes on the torus, as for
-    monomial ideals); likewise gpart (trivial measure). A mapping
-    vanishes when every component does.
+
+def point_test(fparts, gparts, p):
+    """Compiled once for both sides (None never vanishes): their zero
+    tests and point -> (f vanishes, g vanishes, failures), the failures
+    being an f-side Jacobian of rank below min(t, n) for t parts, a zero
+    gradient of g and a stacked Jacobian of rank below t + 1."""
+    fzero, gzero = ((lambda point: False) if parts is None
+                    else _zero_test(parts, p) for parts in (fparts, gparts))
+    fgrad, ggrad = ([[poly.partial_derivative(i).mod_evaluator(p)
+                      for i in range(1, poly.n + 1)] for poly in parts or ()]
+                    for parts in (fparts, gparts))
+    t = len(fgrad)
+    target = min(t, (fparts or gparts)[0].n)
+
+    def test(a):
+        fz, gz = fzero(a), gzero(a)
+        frows = [[d(a) for d in row] for row in fgrad] if fz else []
+        grows = [[d(a) for d in row] for row in ggrad] if gz else []
+        return fz, gz, (fz and rank_mod_p(frows, p) < target,
+                        gz and rank_mod_p(grows, p) < 1,
+                        fz and gz and rank_mod_p(frows + grows, p) < t + 1)
+    return fzero, gzero, test
+
+
+def sweep(fparts, gpart, p):
+    """(N, P, Q) and, in itertools.product order, the torus zeros where
+    each condition of `point_test` fails, from one pass: fparts are the f
+    side's components on a cone's f face, gpart is g on its g face, and
+    None is a side that never vanishes (monomial ideal, trivial measure).
     """
-    if fpart is None and gpart is None:
-        return CountTriple(0, 0, 0)  # nothing can vanish: no sweep needed
-    n = fpart.n if fpart is not None else gpart.n
-    points = _torus(p, n)  # the size guard comes before any table
-    fzero, gzero = ((lambda point: False) if part is None
-                    else _zero_test(components(part), p)
-                    for part in (fpart, gpart))
+    # one monomial with a unit coefficient has no torus zero: drop its side
+    fparts, gparts = (None if parts is None or any(
+        len(poly.terms) == 1 and next(iter(poly.terms.values())) % p
+        for poly in parts) else parts
+        for parts in (fparts, None if gpart is None else [gpart]))
+    if fparts is None and gparts is None:
+        return CountTriple(0, 0, 0), ((), (), ())  # nothing can vanish
+    points = _torus(p, (fparts or gparts)[0].n)  # the guard comes first
+    fzero, gzero, test = point_test(fparts, gparts, p)
     N = P = Q = 0
+    found = ([], [], [])
     for a in points:
         if fzero(a):
             if gzero(a):
@@ -94,65 +143,47 @@ def count_triple(fpart, gpart, p) -> CountTriple:
                 N += 1
         elif gzero(a):
             P += 1
-    return CountTriple(N, P, Q)
-
-
-def rank_mod_p(rows, p):
-    """Rank of an integer matrix over F_p by row reduction."""
-    rows = [[x % p for x in row] for row in rows]
-    rank = 0
-    cols = len(rows[0]) if rows else 0
-    pivot_row = 0
-    for col in range(cols):
-        pivot = next((r for r in range(pivot_row, len(rows))
-                      if rows[r][col]), None)
-        if pivot is None:
+        else:
             continue
-        rows[pivot_row], rows[pivot] = rows[pivot], rows[pivot_row]
-        inv = pow(rows[pivot_row][col], p - 2, p)
-        rows[pivot_row] = [x * inv % p for x in rows[pivot_row]]
-        for r in range(len(rows)):
-            if r != pivot_row and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(x - f * y) % p
-                           for x, y in zip(rows[r], rows[pivot_row])]
-        pivot_row += 1
-        rank += 1
-    return rank
+        for zeros, failed in zip(found, test(a)[2]):
+            if failed:
+                zeros.append(a)
+    return CountTriple(N, P, Q), tuple(map(tuple, found))
 
 
-def gradient_evaluators(polys, p):
-    """Per polynomial, the mod-p evaluators of its partial derivatives."""
-    return [[poly.partial_derivative(i).mod_evaluator(p)
-             for i in range(1, poly.n + 1)] for poly in polys]
+def count_triple(fpart, gpart, p) -> CountTriple:
+    """Exact (N, P, Q) for face restrictions fpart and gpart.
+
+    fpart may be None (a side that never vanishes on the torus, as for
+    monomial ideals); likewise gpart (trivial measure). A mapping
+    vanishes when every component does.
+    """
+    return sweep(None if fpart is None else components(fpart), gpart, p)[0]
 
 
-def jacobian_rows(gradients, point):
-    """The gradients at point, one row per polynomial, from the
-    evaluators that gradient_evaluators compiled."""
-    return [[d(point) for d in row] for row in gradients]
+def _report(named_zeros, condition) -> DegeneracyReport:
+    """Each zero of each (identifier, zeros) pair as a witness."""
+    witnesses = tuple((name, a, condition)
+                      for name, zeros in named_zeros for a in zeros)
+    return DegeneracyReport(not witnesses, witnesses)
 
 
-def singular_zeros(parts, n, p, target):
-    """Torus points mod p, in itertools.product order, where every part
-    vanishes and the Jacobian of the parts has rank below target."""
-    points = _torus(p, n)  # the size guard comes before any table
-    vanishes = _zero_test(parts, p)
-    gradients = gradient_evaluators(parts, p)
-    for a in points:
-        if vanishes(a) and rank_mod_p(jacobian_rows(gradients, a), p) < target:
-            yield a
+def _face_report(gamma, labels, zeros, condition) -> DegeneracyReport:
+    """The report over every face of gamma in enumerate_faces order, with
+    the zeros listed for the first of `labels` equal to the face."""
+    first = dict(zip(reversed(labels), reversed(zeros)))  # the first wins
+    return _report(((face_name(face), first[face])
+                   for face in gamma.enumerate_faces()), condition)
 
 
-def _face_report(gamma, polys, p, target, condition):
-    """Over every face of gamma, the singular torus zeros of the face
-    restrictions of polys, each a witness of the failed condition."""
-    witnesses = [(face_name(face), a, condition)
-                 for face in gamma.enumerate_faces()
-                 for a in singular_zeros(
-                     [face_restriction(c, face) for c in polys],
-                     gamma.n, p, target)]
-    return DegeneracyReport(not witnesses, tuple(witnesses))
+SINGULAR = "face polynomial has a singular torus zero"
+
+
+def _face_check(gamma, polys, p, condition):
+    """The f-side condition on every face of gamma, one sweep per face."""
+    return _report(((face_name(face), sweep(
+        [face_restriction(c, face) for c in polys], None, p)[1][0])
+        for face in gamma.enumerate_faces()), condition)
 
 
 def check_nondegenerate_single(f: IntegerPolynomial, gamma: NewtonPolyhedron,
@@ -160,8 +191,7 @@ def check_nondegenerate_single(f: IntegerPolynomial, gamma: NewtonPolyhedron,
     """For every face of gamma, the Newton polyhedron of f (the whole
     polyhedron included), the face polynomial has no singular torus zero
     mod p."""
-    return _face_report(gamma, [f], p, 1,
-                        "face polynomial has a singular torus zero")
+    return _face_check(gamma, [f], p, SINGULAR)
 
 
 def check_strong_nondegenerate(ff: PolynomialMapping, gamma: NewtonPolyhedron,
@@ -169,9 +199,8 @@ def check_strong_nondegenerate(ff: PolynomialMapping, gamma: NewtonPolyhedron,
     """For every face of gamma, the Newton polyhedron of ff: at every
     common torus zero of the face restrictions of all components, the
     Jacobian has rank min(t, n) mod p."""
-    target = min(ff.t, ff.n)
-    return _face_report(gamma, ff.components, p, target,
-                        f"Jacobian rank below {target}")
+    return _face_check(gamma, ff.components, p,
+                       f"Jacobian rank below {min(ff.t, ff.n)}")
 
 
 def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
@@ -179,21 +208,40 @@ def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
     of the pair partition, the stacked Jacobian of (fside components, g)
     has full rank (2 for a polynomial side, t+1 for a mapping) mod p."""
     t = len(components(fside))
-    n = g.n
-    if n < t + 1:
-        raise ValueError(f"need n >= {t + 1} variables, got {n}")
-    witnesses = []
-    for cone in partition.cones:
-        face_f, face_g = cone.labels
-        gpart = face_restriction(g, face_g)
-        if len(gpart.terms) == 1 and next(iter(gpart.terms.values())) % p:
-            continue  # a unit monomial never vanishes on the torus
-        parts = [gpart] + [face_restriction(c, face_f)
-                           for c in components(fside)]
-        witnesses += [(cone_name(cone), a,
-                       f"stacked Jacobian rank below {t + 1}")
-                      for a in singular_zeros(parts, n, p, t + 1)]
-    return DegeneracyReport(not witnesses, tuple(witnesses))
+    if g.n < t + 1:
+        raise ValueError(f"need n >= {t + 1} variables, got {g.n}")
+    return cone_checks(fside, g, partition, p)[1]["pair"]
+
+
+def cone_checks(fside, g, partition, p):
+    """The (N, P, Q) of every cone and the reports that apply, from one
+    sweep per cone: f over the faces of the partition's first polyhedron,
+    g over its second, each face with the witnesses of the first cone that
+    carries it, and pair over the cones. fside is None for a side that
+    never vanishes (monomial ideal), g for the trivial measure."""
+    fcomps = None if fside is None else components(fside)
+    cones = partition.cones
+    counts, singular = zip(*(sweep(
+        None if fcomps is None else
+        [face_restriction(c, cone.labels[0]) for c in fcomps],
+        None if g is None else face_restriction(g, cone.labels[1]), p)
+        for cone in cones))
+    fzeros, gzeros, pairzeros = zip(*singular)
+    reports = {}
+    if fcomps is not None:
+        t = len(fcomps)
+        reports["f"] = _face_report(
+            partition.polyhedra[0], [c.labels[0] for c in cones], fzeros,
+            f"Jacobian rank below {min(t, fside.n)}"
+            if isinstance(fside, PolynomialMapping) else SINGULAR)
+    if g is not None:
+        reports["g"] = _face_report(
+            partition.polyhedra[1], [c.labels[1] for c in cones], gzeros,
+            SINGULAR)
+        if fcomps is not None:
+            reports["pair"] = _report(zip(map(cone_name, cones), pairzeros),
+                                     f"stacked Jacobian rank below {t + 1}")
+    return list(counts), reports
 
 
 def face_name(face):

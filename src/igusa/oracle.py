@@ -19,9 +19,9 @@ import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .counting import (ENUMERATION_LIMIT, components, gradient_evaluators,
-                       jacobian_rows, rank_mod_p)
-from .errors import HypothesisError, SizeGuardError
+from . import counting
+from .counting import components, guard, point_test
+from .errors import HypothesisError
 from .polynomials import MonomialIdealSpec
 
 
@@ -40,12 +40,6 @@ class Bracket:
 
     def contains(self, value):
         return self.lo <= value <= self.hi
-
-
-def _guard(points, what):
-    if points > ENUMERATION_LIMIT:
-        raise SizeGuardError(
-            f"{what} needs {points} points, over the limit {ENUMERATION_LIMIT}")
 
 
 def _ord_residue(v, p, M):
@@ -121,7 +115,7 @@ def _bracket(residues, fside, g, p, s0, M) -> Bracket:
 def truncated_integral(fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral over Z_p^n of |fside|^s0 |g| |dx| from the
     residues mod p^M. g may be None (trivial measure)."""
-    _guard(p**(M * fside.n), "truncated integration")
+    guard(p**(M * fside.n), "truncated integration")
     residues = itertools.product(range(p**M), repeat=fside.n)
     return _bracket(residues, fside, g, p, s0, M)
 
@@ -139,27 +133,16 @@ def _hypotheses(fside, g, p):
     condition.
     """
     comps = components(fside)
-    t = len(comps)
-    n = fside.n
-    fevs = [c.mod_evaluator(p) for c in comps]
-    gev = None if g is None else g.mod_evaluator(p)
-    fgrad = gradient_evaluators(comps, p)
-    ggrad = [] if g is None else gradient_evaluators([g], p)
+    test = point_test(comps, None if g is None else [g], p)[2]
+    conditions = ("the f side's Jacobian is rank-deficient",
+                  "the measure polynomial is singular",
+                  f"the stacked Jacobian has rank below {len(comps) + 1}")
 
     def check(a):
-        fzero = not any(ev(a) for ev in fevs)
-        gzero = gev is not None and gev(a) == 0
-        frows = jacobian_rows(fgrad, a) if fzero else []
-        grows = jacobian_rows(ggrad, a) if gzero else []
-        if fzero and rank_mod_p(frows, p) < min(t, n):
-            raise HypothesisError(
-                f"f side vanishes at {a} mod {p} with a rank-deficient Jacobian")
-        if gzero and rank_mod_p(grows, p) < 1:
-            raise HypothesisError(
-                f"measure polynomial is singular at {a} mod {p}")
-        if fzero and gzero and rank_mod_p(frows + grows, p) < t + 1:
-            raise HypothesisError(
-                f"stacked Jacobian at {a} mod {p} has rank below {t + 1}")
+        fzero, gzero, failed = test(a)
+        for bad, condition in zip(failed, conditions):
+            if bad:
+                raise HypothesisError(f"{condition} at {a} mod {p}")
         return fzero, gzero
 
     return check
@@ -168,9 +151,9 @@ def _hypotheses(fside, g, p):
 def find_base_point(fside, g, p, want_fzero=True, want_gzero=True):
     """Search {1..p-1}^n for a base point with the requested vanishing
     pattern and valid hypotheses; None when the pattern is vacuous."""
-    _guard((p - 1)**fside.n, "base point search")
+    points = counting._torus(p, fside.n)  # the size guard comes first
     check = _hypotheses(fside, g, p)
-    for a in itertools.product(range(1, p), repeat=fside.n):
+    for a in points:
         try:
             if check(a) == (want_fzero, want_gzero):
                 return a
@@ -201,7 +184,7 @@ def measure_A_kl(fside, g, a, p, k, l) -> Fraction:
         raise HypothesisError(
             "the base point must annihilate both factors mod p")
     depth = max(k, l)
-    _guard(p**((depth - 1) * n), "measure counting")
+    guard(p**((depth - 1) * n), "measure counting")
     pk, pl = p**k, p**l
     fevs = [comp.mod_evaluator(pk) for comp in comps]
     gev = g.mod_evaluator(pl)
@@ -221,7 +204,7 @@ def coset_integral(a, fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| over a + (pZ_p)^n."""
     _hypotheses(fside, g, p)(tuple(x % p for x in a))
     n = fside.n
-    _guard(p**((M - 1) * n), "coset integration")
+    guard(p**((M - 1) * n), "coset integration")
     modulus = p**M
     lifts = (tuple((ai + p * ci) % modulus for ai, ci in zip(a, c))
              for c in itertools.product(range(p**(M - 1)), repeat=n))
@@ -232,9 +215,9 @@ def torus_integral(fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| over (Z_p^x)^n, after
     checking the coset hypotheses at every torus residue."""
     n = fside.n
-    _guard(((p - 1) * p**(M - 1))**n, "torus integration")
+    guard(((p - 1) * p**(M - 1))**n, "torus integration")
     check = _hypotheses(fside, g, p)
-    for a in itertools.product(range(1, p), repeat=n):
+    for a in counting._torus(p, n):
         check(a)
     units = [u for u in range(p**M) if u % p]
     return _bracket(itertools.product(units, repeat=n), fside, g, p, s0, M)

@@ -14,8 +14,8 @@ from math import isqrt
 
 from . import counting, zeta
 from .cones import partition_pair, partition_single
-from .errors import DegeneracyError, PolynomialParseError, SizeGuardError
-from .newton import NewtonPolyhedron, face_restriction
+from .errors import DegeneracyError, PolynomialParseError
+from .newton import NewtonPolyhedron
 from .polynomials import (MonomialIdealSpec, PolynomialMapping,
                           parse_monomial_generator, parse_polynomial)
 
@@ -30,10 +30,7 @@ def is_prime(m):
     if m < 2:
         return False
     root = isqrt(m)
-    if root > counting.ENUMERATION_LIMIT:
-        raise SizeGuardError(
-            f"testing p = {m} for primality needs trial division up to "
-            f"{root}, over the limit {counting.ENUMERATION_LIMIT}")
+    counting.guard(root, f"testing p = {m} for primality by trial division")
     return all(m % d for d in range(2, root + 1))
 
 
@@ -180,51 +177,24 @@ def build_geometry(spec: ProblemSpec) -> Computation:
 
 def run_checks(comp: Computation) -> dict:
     """All non-degeneracy reports the chosen mode relies on, at comp.spec.p,
-    on the polyhedra and partition that build_geometry made."""
+    on the polyhedra and partition that build_geometry made, and the
+    (N, P, Q) of every cone: one sweep per cone serves both."""
     spec = comp.spec
-    reports = {}
-    if spec.mode == "single":
-        reports["f"] = counting.check_nondegenerate_single(
-            spec.fside, comp.gamma_f, spec.p)
-    elif spec.mode == "mapping":
-        reports["f"] = counting.check_strong_nondegenerate(
-            spec.fside, comp.gamma_f, spec.p)
-    if spec.g is not None:
-        reports["g"] = counting.check_nondegenerate_single(
-            spec.g, comp.gamma_g, spec.p)
-        if spec.mode in ("single", "mapping"):
-            reports["pair"] = counting.check_pair_nondegenerate(
-                spec.fside, spec.g, comp.partition, spec.p)
-    comp.reports = reports
-    return reports
-
-
-def _cone_counts(comp: Computation):
-    """(N, P, Q) per cone from the face restrictions of both sides: the f
-    side as one mapping (None for an ideal, which never vanishes on the
-    torus) and g (None for the trivial measure)."""
-    spec = comp.spec
-    fcomps = None if spec.mode == "ideal" else counting.components(spec.fside)
-    counts = []
-    for cone in comp.partition.cones:
-        fpart = None if fcomps is None else PolynomialMapping(
-            [face_restriction(c, cone.labels[0]) for c in fcomps])
-        gpart = None if spec.g is None else face_restriction(
-            spec.g, cone.labels[1])
-        counts.append(counting.count_triple(fpart, gpart, spec.p))
-    return counts
+    comp.counts, comp.reports = counting.cone_checks(
+        None if spec.mode == "ideal" else spec.fside, spec.g, comp.partition,
+        spec.p)
+    return comp.reports
 
 
 def compute(spec: ProblemSpec, override=False) -> Computation:
     """Full pipeline, each stage once: geometry and candidate poles,
-    non-degeneracy checks, then (a degenerate input is refused here,
-    unless `override` asks to go on with a watermark) torus counts, the
-    per-cone L and S terms, and Z as their sum."""
+    non-degeneracy checks and torus counts from one sweep per cone, then
+    (a degenerate input is refused here, unless `override` asks to go on
+    with a watermark) the per-cone L and S terms, and Z as their sum."""
     comp = build_geometry(spec)
     bad = [rep for rep in run_checks(comp).values() if not rep.ok]
     if bad and not override:
         raise DegeneracyError(bad[0])
-    comp.counts = _cone_counts(comp)
     comp.terms = zeta.cone_terms(comp.partition, comp.counts,
                                  comp.mf, comp.mg, spec.p, spec.t_count)
     comp.zeta = zeta.assemble(comp.terms, spec.p,

@@ -7,7 +7,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
-from igusa import cones, linalg
+from igusa import cones, counting, linalg
 from igusa.cones import (ConePartition, RationalCone, multiplicity,
                          parallelepiped_points, partition_pair,
                          partition_single, simplicial_decompose)
@@ -182,7 +182,7 @@ class TestEnumerationGuard:
             parallelepiped_points([(1, 0), (1, 10**8 + 1)])
 
     def test_limit_is_inclusive(self, monkeypatch):
-        monkeypatch.setattr(cones, "ENUMERATION_LIMIT", 6)
+        monkeypatch.setattr(counting, "ENUMERATION_LIMIT", 6)
         assert len(parallelepiped_points([(1, 0), (1, 6)])) == 6
         with pytest.raises(SizeGuardError):
             parallelepiped_points([(1, 0), (1, 7)])

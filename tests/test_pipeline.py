@@ -1,16 +1,22 @@
-"""Each pipeline stage runs once: call counts through compute and check."""
+"""Each pipeline stage runs once: call counts through compute and check,
+and the per-cone sweep against the per-face and per-cone functions."""
 
+import dataclasses
 import io
+import json
 import pathlib
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igusa import cli, counting, problem, zeta
-from igusa.newton import NewtonPolyhedron
-from igusa.polynomials import parse_polynomial
+from igusa.newton import NewtonPolyhedron, face_restriction
+from igusa.polynomials import (MonomialIdealSpec, PolynomialMapping,
+                               parse_polynomial)
 from igusa.problem import ProblemSpec, compute
 
 from conftest import example_spec
+from test_counting import cases
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "example_ideal.txt")
 
@@ -70,7 +76,9 @@ def test_check_sweep_builds_geometry_once(monkeypatch):
 
 
 def test_degenerate_compute_counts_nothing(monkeypatch, tmp_path):
-    calls = count_calls(monkeypatch, counting, "count_triple")
+    # the counts come from the checks' own sweep; a degenerate input must
+    # stop before the per-cone formula
+    calls = count_calls(monkeypatch, zeta, "cone_terms")
     path = tmp_path / "degenerate.txt"
     path.write_text(pathlib.Path(FIXTURE).read_text().replace("p=13", "p=3"))
     code = cli.main(["compute", str(path)], out=io.StringIO())
@@ -78,8 +86,140 @@ def test_degenerate_compute_counts_nothing(monkeypatch, tmp_path):
     assert calls == []
 
 
-def test_override_still_counts(monkeypatch):
-    calls = count_calls(monkeypatch, counting, "count_triple")
-    comp = compute(example_spec(3), override=True)
-    assert len(calls) == len(comp.partition.cones)
+def test_override_still_counts():
+    spec = example_spec(3)
+    comp = compute(spec, override=True)
+    assert comp.counts == [
+        counting.count_triple(None, face_restriction(spec.g, cone.labels[1]),
+                              spec.p)
+        for cone in comp.partition.cones]
     assert comp.zeta.notes == (problem.DEGENERACY_NOTE,)
+
+
+# -- one torus pass per cone ---------------------------------------------
+
+
+def cones_to_sweep(comp):
+    """The cones with a side that may vanish on the torus: one whose
+    restrictions are none of them a single monomial with a unit
+    coefficient mod p."""
+    spec = comp.spec
+    p = spec.p
+    swept = 0
+    for cone in comp.partition.cones:
+        sides = []
+        if spec.mode != "ideal":
+            sides.append([face_restriction(c, cone.labels[0])
+                          for c in counting.components(spec.fside)])
+        if spec.g is not None:
+            sides.append([face_restriction(spec.g, cone.labels[1])])
+        swept += any(all(len(part.terms) > 1 or all(
+            c % p == 0 for c in part.terms.values()) for part in side)
+            for side in sides)
+    return swept
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_one_torus_pass_per_cone(monkeypatch, spec):
+    calls = count_calls(monkeypatch, counting, "_torus")
+    comp = compute(spec)
+    assert len(calls) == cones_to_sweep(comp) <= len(comp.partition.cones)
+    geometry = problem.build_geometry(spec)
+    for p in (2, 3, 5, 7, 11):
+        calls.clear()
+        pspec = dataclasses.replace(spec, p=p)
+        checked = dataclasses.replace(geometry, spec=pspec)
+        problem.run_checks(checked)
+        assert len(calls) == cones_to_sweep(checked) <= len(
+            geometry.partition.cones)
+
+
+def test_fixture_compute_sweeps_twice_at_most(monkeypatch):
+    calls = count_calls(monkeypatch, counting, "_torus")
+    assert cli.main(["compute", FIXTURE], out=io.StringIO()) == cli.EXIT_OK
+    assert 0 < len(calls) <= 2
+
+
+def test_monomial_that_p_divides_is_swept(tmp_path):
+    # 7*x*y vanishes everywhere mod 7 with a zero gradient: each of the two
+    # faces whose only support point is (1, 1) has all 36 torus points as
+    # witnesses
+    path = tmp_path / "divisible.txt"
+    path.write_text("mode=single\nn=2\np=7\nf=x^3 + 7*x*y\n")
+    out = io.StringIO()
+    assert cli.main(["check", str(path), "--json"], out=out) == \
+        cli.EXIT_DEGENERATE
+    witnesses = json.loads(out.getvalue())["results"][0]["reports"]["f"][
+        "witnesses"]
+    assert len(witnesses) == 72
+    assert sorted({w["where"] for w in witnesses}) == [
+        "face[dim=0; touching=(1, 1); recession={}]",
+        "face[dim=1; touching=(1, 1); recession={2}]"]
+    assert cli.main(["compute", str(path)], out=io.StringIO()) == \
+        cli.EXIT_DEGENERATE
+
+
+def test_unit_monomials_need_no_torus(monkeypatch, tmp_path):
+    # g = x*y is a unit monomial on every face and an ideal never vanishes,
+    # so no cone is swept and the (10007-1)^3 torus guard is never met
+    calls = count_calls(monkeypatch, counting, "_torus")
+    path = tmp_path / "monomial.txt"
+    path.write_text("mode=ideal\nn=3\np=10007\n"
+                    "generators=x^2, y^3, z\ng=x*y\n")
+    assert cli.main(["compute", str(path)], out=io.StringIO()) == cli.EXIT_OK
+    assert calls == []
+
+
+# -- seeded property test: per-cone pipeline against per-face functions ---
+
+
+@st.composite
+def specs(draw):
+    """A valid ProblemSpec of any mode, with or without g, n <= 3."""
+    mode = draw(st.sampled_from(problem.MODES))
+    with_g = draw(st.booleans())
+    n, p, (f1, f2, g) = draw(cases(3, min_n=2 if with_g else 1, max_terms=3))
+    if mode == "ideal":
+        fside = MonomialIdealSpec(n, sorted(f1.terms))
+    elif mode == "single":
+        fside = f1
+    else:
+        t = min(2, n - 1) if with_g else min(2, n)
+        fside = PolynomialMapping([f1, f2][:t])
+    return ProblemSpec(mode, n, p, fside, g if with_g else None)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(specs())
+def test_cone_sweeps_match_face_and_cone_functions(spec):
+    comp = problem.build_geometry(spec)
+    reports = problem.run_checks(comp)
+    cones = comp.partition.cones
+    p = spec.p
+    expected = {}
+    if spec.mode == "single":
+        expected["f"] = counting.check_nondegenerate_single(
+            spec.fside, comp.gamma_f, p)
+    elif spec.mode == "mapping":
+        expected["f"] = counting.check_strong_nondegenerate(
+            spec.fside, comp.gamma_f, p)
+    if spec.g is not None:
+        expected["g"] = counting.check_nondegenerate_single(
+            spec.g, comp.gamma_g, p)
+        if spec.mode != "ideal":
+            expected["pair"] = counting.check_pair_nondegenerate(
+                spec.fside, spec.g, comp.partition, p)
+    assert reports == expected
+    fside = None if spec.mode == "ideal" else spec.fside
+    assert comp.counts == [counting.count_triple(
+        None if fside is None else PolynomialMapping(
+            [face_restriction(c, cone.labels[0])
+             for c in counting.components(fside)]),
+        None if spec.g is None else face_restriction(spec.g, cone.labels[1]),
+        p) for cone in cones]
+    if fside is not None:
+        assert set(comp.gamma_f.enumerate_faces()) <= {
+            cone.labels[0] for cone in cones}
+    if spec.g is not None:
+        assert set(comp.gamma_g.enumerate_faces()) <= {
+            cone.labels[1] for cone in cones}
