@@ -5,7 +5,9 @@ polyhedron: one relatively open cone per face, spanned by the normals of
 the facets containing that face. Pair partitions are the common
 refinement of two such fans, computed as the fan of the Minkowski sum
 polyhedron (support = all pairwise sums) and relabeled with the pair of
-first-meet-locus faces of an interior witness.
+first-meet-locus faces of an interior witness. A cone's faces are read
+from the partition, never searched for: the simplicial decomposition
+triangulates over them.
 """
 
 from __future__ import annotations
@@ -27,19 +29,9 @@ class RationalCone:
     labels: tuple  # (Face,) for single partitions, (Face, Face) for pairs
 
     def witness(self):
-        """A lattice point in the relatively open cone (origin for dim 0)."""
-        if not self.rays:
-            return tuple([0] * _arity(self))
+        """A lattice point in the relatively open cone: the sum of the
+        rays (empty for the zero-dimensional cone)."""
         return tuple(sum(col) for col in zip(*self.rays))
-
-
-def _arity(cone):
-    if cone.rays:
-        return len(cone.rays[0])
-    if cone.labels:
-        face = cone.labels[0]
-        return max(len(pt) for pt in face.touching)
-    raise ValueError("cannot infer ambient dimension of an empty cone")
 
 
 @dataclass(frozen=True)
@@ -70,6 +62,13 @@ class ConePartition:
                 return cone
         raise InternalConsistencyError(
             f"no cone matches the labels of {k}; the partition is incomplete")
+
+    def facets_of(self, cone):
+        """The facets of a cone of the fan: the cones one dimension lower
+        whose rays are all rays of it (in a fan, such a cone is a face)."""
+        rays = set(cone.rays)
+        return [c for c in self.cones
+                if c.dim == cone.dim - 1 and rays.issuperset(c.rays)]
 
     def rays(self):
         """All distinct primitive ray generators appearing in the partition."""
@@ -123,7 +122,7 @@ def partition_pair(gamma1: NewtonPolyhedron,
     combined = NewtonPolyhedron(sums, gamma1.n)
     cones = []
     for cone in partition_single(combined).cones:
-        w = cone.witness()
+        w = cone.witness() or (0,) * gamma1.n
         labels = (gamma1.first_meet_locus(w), gamma2.first_meet_locus(w))
         cones.append(RationalCone(cone.rays, cone.dim, labels))
     return ConePartition(cones, gamma1.n, (gamma1, gamma2))
@@ -184,55 +183,42 @@ def parallelepiped_points(rays):
 # -- simplicial decomposition ------------------------------------------
 
 
-def _pull_triangulate(rays, idx):
-    """Triangulate the closed cone on rays[idx] by pulling the first ray.
+def _pull_triangulate(cone, facets_of):
+    """Triangulate the closed cone by pulling its first ray.
 
-    Returns frozensets of ray indices, each spanning a full-dimensional
-    simplicial subcone; the result is a face-to-face triangulation using
-    no new rays.
+    Returns sorted ray tuples, each spanning a full-dimensional simplicial
+    subcone; the result is a face-to-face triangulation using no new
+    rays. The cone joins its first ray, the least, to the triangulations
+    of the facets that do not contain it.
     """
-    sub = [rays[i] for i in idx]
-    d = linalg.rank(sub)
-    if len(idx) == d:
-        return {frozenset(idx)}
-    v = idx[0]
-    simplices = set()
-    for h in linalg.cone_facets(sub):
-        if linalg.vec_dot(h, rays[v]) <= 0:
-            continue  # facet contains (or is behind) the pulled ray
-        tight = [i for i in idx if linalg.vec_dot(h, rays[i]) == 0]
-        for simplex in _pull_triangulate(rays, tight):
-            simplices.add(simplex | {v})
-    return simplices
+    if len(cone.rays) == cone.dim:
+        return {cone.rays}
+    v = cone.rays[0]
+    return {(v,) + simplex
+            for facet in facets_of(cone) if v not in facet.rays
+            for simplex in _pull_triangulate(facet, facets_of)}
 
 
-def simplicial_decompose(cone: RationalCone):
+def simplicial_decompose(cone: RationalCone, partition: ConePartition):
     """Half-open disjoint cover of the relatively open cone by relatively
     open simplicial pieces whose rays come from the parent.
 
     Already-simplicial cones come back as a single identity piece. For
-    the rest, a pulling triangulation (first ray in input order) is
-    computed and every simplex face whose relative interior lies inside
-    the parent's relative interior becomes a piece.
+    the rest, a pulling triangulation (first ray in sorted order) is
+    computed over the faces that the partition holds, and every simplex
+    face whose rays do not all lie in one facet of the parent (so whose
+    relative interior lies inside the parent's) becomes a piece.
     """
     if cone.dim < 1:
         raise ValueError("decomposition needs a cone of dimension >= 1")
-    rays = list(cone.rays)
-    if len(rays) == cone.dim:
-        return [_make_piece(tuple(rays))]
-    parent_facets = linalg.cone_facets(rays)
-    simplices = _pull_triangulate(rays, list(range(len(rays))))
-    pieces = set()
-    for simplex in simplices:
-        for size in range(1, len(simplex) + 1):
-            for subset in itertools.combinations(sorted(simplex), size):
-                pieces.add(subset)
-    kept = []
-    for subset in sorted(pieces):
-        w = tuple(sum(col) for col in zip(*(rays[i] for i in subset)))
-        if all(linalg.vec_dot(h, w) > 0 for h in parent_facets):
-            kept.append(_make_piece(tuple(rays[i] for i in subset)))
-    return kept
+    if len(cone.rays) == cone.dim:
+        return [_make_piece(cone.rays)]
+    facets = [set(facet.rays) for facet in partition.facets_of(cone)]
+    faces = {subset for simplex in _pull_triangulate(cone, partition.facets_of)
+             for size in range(1, len(simplex) + 1)
+             for subset in itertools.combinations(simplex, size)}
+    return [_make_piece(face) for face in sorted(faces)
+            if not any(facet.issuperset(face) for facet in facets)]
 
 
 def _make_piece(rays):

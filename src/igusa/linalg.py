@@ -4,8 +4,8 @@ The geometry only needs integer matrices: a handful of rows in dimension
 <= 5. One fraction-free forward elimination (Bareiss) serves rank,
 kernel and linear solve, and every entry it makes is an integer; only the
 solutions of `solve_columns` are Fractions. Normals of hyperplanes are
-kernel vectors, and `cone_facets` is the one facet search: of the cones
-of the fan and, through the cone over it, of a Newton polyhedron. The
+kernel vectors, and `cone_facets` is the one facet search: of the cone
+over a Newton polyhedron, which gives the polyhedron's facets. The
 Smith normal form comes with the unimodular transforms that bring a
 matrix to it.
 """
@@ -194,26 +194,20 @@ def smith_form(rows):
 
 
 def cone_facets(rays):
-    """Inward facet normals of the closed cone spanned by `rays`, within
-    its span: the sorted primitive h in span(rays) with h . r >= 0 for
-    every ray and d-1 independent rays tight, d = dim of the cone. A cone
-    of dimension 1 has none.
+    """Inward facet normals of a full-dimensional closed cone: the sorted
+    primitive h with h . r >= 0 for every ray and d-1 independent rays
+    tight, d = the dimension of the space.
 
-    Each candidate is the one kernel vector of d-1 rays together with a
-    basis of span(rays)^perp, so it lies in the span and its d-1 rays are
-    tight; a candidate that supports the cone is a facet normal. The sum
-    of the rays lies in the relative interior, where every facet normal is
+    Each candidate is the one kernel vector of d-1 rays, so its d-1 rays
+    are tight; a candidate that supports the cone is a facet normal. The
+    sum of the rays lies in the interior, where every facet normal is
     positive, so it orients the candidates; many ray subsets span the same
     hyperplane, and each hyperplane is tested once.
     """
-    complement = kernel_basis(rays)
-    d = len(rays[0]) - len(complement)
-    if d == 1:
-        return []
     interior = [sum(col) for col in zip(*rays)]
     supporting = {}
-    for sub in itertools.combinations(rays, d - 1):
-        kernel = kernel_basis(list(sub) + complement)
+    for sub in itertools.combinations(rays, len(rays[0]) - 1):
+        kernel = kernel_basis(sub)
         if len(kernel) != 1:
             continue
         h = kernel[0]

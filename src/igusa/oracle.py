@@ -1,6 +1,7 @@
 """Brute-force verification: truncated p-adic integrals with rigorous
-two-sided brackets, exact coset measures and the torus/coset closed
-values they must bracket.
+two-sided brackets, exact coset measures and the coset closed values
+they must bracket. The torus integral must bracket the L factor of the
+formula, `zeta.l_delta`, at t = p^(-s0).
 
 All integrals are evaluated at a positive integer s = s0, which makes
 the integrand a simple function with exact rational values. Truncation
@@ -243,14 +244,3 @@ def coset_closed_value(fzero, gzero, p, n, s0, t=1) -> Fraction:
     if not fzero and gzero:
         return base * Fraction(1, p + 1)
     return base * Fraction(p**t - 1, (p**(s0 + t) - 1) * (p + 1))
-
-
-def torus_closed_value(N, P, Q, p, n, s0, t=1) -> Fraction:
-    """The N/P/Q closed form of the torus integral at s = s0."""
-    ps = p**s0
-    total = Fraction((p - 1)**n)
-    total -= Fraction(p**t * N * (ps - 1), ps * p**t - 1)
-    total -= Fraction(P * p, p + 1)
-    total -= Fraction(p * Q * (p**(t - 1) * (ps * (p + 1) - 1) - 1),
-                      (ps * p**t - 1) * (p + 1))
-    return total / p**n

@@ -10,11 +10,10 @@ for the plain Haar measure).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import isqrt
 
 from . import counting, zeta
 from .cones import partition_pair, partition_single
-from .errors import DegeneracyError, PolynomialParseError
+from .errors import DegeneracyError, PolynomialParseError, SizeGuardError
 from .newton import NewtonPolyhedron
 from .polynomials import (MonomialIdealSpec, PolynomialMapping,
                           parse_monomial_generator, parse_polynomial)
@@ -24,14 +23,38 @@ DEGENERACY_NOTE = ("unverified hypothesis: non-degeneracy fails; "
                    "formula output is not certified")
 
 
+# Miller-Rabin to the first 13 prime bases is exact below psi_13, the
+# least composite that is a strong probable prime to all of them
+# (Sorenson and Webster, Math. Comp. 2017)
+PRIME_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PSI_13 = 3317044064679887385961981
+
+
+def strong_probable_prime(m, a):
+    """Does odd m > 2 pass the Miller-Rabin round to base a?"""
+    r = ((m - 1) & (1 - m)).bit_length() - 1  # 2^r exactly divides m - 1
+    x = pow(a, (m - 1) >> r, m)
+    if x == 1:
+        return True
+    for _ in range(r):
+        if x == m - 1:
+            return True
+        x = x * x % m
+    return False
+
+
 def is_prime(m):
-    """Trial division, refused before it starts when it would need more
-    than counting.ENUMERATION_LIMIT divisors."""
+    """Deterministic Miller-Rabin to the bases PRIME_BASES; m >= PSI_13,
+    where those bases no longer decide, is refused."""
+    if m >= PSI_13:
+        raise SizeGuardError(f"testing p = {m} for primality: the test is "
+                             f"exact only below {PSI_13}")
     if m < 2:
         return False
-    root = isqrt(m)
-    counting.guard(root, f"testing p = {m} for primality by trial division")
-    return all(m % d for d in range(2, root + 1))
+    for q in PRIME_BASES:
+        if m % q == 0:
+            return m == q
+    return all(strong_probable_prime(m, a) for a in PRIME_BASES)
 
 
 @dataclass

@@ -91,19 +91,20 @@ class CandidatePole:
 # -- the S factor -------------------------------------------------------
 
 
-def s_delta(cone: RationalCone, mf, mg, p) -> ZetaRational:
+def s_delta(cone: RationalCone, partition: ConePartition, mf, mg,
+            p) -> ZetaRational:
     """Lattice sum over N^n intersect the relatively open cone.
 
     mf and mg are the weight functions of the two polyhedra (mg is the
     zero function for the trivial measure). Uses the closed form over a
-    half-open simplicial decomposition; the zero-dimensional cone
-    contributes 1.
+    half-open simplicial decomposition, which reads the cone's faces from
+    the partition; the zero-dimensional cone contributes 1.
     """
     if cone.dim == 0:
         piece = FactoredPiece(((1, 0, 0),), ())
         return ZetaRational(RationalFunction.const(1), (piece,))
     pieces = []
-    for sp in simplicial_decompose(cone):
+    for sp in simplicial_decompose(cone, partition):
         exps = [(mf(k), mg(k) + sigma(k)) for k in sp.rays]
         _check_linear(sp.rays, exps, mf, mg)
         factors = tuple(ExpFactor(a, b) for a, b in exps)
@@ -172,7 +173,7 @@ class ConeTerm:
 def cone_terms(partition: ConePartition, counts, mf, mg, p, t_count):
     """Per-cone (L, S) data in partition order."""
     return [ConeTerm(cone, ct, l_delta(ct, p, partition.n, t_count),
-                     s_delta(cone, mf, mg, p))
+                     s_delta(cone, partition, mf, mg, p))
             for cone, ct in zip(partition.cones, counts)]
 
 

@@ -18,7 +18,7 @@ from igusa.polynomials import (MonomialIdealSpec, PolynomialMapping,
                                parse_polynomial)
 from igusa.problem import ProblemSpec, build_geometry, compute
 from igusa.ratfun import Poly, RationalFunction
-from igusa.zeta import ExpFactor
+from igusa.zeta import ExpFactor, l_delta
 
 from conftest import (example_ideal, example_measure, example_spec,
                       report_budget)
@@ -206,7 +206,7 @@ def test_criterion_7_coset_and_torus_closed_values():
         c = count_triple(f, g, p)
         bracket = oracle.torus_integral(f, g, p, s0, 3)
         assert bracket.contains(
-            oracle.torus_closed_value(c.N, c.P, c.Q, p, 2, s0))
+            l_delta(c, p, 2, 1).evaluate(Fraction(1, p**s0)))
     assert cases >= 16
     _report(7, "coset and torus closed values", started, 60.0)
 

@@ -9,7 +9,7 @@ import pytest
 
 from igusa import cli, zeta
 from igusa.errors import InternalConsistencyError
-from igusa.problem import compute, parse_problem_file
+from igusa.problem import PSI_13, compute, parse_problem_file
 from igusa.ratfun import Poly, RationalFunction
 from igusa.zeta import ExpFactor
 
@@ -158,21 +158,32 @@ g=x + y + z + x*y*z
 
     @pytest.mark.parametrize("command", ["compute", "check", "poles"])
     def test_huge_prime_size_guard(self, tmp_path, capsys, command):
-        # trial division up to sqrt(p) > 10^9 is refused before it starts
-        path = write(tmp_path, "mode=single\nn=2\np=1000000000000000009\n"
-                               "f=x + y\n")
+        # from psi_13 on, Miller-Rabin to the first 13 primes is not exact
+        path = write(tmp_path, f"mode=single\nn=2\np={PSI_13}\nf=x + y\n")
         code, out = run([command, path])
         assert code == cli.EXIT_SIZE == 3
         assert out == ""
         assert capsys.readouterr().err.startswith(
-            "size guard: testing p = 1000000000000000009 for primality")
+            f"size guard: testing p = {PSI_13} for primality")
+
+    @pytest.mark.parametrize("command, code", [
+        ("compute", cli.EXIT_SIZE), ("check", cli.EXIT_SIZE), ("poles", 0)])
+    def test_huge_prime_meets_the_torus_guard(self, tmp_path, capsys,
+                                              command, code):
+        # p = 10^18 + 9 is prime, so only the commands that walk the torus
+        # (10^36 points) are refused
+        path = write(tmp_path, "mode=single\nn=2\np=1000000000000000009\n"
+                               "f=x + y\n")
+        assert run([command, path])[0] == code
+        if code:
+            assert capsys.readouterr().err.startswith("size guard: the torus")
 
     def test_huge_swept_prime_size_guard(self, capsys):
         code, out = run(["check", FIXTURE,
                          "--sweep", "5,10000000000000000051"])
         assert code == cli.EXIT_SIZE == 3
         assert out == ""
-        assert capsys.readouterr().err.startswith("size guard: testing p")
+        assert capsys.readouterr().err.startswith("size guard: the torus")
 
 
 class TestCheck:

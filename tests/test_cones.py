@@ -188,60 +188,55 @@ class TestEnumerationGuard:
             parallelepiped_points([(1, 0), (1, 7)])
 
 
+def xy_plus_z_partition():
+    return partition_single(NewtonPolyhedron.of(parse_polynomial("x*y + z", 3)))
+
+
+def box_hits(pieces, pt):
+    """How many pieces hold pt in their relatively open cone."""
+    hits = 0
+    for piece in pieces:
+        lam = linalg.solve_columns(list(piece.rays), pt)
+        hits += lam is not None and all(x > 0 for x in lam)
+    return hits
+
+
 class TestSimplicialDecomposition:
     def test_simplicial_cone_is_identity(self):
         d = pair_partition()
         cone = d.classify((2, 1))
-        pieces = simplicial_decompose(cone)
+        pieces = simplicial_decompose(cone, d)
         assert len(pieces) == 1
         assert pieces[0].rays == cone.rays
         assert pieces[0].mult == 2
         assert pieces[0].pp_points == ((0, 0), (2, 1))
 
     def test_square_based_cone_cover(self):
-        # cone over a square: 4 rays, needs triangulation
-        from igusa.cones import RationalCone
-        rays = ((1, 0, 0), (1, 1, 0), (1, 0, 1), (1, 1, 1))
-        cone = RationalCone(rays, 3, ())
-        pieces = simplicial_decompose(cone)
+        # the cone of f = x*y + z on its vertex z: 0 <= z <= x + y, over a
+        # square with the four facets x = 0, y = 0, z = 0 and z = x + y
+        d = xy_plus_z_partition()
+        cone, = [c for c in d.cones if len(c.rays) > c.dim]
+        assert cone.rays == ((0, 1, 0), (0, 1, 1), (1, 0, 0), (1, 0, 1))
+        assert len(d.facets_of(cone)) == 4
+        pieces = simplicial_decompose(cone, d)
         # every lattice point of the open cone in a box is covered once
-        covered = {}
-        for pt in itertools.product(range(1, 7), repeat=3):
-            hits = []
-            for piece in pieces:
-                cols = list(piece.rays)
-                try:
-                    lam = linalg.solve_columns(cols, pt)
-                except ValueError:
-                    lam = None
-                if lam is not None and all(x > 0 for x in lam):
-                    hits.append(piece)
-            covered[pt] = hits
-        interior = {pt: hits for pt, hits in covered.items()
-                    if _inside_square_cone(pt)}
-        assert interior
-        for pt, hits in covered.items():
-            assert len(hits) == (1 if _inside_square_cone(pt) else 0), pt
+        inside_any = 0
+        for pt in itertools.product(range(6), repeat=3):
+            x, y, z = pt
+            inside = x > 0 and y > 0 and 0 < z < x + y
+            assert box_hits(pieces, pt) == inside, pt
+            inside_any += inside
+        assert inside_any
 
     def test_half_open_pieces_partition_lattice(self):
-        # relatively open cone lattice points = disjoint union over pieces
-        from igusa.cones import RationalCone
-        rays = ((1, 0), (1, 3))
-        cone = RationalCone(rays, 2, ())
-        pieces = simplicial_decompose(cone)
-        for pt in itertools.product(range(1, 12), repeat=2):
-            hits = 0
-            for piece in pieces:
-                lam = linalg.solve_columns(list(piece.rays), pt)
-                if lam is not None and all(x > 0 for x in lam):
-                    hits += 1
-            inside = 0 < 3 * pt[0] - pt[1] and pt[1] > 0
-            assert hits == (1 if inside else 0)
-
-
-def _inside_square_cone(pt):
-    x, y, z = pt
-    return x > y > 0 and x > z > 0
+        # the lattice points of each relatively open cone of a real
+        # partition are the disjoint union of its pieces' points
+        d = pair_partition()
+        cone = d.classify((2, 1))
+        assert cone.dim == 2
+        pieces = simplicial_decompose(cone, d)
+        for pt in itertools.product(range(12), repeat=2):
+            assert box_hits(pieces, pt) == (d.classify(pt) is cone), pt
 
 
 # -- non-simplicial cones ------------------------------------------------
@@ -250,7 +245,7 @@ def _inside_square_cone(pt):
 def reference_cone_facets(rays):
     """linalg.cone_facets with every rank checked: h spans the kernel of
     d-1 independent rays plus the span complement, and the rays tight on
-    it have rank d-1."""
+    it have rank d-1. Also serves cones that are not full-dimensional."""
     d = linalg.rank(rays)
     if d == 1:
         return []
@@ -275,6 +270,36 @@ def reference_cone_facets(rays):
     return sorted(seen)
 
 
+def reference_decompose(rays):
+    """The ray tuples of the pieces, with every face found by linear
+    algebra on the rays alone: a pulling triangulation (first ray first)
+    over reference_cone_facets, and each simplex face kept when the sum
+    of its rays is positive on every facet normal of the cone."""
+    def pull(idx):
+        sub = [rays[i] for i in idx]
+        if len(idx) == linalg.rank(sub):
+            return {frozenset(idx)}
+        v = idx[0]
+        simplices = set()
+        for h in reference_cone_facets(sub):
+            if linalg.vec_dot(h, rays[v]) <= 0:
+                continue  # facet contains the pulled ray
+            tight = [i for i in idx if linalg.vec_dot(h, rays[i]) == 0]
+            simplices |= {simplex | {v} for simplex in pull(tight)}
+        return simplices
+
+    facets = reference_cone_facets(rays)
+    faces = {subset for simplex in pull(list(range(len(rays))))
+             for size in range(1, len(simplex) + 1)
+             for subset in itertools.combinations(sorted(simplex), size)}
+    kept = []
+    for subset in sorted(faces):
+        w = [sum(col) for col in zip(*(rays[i] for i in subset))]
+        if all(linalg.vec_dot(h, w) > 0 for h in facets):
+            kept.append(tuple(rays[i] for i in subset))
+    return kept
+
+
 # points in strictly convex position: the corners of an octagon in the
 # plane and of the unit cube in space; a cone over any of them has every
 # ray extreme
@@ -283,44 +308,57 @@ CUBE = tuple(itertools.product((0, 1), repeat=3))
 
 
 @st.composite
-def non_simplicial_cones(draw):
-    """4-6 extreme rays: a 3-cone in Z^3 or Z^4, or a 4-cone in Z^4."""
-    shape = draw(st.sampled_from(["3 in 3", "3 in 4", "4 in 4"]))
-    base = OCTAGON if shape != "4 in 4" else CUBE
+def full_cones(draw):
+    """4-6 extreme rays spanning a 3-cone in Z^3 or a 4-cone in Z^4."""
+    base = draw(st.sampled_from([OCTAGON, CUBE]))
     corners = draw(st.lists(st.sampled_from(base), min_size=4, max_size=6,
                             unique=True))
     height = draw(st.integers(1, 2))
     rays = [(height,) + corner for corner in corners]
-    if shape == "3 in 4":  # into the hyperplane x_4 = x_1 + x_2
-        rays = [ray + (ray[0] + ray[1],) for ray in rays]
     order = draw(st.permutations(range(len(rays[0]))))
     rays = [linalg.primitive(tuple(ray[i] for i in order)) for ray in rays]
-    assume(linalg.rank(rays) == int(shape[0]))
+    assume(linalg.rank(rays) == len(rays[0]))
     return tuple(rays)
+
+
+def small_support(n, top):
+    point = st.tuples(*[st.integers(0, top)] * n).filter(any)
+    return st.sets(point, min_size=1, max_size=5)
+
+
+@st.composite
+def fans(draw):
+    """The partition of one random Newton polyhedron or of a pair, n = 3, 4."""
+    n, top = draw(st.sampled_from([(3, 3), (4, 2)]))
+    gamma = NewtonPolyhedron(draw(small_support(n, top)), n)
+    if draw(st.booleans()):
+        return partition_single(gamma)
+    return partition_pair(gamma, NewtonPolyhedron(draw(small_support(n, top)), n))
 
 
 class TestNonSimplicialCones:
     @settings(derandomize=True, max_examples=40, deadline=None)
-    @given(non_simplicial_cones())
-    def test_facets_and_decomposition(self, rays):
-        facets = reference_cone_facets(rays)
-        assert linalg.cone_facets(rays) == facets
-        complement = linalg.kernel_basis(rays)
-        cone = RationalCone(rays, linalg.rank(rays), ())
-        pieces = simplicial_decompose(cone)
-        # a box at the apex and one around the witness sum(rays)
-        boxes = [[range(3)] * len(rays[0]),
-                 [range(max(0, x - 2), x + 2) for x in cone.witness()]]
-        box = set().union(*(itertools.product(*ranges) for ranges in boxes))
-        inside_any = 0
-        for pt in sorted(box):
-            inside = (all(linalg.vec_dot(c, pt) == 0 for c in complement)
-                      and all(linalg.vec_dot(h, pt) > 0 for h in facets))
-            hits = 0
-            for piece in pieces:
-                lam = linalg.solve_columns(piece.rays, pt)
-                hits += lam is not None and all(x > 0 for x in lam)
-            assert hits == inside, (pt, hits)
-            inside_any += inside
-        assert 0 < inside_any < len(box)
+    @given(full_cones())
+    def test_facets(self, rays):
+        assert linalg.cone_facets(rays) == reference_cone_facets(rays)
 
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(fans())
+    def test_decomposition_in_fans(self, partition):
+        for cone in partition.cones:
+            if len(cone.rays) == cone.dim or cone.dim == 0:
+                continue
+            pieces = simplicial_decompose(cone, partition)
+            assert [piece.rays for piece in pieces] == \
+                reference_decompose(cone.rays)
+            # a box at the apex and one around the witness sum(rays)
+            boxes = [[range(3)] * partition.n,
+                     [range(max(0, x - 1), x + 2) for x in cone.witness()]]
+            box = set().union(*(itertools.product(*ranges)
+                                for ranges in boxes))
+            inside_any = 0
+            for pt in sorted(box):
+                inside = partition.classify(pt) is cone
+                assert box_hits(pieces, pt) == inside, (cone.rays, pt)
+                inside_any += inside
+            assert 0 < inside_any < len(box)

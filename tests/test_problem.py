@@ -1,11 +1,15 @@
 """Problem-file parsing and spec validation."""
 
+import math
+
 import pytest
 
-from igusa.errors import PolynomialParseError
+from igusa.errors import PolynomialParseError, SizeGuardError
 from igusa.polynomials import (MonomialIdealSpec, PolynomialMapping,
                                parse_polynomial)
-from igusa.problem import ProblemSpec, parse_problem_file, parse_problem_text
+from igusa.problem import (PRIME_BASES, PSI_13, ProblemSpec, is_prime,
+                           parse_problem_file, parse_problem_text,
+                           strong_probable_prime)
 
 from conftest import example_spec
 
@@ -97,3 +101,37 @@ class TestSpecValidation:
         ff = PolynomialMapping([parse_polynomial("x", 3),
                                 parse_polynomial("y", 3)])
         assert ProblemSpec("mapping", 3, 5, ff, None).t_count == 2
+
+
+class TestIsPrime:
+    def test_agrees_with_trial_division(self):
+        for m in range(10**5):
+            divisor = next((d for d in range(2, math.isqrt(m) + 1)
+                            if m % d == 0), None)
+            assert is_prime(m) == (m >= 2 and divisor is None), m
+
+    @pytest.mark.parametrize("factors, passed", [
+        ((151, 751, 28351), 4),
+        ((149491, 747451, 34233211), 11),
+        # psi_12: the first 12 prime bases are not enough
+        ((399165290221, 798330580441), 12)])
+    def test_strong_pseudoprimes(self, factors, passed):
+        # composite, yet a strong probable prime to the first `passed` bases
+        m = math.prod(factors)
+        rounds = [strong_probable_prime(m, a) for a in PRIME_BASES]
+        assert rounds[:passed] == [True] * passed
+        assert not rounds[passed]
+        assert not is_prime(m)
+
+    def test_large_primes(self):
+        assert is_prime(10**18 + 9)
+        assert is_prime(10**19 + 51)
+        assert not is_prime(10**18 + 11)
+        # the largest prime the test decides
+        assert is_prime(PSI_13 - 168)
+        assert not any(is_prime(PSI_13 - k) for k in range(2, 168, 2))
+
+    def test_refused_from_psi_13(self):
+        with pytest.raises(SizeGuardError, match=f"testing p = {PSI_13} for "
+                                                 "primality"):
+            is_prime(PSI_13)

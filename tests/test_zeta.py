@@ -201,6 +201,35 @@ class TestAssembly:
         assert bracket.contains(comp.zeta.evaluate(Fraction(1, p)))
 
 
+class TestNonSimplicialFans:
+    """Closed forms whose fans hold non-simplicial cones, so that Z goes
+    through the pulling triangulation of S."""
+
+    @staticmethod
+    def non_simplicial(comp):
+        return sum(len(cone.rays) > cone.dim for cone in comp.partition.cones)
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_xy_plus_z(self, p):
+        # z -> z - xy preserves the measure, so Z is that of |z|^s
+        f = parse_polynomial("x*y + z", 3)
+        comp = compute(ProblemSpec("single", 3, p, f, None))
+        assert len(comp.partition.cones) == 14
+        assert self.non_simplicial(comp) == 1
+        assert comp.zeta.reduced == RationalFunction(Poly([p - 1]),
+                                                     Poly([p, -1]))
+
+    @pytest.mark.parametrize("p", [2, 3, 5, 7])
+    def test_split_quadratic_form_in_four_variables(self, p):
+        # Igusa's closed form for x1 x2 + x3 x4
+        f = parse_polynomial("x1*x2 + x3*x4", 4)
+        comp = compute(ProblemSpec("single", 4, p, f, None))
+        assert len(comp.partition.cones) == 34
+        assert self.non_simplicial(comp) == 7
+        assert comp.zeta.reduced == RationalFunction(
+            Poly([(p - 1) * (p**2 - 1)]), Poly([p, -1]) * Poly([p**2, -1]))
+
+
 class TestLargeDiagonalCurves:
     """x^a + y^b at p = 7: t-degree about ab, which per-sum reduction over
     Fractions could not reach in minutes."""
