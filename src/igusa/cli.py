@@ -188,7 +188,7 @@ def oracle_report(comp, s0, M):
         "s0": s0, "level": M, "t_value": str(tval),
         "formula_value": str(value),
         "bracket": {"lo": str(bracket.lo), "hi": str(bracket.hi)},
-        "contained": bracket.lo <= value <= bracket.hi,
+        "contained": bracket.contains(value),
     }
 
 
@@ -223,9 +223,15 @@ def _emit(doc, renderer, as_json, out):
         out.write(renderer(doc))
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def error(self, message):  # argparse would exit 2, the degeneracy code
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_PARSE, f"{self.prog}: error: {message}\n")
+
+
 def main(argv=None, out=None):
     out = out or sys.stdout
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="igusa",
         description="Exact p-adic zeta functions from Newton polyhedra")
     parser.add_argument("command",

@@ -8,7 +8,6 @@ face down exactly because the recession cone is the full orthant.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from . import linalg
@@ -167,46 +166,6 @@ class NewtonPolyhedron:
             return False
         return all(linalg.vec_dot(normal, x) >= offset
                    for normal, offset in self.facet_normals())
-
-    def contains_point_by_support(self, x):
-        """Independent membership oracle: x in conv(support) + R_+^n.
-
-        Equivalent to the existence of a convex combination y of support
-        points with y <= x coordinatewise. Decided exactly by enumerating
-        the vertices of the feasibility polytope
-        {lambda >= 0, sum lambda = 1, sum lambda * support <= x}.
-        Desk scale only (small supports, n <= 3).
-        """
-        if any(v < 0 for v in x):
-            return False
-        return _convex_below(self._support_list, x)
-
-
-def _convex_below(points, x):
-    """Is some convex combination of `points` coordinatewise <= x?
-
-    Vertex enumeration with exact rationals: a vertex of the feasible set
-    has |active lambdas| = |tight coordinates| + 1; solve each square
-    system and accept any solution meeting every constraint.
-    """
-    n = len(x)
-    idx = list(range(len(points)))
-    for tight_coords in itertools.chain.from_iterable(
-            itertools.combinations(range(n), r) for r in range(n + 1)):
-        for free in itertools.combinations(idx, len(tight_coords) + 1):
-            cols = [[1] + [points[i][c] for c in tight_coords] for i in free]
-            rhs = [1] + [x[c] for c in tight_coords]
-            try:
-                sol = linalg.solve_columns(cols, rhs)
-            except ValueError:
-                continue  # dependent columns: not a vertex
-            if sol is None or any(s < 0 for s in sol):
-                continue
-            y = [sum(sol[j] * points[i][c] for j, i in enumerate(free))
-                 for c in range(n)]
-            if all(yc <= xc for yc, xc in zip(y, x)):
-                return True
-    return False
 
 
 def face_restriction(poly, face, polyhedron=None):

@@ -5,20 +5,22 @@ formula, `zeta.l_delta`, at t = p^(-s0).
 
 All integrals are evaluated at a positive integer s = s0, which makes
 the integrand a simple function with exact rational values. Truncation
-at level M enumerates residues mod p^M; a coset on which the order of a
-factor is not yet determined contributes 0 to the lower bound and a
-worst-case value to the upper bound, so the true integral always lies
-inside the bracket.
+at level M refines cosets down to residues mod p^M at most; a coset on
+which the order of a factor is still not determined contributes 0 to
+the lower bound and a worst-case value to the upper bound, so the true
+integral always lies inside the bracket.
 
-The truncated, coset and torus integrals differ only in the residues
-they visit: each is a guard plus one call of `_bracket`.
+The truncated, coset and torus integrals differ only in the cosets mod
+p they start from: each is a guard plus one call of `_bracket`.
 """
 
 from __future__ import annotations
 
 import itertools
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import itemgetter, mul
 
 from . import counting
 from .counting import components, guard, point_test
@@ -43,68 +45,69 @@ class Bracket:
         return self.lo <= value <= self.hi
 
 
-def _ord_residue(v, p, M):
-    """(order, determined) for a residue v mod p^M; undetermined means
-    only 'order >= M' is known and M is returned as the lower bound."""
+def _order(v, p, j):
+    """The order of a residue v mod p^j; j when v = 0, where only
+    'order >= j' is known."""
     if v == 0:
-        return M, False
+        return j
     e = 0
     while v % p == 0:
         v //= p
         e += 1
-    return e, True
+    return e
 
 
-def _min_ord(pairs):
-    """Minimum of orders, each an (order-or-lower-bound, determined) pair."""
-    exact = [e for e, det in pairs if det]
-    bounds = [e for e, det in pairs if not det]
-    if exact and (not bounds or min(exact) <= min(bounds)):
-        return min(exact), True
-    return min(bounds + exact), False
-
-
-def _bracket(residues, fside, g, p, s0, M) -> Bracket:
+def _bracket(cosets, fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| |dx| over the cosets
-    x + (p^M Z_p)^n for x in residues, each x with coordinates in
-    range(p^M). g may be None (trivial measure).
+    a + (pZ_p)^n for a in cosets, each a with coordinates in range(p).
+    g may be None (trivial measure).
 
-    Residues are counted per exponent s0*ord(fside) + ord(g) in integers
-    and weighed once at the end: exact, and far cheaper than a Fraction
-    sum per residue.
+    A coset mod p^j is split into its p^n sub-cosets mod p^(j+1) only
+    while the order of the f side or of g on it is open and j < M. A
+    coset settled at level j has the same orders on all its p^((M-j)n)
+    residues mod p^M; one still open at level M counts its lower bound in
+    the upper sum only. Residues are counted per exponent
+    s0*ord(fside) + ord(g) in integers and weighed once at the end.
     """
     n = fside.n
-    modulus = p**M
-    order = [_ord_residue(v, p, M) for v in range(modulus)].__getitem__
     if isinstance(fside, MonomialIdealSpec):
-        gens = fside.generators
-        memo = {}
+        # a monomial's order is read off the orders of the coordinates
+        atoms = [itemgetter(i) for i in range(n)]
+        monomials = fside.generators
+    else:  # each component is a generator: a unit vector, cut after its 1
+        atoms = [c.mod_evaluator(p**M) for c in components(fside)]
+        monomials = [[0] * k + [1] for k in range(len(atoms))]
+    # A generator's order is the weighted sum of its atoms' orders, open
+    # if an atom is. With an order o at level j keyed width*o + (o == j),
+    # a generator's key is width*order + its weight on open atoms, so one
+    # min finds the least order and prefers a settled generator; settled,
+    # it stays least in the sub-cosets, where open orders only grow.
+    width = 1 + max(map(sum, monomials))
+    gev = None if g is None else g.mod_evaluator(p**M)
+    every, determined = Counter(), Counter()
 
-        def fside_ord(a):
-            # The order of a monomial ideal depends only on the orders of
-            # the coordinates, which take few distinct values.
-            coords = tuple(map(order, a))
-            if coords not in memo:
-                memo[coords] = _min_ord([
-                    (sum(c * wi for (c, _), wi in zip(coords, w) if wi),
-                     all(d for (_, d), wi in zip(coords, w) if wi))
-                    for w in gens])
-            return memo[coords]
-    else:
-        comps = [c.mod_evaluator(modulus) for c in components(fside)]
+    def refine(points, j):
+        pj = p**j
+        weight = p**((M - j) * n)
+        for a in points:
+            keys = []
+            for atom in atoms:
+                o = _order(atom(a) % pj, p, j)
+                keys.append(width * o + (o == j))
+            vf, fopen = divmod(min(sum(map(mul, mono, keys))
+                                   for mono in monomials), width)
+            vg = 0 if gev is None else _order(gev(a) % pj, p, j)
+            e = s0 * vf + vg
+            if not fopen and vg < j:
+                every[e] += weight
+                determined[e] += weight
+            elif j < M:
+                refine(itertools.product(*(range(x, p * pj, pj) for x in a)),
+                       j + 1)
+            else:
+                every[e] += 1
 
-        def fside_ord(a):
-            return _min_ord([order(ev(a)) for ev in comps])
-    gev = None if g is None else g.mod_evaluator(modulus)
-    every = {}
-    determined = {}
-    for a in residues:
-        vf, fdet = fside_ord(a)
-        vg, gdet = (0, True) if gev is None else order(gev(a))
-        e = s0 * vf + vg
-        every[e] = every.get(e, 0) + 1
-        if fdet and gdet:
-            determined[e] = determined.get(e, 0) + 1
+    refine(cosets, 1)
 
     def weigh(counts):
         return sum((Fraction(c, p**e) for e, c in counts.items()),
@@ -114,11 +117,11 @@ def _bracket(residues, fside, g, p, s0, M) -> Bracket:
 
 
 def truncated_integral(fside, g, p, s0, M) -> Bracket:
-    """Bracket of the integral over Z_p^n of |fside|^s0 |g| |dx| from the
-    residues mod p^M. g may be None (trivial measure)."""
+    """Bracket of the integral over Z_p^n of |fside|^s0 |g| |dx| at
+    level M. g may be None (trivial measure)."""
     guard(p**(M * fside.n), "truncated integration")
-    residues = itertools.product(range(p**M), repeat=fside.n)
-    return _bracket(residues, fside, g, p, s0, M)
+    return _bracket(itertools.product(range(p), repeat=fside.n),
+                    fside, g, p, s0, M)
 
 
 # -- hypothesis checking ------------------------------------------------
@@ -203,25 +206,21 @@ def measure_A_kl(fside, g, a, p, k, l) -> Fraction:
 
 def coset_integral(a, fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| over a + (pZ_p)^n."""
-    _hypotheses(fside, g, p)(tuple(x % p for x in a))
-    n = fside.n
-    guard(p**((M - 1) * n), "coset integration")
-    modulus = p**M
-    lifts = (tuple((ai + p * ci) % modulus for ai, ci in zip(a, c))
-             for c in itertools.product(range(p**(M - 1)), repeat=n))
-    return _bracket(lifts, fside, g, p, s0, M)
+    base = tuple(x % p for x in a)
+    _hypotheses(fside, g, p)(base)
+    guard(p**((M - 1) * fside.n), "coset integration")
+    return _bracket([base], fside, g, p, s0, M)
 
 
 def torus_integral(fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| over (Z_p^x)^n, after
     checking the coset hypotheses at every torus residue."""
-    n = fside.n
-    guard(((p - 1) * p**(M - 1))**n, "torus integration")
+    guard(((p - 1) * p**(M - 1))**fside.n, "torus integration")
     check = _hypotheses(fside, g, p)
-    for a in counting._torus(p, n):
+    points = list(counting._torus(p, fside.n))
+    for a in points:
         check(a)
-    units = [u for u in range(p**M) if u % p]
-    return _bracket(itertools.product(units, repeat=n), fside, g, p, s0, M)
+    return _bracket(points, fside, g, p, s0, M)
 
 
 # -- closed values the brackets must contain ----------------------------

@@ -167,34 +167,23 @@ def parse_problem_file(path) -> ProblemSpec:
 @dataclass
 class Computation:
     spec: ProblemSpec
-    gamma_f: NewtonPolyhedron
-    gamma_g: object  # NewtonPolyhedron or None
-    partition: object
+    partition: object  # holds the Newton polyhedra, Gamma_f first
     counts: list = field(default_factory=list)
     reports: dict = field(default_factory=dict)
     terms: list = field(default_factory=list)
     zeta: object = None
     poles: list = field(default_factory=list)
 
-    def mf(self, k):
-        return self.gamma_f.m_value(k)
-
-    def mg(self, k):
-        return self.gamma_g.m_value(k) if self.gamma_g is not None else 0
-
 
 def build_geometry(spec: ProblemSpec) -> Computation:
     gamma_f = NewtonPolyhedron.of(spec.fside)
     if spec.g is None:
-        gamma_g = None
         partition = partition_single(gamma_f)
     else:
-        gamma_g = NewtonPolyhedron.of(spec.g)
-        partition = partition_pair(gamma_f, gamma_g)
-    comp = Computation(spec, gamma_f, gamma_g, partition)
+        partition = partition_pair(gamma_f, NewtonPolyhedron.of(spec.g))
+    comp = Computation(spec, partition)
     comp.poles = zeta.candidate_poles(
-        partition, comp.mf, comp.mg,
-        None if spec.mode == "ideal" else spec.t_count)
+        partition, None if spec.mode == "ideal" else spec.t_count)
     return comp
 
 
@@ -218,8 +207,8 @@ def compute(spec: ProblemSpec, override=False) -> Computation:
     bad = [rep for rep in run_checks(comp).values() if not rep.ok]
     if bad and not override:
         raise DegeneracyError(bad[0])
-    comp.terms = zeta.cone_terms(comp.partition, comp.counts,
-                                 comp.mf, comp.mg, spec.p, spec.t_count)
+    comp.terms = zeta.cone_terms(comp.partition, comp.counts, spec.p,
+                                 spec.t_count)
     comp.zeta = zeta.assemble(comp.terms, spec.p,
                               notes=(DEGENERACY_NOTE,) if bad else ())
     return comp

@@ -19,10 +19,6 @@ from .errors import InternalConsistencyError
 from .ratfun import Poly, RationalFunction, sum_over
 
 
-def sigma(k):
-    return sum(k)
-
-
 @dataclass(frozen=True)
 class ExpFactor:
     """The denominator factor p^(a*s+b) - 1."""
@@ -91,24 +87,31 @@ class CandidatePole:
 # -- the S factor -------------------------------------------------------
 
 
-def s_delta(cone: RationalCone, partition: ConePartition, mf, mg,
-            p) -> ZetaRational:
+def _exponents(partition: ConePartition, k):
+    """(m_f(k), m_g(k) + sigma(k)) from the partition's polyhedra, Gamma_f
+    alone for the trivial measure (m_g = 0); sigma(k) is the sum of the
+    entries of k."""
+    gamma_f, *gamma_g = partition.polyhedra
+    return (gamma_f.m_value(k),
+            sum(gamma.m_value(k) for gamma in gamma_g) + sum(k))
+
+
+def s_delta(cone: RationalCone, partition: ConePartition, p) -> ZetaRational:
     """Lattice sum over N^n intersect the relatively open cone.
 
-    mf and mg are the weight functions of the two polyhedra (mg is the
-    zero function for the trivial measure). Uses the closed form over a
-    half-open simplicial decomposition, which reads the cone's faces from
-    the partition; the zero-dimensional cone contributes 1.
+    Uses the closed form over a half-open simplicial decomposition, which
+    reads the cone's faces from the partition; the zero-dimensional cone
+    contributes 1.
     """
     if cone.dim == 0:
         piece = FactoredPiece(((1, 0, 0),), ())
         return ZetaRational(RationalFunction.const(1), (piece,))
     pieces = []
     for sp in simplicial_decompose(cone, partition):
-        exps = [(mf(k), mg(k) + sigma(k)) for k in sp.rays]
-        _check_linear(sp.rays, exps, mf, mg)
+        exps = [_exponents(partition, k) for k in sp.rays]
+        _check_linear(partition, sp.rays, exps)
         factors = tuple(ExpFactor(a, b) for a, b in exps)
-        terms = tuple(sorted((1, mf(h), mg(h) + sigma(h))
+        terms = tuple(sorted((1, *_exponents(partition, h))
                              for h in sp.pp_points))
         pieces.append(FactoredPiece(terms, factors))
     den = _binomial_product((piece.factors for piece in pieces), p)
@@ -128,11 +131,11 @@ def _binomial_product(factor_lists, p):
     return den
 
 
-def _check_linear(rays, exps, mf, mg):
-    w = tuple(sum(col) for col in zip(*rays))
-    if mf(w) != sum(a for a, _ in exps):
+def _check_linear(partition, rays, exps):
+    weight, measure = _exponents(partition, tuple(map(sum, zip(*rays))))
+    if weight != sum(a for a, _ in exps):
         raise InternalConsistencyError("weight is not linear on the piece")
-    if mg(w) + sigma(w) != sum(b for _, b in exps):
+    if measure != sum(b for _, b in exps):
         raise InternalConsistencyError("measure weight is not linear on the piece")
 
 
@@ -170,10 +173,10 @@ class ConeTerm:
     S: ZetaRational
 
 
-def cone_terms(partition: ConePartition, counts, mf, mg, p, t_count):
+def cone_terms(partition: ConePartition, counts, p, t_count):
     """Per-cone (L, S) data in partition order."""
     return [ConeTerm(cone, ct, l_delta(ct, p, partition.n, t_count),
-                     s_delta(cone, partition, mf, mg, p))
+                     s_delta(cone, partition, p))
             for cone, ct in zip(partition.cones, counts)]
 
 
@@ -249,17 +252,17 @@ def common_denominator_form(z: ZetaRational, factors, p):
 # -- candidate poles ----------------------------------------------------
 
 
-def candidate_poles(partition: ConePartition, mf, mg, l_factor_t):
-    """Real parts -(mg(k)+sigma(k))/mf(k) over primitive ray generators,
+def candidate_poles(partition: ConePartition, l_factor_t):
+    """Real parts -(m_g(k)+sigma(k))/m_f(k) over primitive ray generators,
     plus the candidate -l_factor_t of L's factor p^(s+l_factor_t) - 1
     unless l_factor_t is None (an f side that never vanishes on the
     torus)."""
     found = {}
     for ray in partition.rays():
-        m = mf(ray)
+        m, b = _exponents(partition, ray)
         if m == 0:
             continue
-        value = Fraction(-(mg(ray) + sigma(ray)), m)
+        value = Fraction(-b, m)
         found.setdefault(value, []).append(f"ray {ray}")
     if l_factor_t is not None:
         found.setdefault(Fraction(-l_factor_t), []).append("L-factor")

@@ -46,11 +46,12 @@ def test_criterion_1_ray_table_and_poles():
     started = time.perf_counter()
     comp = build_geometry(example_spec(13))
     assert set(comp.partition.rays()) == set(RAY_TABLE)
+    gamma_f, gamma_g = comp.partition.polyhedra
     for ray, (m_ideal, m_measure, sig) in RAY_TABLE.items():
-        assert comp.mf(ray) == m_ideal
-        assert comp.mg(ray) == m_measure
+        assert gamma_f.m_value(ray) == m_ideal
+        assert gamma_g.m_value(ray) == m_measure
         assert sum(ray) == sig
-    assert comp.mf((2, 1)) == 8 and comp.mg((2, 1)) == 7
+    assert gamma_f.m_value((2, 1)) == 8 and gamma_g.m_value((2, 1)) == 7
     assert {cp.value for cp in comp.poles} == EXPECTED_POLES
     _report(1, "ray weights and candidate poles", started, 1.0)
 
@@ -252,13 +253,14 @@ def _check_series_agreement():
     comp = compute(example_spec(p))
     t0 = Fraction(1, p**s0)
     tail = sum(Fraction(m + 1, p**m) for m in range(B + 1, B + 200))
+    gamma_f, gamma_g = comp.partition.polyhedra
     for term in comp.terms:
         partial = Fraction(0)
         for k in itertools.product(range(B + 1), repeat=2):
             if sum(k) > B or comp.partition.classify(k) is not term.cone:
                 continue
-            partial += Fraction(
-                1, p**(s0 * comp.mf(k) + comp.mg(k) + sum(k)))
+            e = s0 * gamma_f.m_value(k) + gamma_g.m_value(k) + sum(k)
+            partial += Fraction(1, p**e)
         assert abs(term.S.reduced.evaluate(t0) - partial) <= tail
 
 

@@ -255,6 +255,23 @@ class TestOracle:
         assert cli.render_oracle(json.loads(payload)) == text
 
 
+class TestArguments:
+    @pytest.mark.parametrize("argv", [["oracle", FIXTURE, "--level", "abc"],
+                                      ["frobnicate", FIXTURE]])
+    def test_malformed_arguments_are_parse_errors(self, argv, capsys):
+        # argparse's own code, 2, is the degeneracy code
+        with pytest.raises(SystemExit) as exc:
+            cli.main(argv)
+        assert exc.value.code == 1
+        assert capsys.readouterr().err.startswith("usage: igusa")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: igusa")
+
+
 class TestPoles:
     def test_example_values(self):
         code, text = run(["poles", FIXTURE])

@@ -68,6 +68,44 @@ def reference_faces(gamma, facets):
         -f.dim, sorted(f.touching), sorted(f.recession)))
 
 
+def contains_point_by_support(gamma, x):
+    """Membership by the support alone: x in conv(support) + R_+^n, that
+    is, some convex combination of support points is coordinatewise
+    <= x."""
+    if any(v < 0 for v in x):
+        return False
+    return convex_below(sorted(gamma.support), x)
+
+
+def convex_below(points, x):
+    """Is some convex combination of `points` coordinatewise <= x?
+
+    Vertex enumeration of the feasible set {lambda >= 0, sum lambda = 1,
+    sum lambda * points <= x} with exact rationals: a vertex has
+    |active lambdas| = |tight coordinates| + 1; solve each square system
+    and accept any solution meeting every constraint. Desk scale only
+    (small supports, n <= 3).
+    """
+    n = len(x)
+    idx = list(range(len(points)))
+    for tight_coords in itertools.chain.from_iterable(
+            itertools.combinations(range(n), r) for r in range(n + 1)):
+        for free in itertools.combinations(idx, len(tight_coords) + 1):
+            cols = [[1] + [points[i][c] for c in tight_coords] for i in free]
+            rhs = [1] + [x[c] for c in tight_coords]
+            try:
+                sol = linalg.solve_columns(cols, rhs)
+            except ValueError:
+                continue  # dependent columns: not a vertex
+            if sol is None or any(s < 0 for s in sol):
+                continue
+            y = [sum(sol[j] * points[i][c] for j, i in enumerate(free))
+                 for c in range(n)]
+            if all(yc <= xc for yc, xc in zip(y, x)):
+                return True
+    return False
+
+
 def _supports(n, top, size):
     point = st.tuples(*[st.integers(0, top)] * n).filter(any)
     return st.tuples(st.just(n), st.sets(point, min_size=1, max_size=size))
@@ -231,7 +269,7 @@ class TestMembership:
     def test_facet_description_matches_support_oracle(self):
         for g in (gamma_I(), gamma_g()):
             for x in self.grid:
-                assert g.contains_point(x) == g.contains_point_by_support(x)
+                assert g.contains_point(x) == contains_point_by_support(g, x)
 
     def test_support_points_inside(self):
         g = gamma_I()
@@ -248,7 +286,7 @@ class TestMembership:
     def test_random_supports_agree(self, support):
         g = NewtonPolyhedron(support, 2)
         for x in itertools.product(range(7), repeat=2):
-            assert g.contains_point(x) == g.contains_point_by_support(x)
+            assert g.contains_point(x) == contains_point_by_support(g, x)
 
 
 class TestFaceRestriction:

@@ -4,11 +4,13 @@ import itertools
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from igusa import oracle
-from igusa.counting import CountTriple
+from igusa.counting import CountTriple, components
 from igusa.errors import HypothesisError, SizeGuardError
-from igusa.polynomials import PolynomialMapping, parse_polynomial
+from igusa.polynomials import (IntegerPolynomial, MonomialIdealSpec,
+                               PolynomialMapping, parse_polynomial)
 from igusa.problem import ProblemSpec, compute
 from igusa.zeta import l_delta
 
@@ -20,6 +22,133 @@ def poly(text, n=2):
 def torus_value(counts, p, n, s0):
     """The formula's torus integral: the L factor at t = p^(-s0)."""
     return l_delta(counts, p, n, 1).evaluate(Fraction(1, p**s0))
+
+
+# -- reference: the walk over every residue mod p^M ----------------------
+
+
+def _ord_residue(v, p, M):
+    """(order, determined) for a residue v mod p^M; undetermined means
+    only 'order >= M' is known and M is returned as the lower bound."""
+    if v == 0:
+        return M, False
+    e = 0
+    while v % p == 0:
+        v //= p
+        e += 1
+    return e, True
+
+
+def _min_ord(pairs):
+    """Minimum of orders, each an (order-or-lower-bound, determined) pair."""
+    exact = [e for e, det in pairs if det]
+    bounds = [e for e, det in pairs if not det]
+    if exact and (not bounds or min(exact) <= min(bounds)):
+        return min(exact), True
+    return min(bounds + exact), False
+
+
+def reference_bracket(residues, fside, g, p, s0, M):
+    """Bracket of the integral of |fside|^s0 |g| |dx| over the cosets
+    x + (p^M Z_p)^n for x in residues, each x with coordinates in
+    range(p^M): every residue looked up in a table of the orders mod p^M,
+    a monomial ideal's orders memoized by the orders of the coordinates."""
+    n = fside.n
+    modulus = p**M
+    order = [_ord_residue(v, p, M) for v in range(modulus)].__getitem__
+    if isinstance(fside, MonomialIdealSpec):
+        gens = fside.generators
+        memo = {}
+
+        def fside_ord(a):
+            coords = tuple(map(order, a))
+            if coords not in memo:
+                memo[coords] = _min_ord([
+                    (sum(c * wi for (c, _), wi in zip(coords, w) if wi),
+                     all(d for (_, d), wi in zip(coords, w) if wi))
+                    for w in gens])
+            return memo[coords]
+    else:
+        comps = [c.mod_evaluator(modulus) for c in components(fside)]
+
+        def fside_ord(a):
+            return _min_ord([order(ev(a)) for ev in comps])
+    gev = None if g is None else g.mod_evaluator(modulus)
+    every = {}
+    determined = {}
+    for a in residues:
+        vf, fdet = fside_ord(a)
+        vg, gdet = (0, True) if gev is None else order(gev(a))
+        e = s0 * vf + vg
+        every[e] = every.get(e, 0) + 1
+        if fdet and gdet:
+            determined[e] = determined.get(e, 0) + 1
+
+    def weigh(counts):
+        return sum((Fraction(c, p**e) for e, c in counts.items()),
+                   Fraction(0)) / p**(M * n)
+
+    return oracle.Bracket(weigh(determined), weigh(every))
+
+
+@st.composite
+def integrands(draw):
+    """(fside, g, p, s0, M): an f side of any mode and a measure that may
+    be trivial, in n <= 3 variables, with p^(Mn) <= 20,000 residues."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(1, 3))
+    M = draw(st.integers(1, max(m for m in range(1, 15)
+                                if p**(m * n) <= 20_000)))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    # coefficients up to 2p in size, so some are divisible by p
+    coefficients = st.integers(-2 * p, 2 * p).filter(bool)
+
+    def polynomial():
+        return IntegerPolynomial(n, draw(st.dictionaries(
+            exponents, coefficients, min_size=1, max_size=3)))
+
+    mode = draw(st.sampled_from(["ideal", "single", "mapping"]))
+    if mode == "ideal":
+        fside = MonomialIdealSpec(n, draw(st.lists(exponents, min_size=1,
+                                                   max_size=3)))
+    elif mode == "single":
+        fside = polynomial()
+    else:
+        fside = PolynomialMapping([polynomial()
+                                   for _ in range(draw(st.integers(1, 2)))])
+    g = None if draw(st.booleans()) else polynomial()
+    return fside, g, p, draw(st.integers(1, 2)), M
+
+
+# no coset settles before level M = 4: f is 0 mod 8 everywhere
+NEVER_SETTLED = (parse_polynomial("8*x + 8*y^2", 2), None, 2, 1, 4)
+# the coefficient 3 of g is divisible by p
+COEFFICIENT_DIVISIBLE_BY_P = (parse_polynomial("x^2 + y^3", 2),
+                              parse_polynomial("3*x*y + y^2", 2), 3, 2, 4)
+
+
+class TestAgainstReference:
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(integrands())
+    @example(NEVER_SETTLED)
+    @example(COEFFICIENT_DIVISIBLE_BY_P)
+    def test_refinement_equals_residue_walk(self, case):
+        fside, g, p, s0, M = case
+        n = fside.n
+        residues = itertools.product(range(p**M), repeat=n)
+        assert oracle.truncated_integral(fside, g, p, s0, M) == \
+            reference_bracket(residues, fside, g, p, s0, M)
+        # the coset and torus integrals start from other level-1 cosets
+        a = (1,) * n
+        lifts = (tuple(ai + p * ci for ai, ci in zip(a, c))
+                 for c in itertools.product(range(p**(M - 1)), repeat=n))
+        assert oracle._bracket([a], fside, g, p, s0, M) == \
+            reference_bracket(lifts, fside, g, p, s0, M)
+        units = [u for u in range(p**M) if u % p]
+        torus = list(itertools.product(range(1, p), repeat=n))
+        assert oracle._bracket(torus, fside, g, p, s0, M) == \
+            reference_bracket(itertools.product(units, repeat=n),
+                              fside, g, p, s0, M)
 
 
 class TestBracket:

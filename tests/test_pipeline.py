@@ -199,13 +199,13 @@ def test_cone_sweeps_match_face_and_cone_functions(spec):
     expected = {}
     if spec.mode == "single":
         expected["f"] = counting.check_nondegenerate_single(
-            spec.fside, comp.gamma_f, p)
+            spec.fside, comp.partition.polyhedra[0], p)
     elif spec.mode == "mapping":
         expected["f"] = counting.check_strong_nondegenerate(
-            spec.fside, comp.gamma_f, p)
+            spec.fside, comp.partition.polyhedra[0], p)
     if spec.g is not None:
         expected["g"] = counting.check_nondegenerate_single(
-            spec.g, comp.gamma_g, p)
+            spec.g, comp.partition.polyhedra[1], p)
         if spec.mode != "ideal":
             expected["pair"] = counting.check_pair_nondegenerate(
                 spec.fside, spec.g, comp.partition, p)
@@ -218,8 +218,8 @@ def test_cone_sweeps_match_face_and_cone_functions(spec):
         None if spec.g is None else face_restriction(spec.g, cone.labels[1]),
         p) for cone in cones]
     if fside is not None:
-        assert set(comp.gamma_f.enumerate_faces()) <= {
+        assert set(comp.partition.polyhedra[0].enumerate_faces()) <= {
             cone.labels[0] for cone in cones}
     if spec.g is not None:
-        assert set(comp.gamma_g.enumerate_faces()) <= {
+        assert set(comp.partition.polyhedra[1].enumerate_faces()) <= {
             cone.labels[1] for cone in cones}

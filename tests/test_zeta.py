@@ -56,13 +56,14 @@ class TestSDelta:
         p, s0, B = 5, 1, 40
         comp = example_computation(p)
         t0 = Fraction(1, p**s0)
+        gamma_f, gamma_g = comp.partition.polyhedra
         for index, term in enumerate(comp.terms):
             cone = term.cone
             partial = Fraction(0)
             for k in itertools.product(range(B + 1), repeat=2):
                 if sum(k) > B or comp.partition.classify(k) is not cone:
                     continue
-                e = s0 * comp.mf(k) + comp.mg(k) + sum(k)
+                e = s0 * gamma_f.m_value(k) + gamma_g.m_value(k) + sum(k)
                 partial += Fraction(1, p**e)
             tail = Fraction(0)
             for m in range(B + 1, B + 200):
