@@ -7,7 +7,8 @@ table). Text rendering is a pure function of the JSON report, so JSON
 output round-trips to byte-identical text.
 
 Exit codes: 0 ok, 1 parse error, 2 degeneracy, 3 size guard, 4 oracle
-violation, 5 internal error (a broken invariant: a bug).
+violation, 5 internal error (a broken invariant, or any other exception
+that escapes: a bug).
 """
 
 from __future__ import annotations
@@ -178,6 +179,17 @@ def render_check(doc):
     return "\n".join(lines) + "\n"
 
 
+def _fraction_str(value):
+    """str(value), refused as a size guard when a numerator or denominator
+    has more digits than the interpreter converts to a string."""
+    try:
+        return str(value)
+    except ValueError:  # the only ValueError int.__str__ raises
+        raise SizeGuardError(
+            "printing the oracle report needs an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def oracle_report(comp, s0, M):
     spec = comp.spec
     tval = Fraction(1, spec.p**s0)
@@ -185,9 +197,10 @@ def oracle_report(comp, s0, M):
     bracket = oracle.truncated_integral(spec.fside, spec.g, spec.p, s0, M)
     return {
         "command": "oracle", "spec": _spec_doc(spec),
-        "s0": s0, "level": M, "t_value": str(tval),
-        "formula_value": str(value),
-        "bracket": {"lo": str(bracket.lo), "hi": str(bracket.hi)},
+        "s0": s0, "level": M, "t_value": _fraction_str(tval),
+        "formula_value": _fraction_str(value),
+        "bracket": {"lo": _fraction_str(bracket.lo),
+                    "hi": _fraction_str(bracket.hi)},
         "contained": bracket.contains(value),
     }
 
@@ -259,13 +272,17 @@ def main(argv=None, out=None):
             _emit(compute_report(comp), render_compute, args.json, out)
             return EXIT_OK
         if args.command == "check":
-            primes = [int(x) for x in args.sweep.split(",") if x] or [spec.p]
+            try:  # each swept prime must make a valid problem
+                pspecs = [problem.ProblemSpec(spec.mode, spec.n, int(x),
+                                              spec.fside, spec.g)
+                          for x in args.sweep.split(",") if x] or [spec]
+            except ValueError as exc:
+                print(f"parse error: {exc}", file=sys.stderr)
+                return EXIT_PARSE
             comp = problem.build_geometry(spec)  # the same for every p
             results = {}
-            for p in primes:
-                pspec = problem.ProblemSpec(spec.mode, spec.n, p,
-                                            spec.fside, spec.g)
-                results[p] = problem.run_checks(
+            for pspec in pspecs:
+                results[pspec.p] = problem.run_checks(
                     dataclasses.replace(comp, spec=pspec))
             doc = check_report(results)
             _emit(doc, render_check, args.json, out)
@@ -288,7 +305,7 @@ def main(argv=None, out=None):
     except SizeGuardError as exc:
         print(f"size guard: {exc}", file=sys.stderr)
         return EXIT_SIZE
-    except (PolynomialParseError, ValueError, OSError) as exc:
+    except (PolynomialParseError, OSError) as exc:
         print(f"parse error: {exc}", file=sys.stderr)
         return EXIT_PARSE
     except InternalConsistencyError as exc:
@@ -297,6 +314,9 @@ def main(argv=None, out=None):
     except IgusaError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
+    except Exception as exc:  # anything else escaping is a bug
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 if __name__ == "__main__":

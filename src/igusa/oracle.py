@@ -10,8 +10,11 @@ which the order of a factor is still not determined contributes 0 to
 the lower bound and a worst-case value to the upper bound, so the true
 integral always lies inside the bracket.
 
-The truncated, coset and torus integrals differ only in the cosets mod
-p they start from: each is a guard plus one call of `_bracket`.
+Every quantity reads one census, `_census`: the residues mod p^M of
+the starting cosets mod p, counted by the orders of the f side and of
+g. The truncated, coset and torus integrals differ only in the cosets
+they start from, and each is a guard plus one call of `_bracket`, which
+weighs the census; `measure_A_kl` counts the entries that reach (k, l).
 """
 
 from __future__ import annotations
@@ -57,17 +60,16 @@ def _order(v, p, j):
     return e
 
 
-def _bracket(cosets, fside, g, p, s0, M) -> Bracket:
-    """Bracket of the integral of |fside|^s0 |g| |dx| over the cosets
-    a + (pZ_p)^n for a in cosets, each a with coordinates in range(p).
-    g may be None (trivial measure).
+def _census(cosets, fside, g, p, M) -> Counter:
+    """The residues mod p^M of the cosets a + (pZ_p)^n, a in cosets (each
+    with coordinates in range(p)), counted by (ord fside, ord g, settled).
+    g may be None (trivial measure, order 0).
 
     A coset mod p^j is split into its p^n sub-cosets mod p^(j+1) only
     while the order of the f side or of g on it is open and j < M. A
     coset settled at level j has the same orders on all its p^((M-j)n)
-    residues mod p^M; one still open at level M counts its lower bound in
-    the upper sum only. Residues are counted per exponent
-    s0*ord(fside) + ord(g) in integers and weighed once at the end.
+    residues mod p^M; one still open at level M counts 1, with its orders
+    as lower bounds: an open order is then at least M.
     """
     n = fside.n
     if isinstance(fside, MonomialIdealSpec):
@@ -84,7 +86,7 @@ def _bracket(cosets, fside, g, p, s0, M) -> Bracket:
     # it stays least in the sub-cosets, where open orders only grow.
     width = 1 + max(map(sum, monomials))
     gev = None if g is None else g.mod_evaluator(p**M)
-    every, determined = Counter(), Counter()
+    census = Counter()
 
     def refine(points, j):
         pj = p**j
@@ -97,23 +99,29 @@ def _bracket(cosets, fside, g, p, s0, M) -> Bracket:
             vf, fopen = divmod(min(sum(map(mul, mono, keys))
                                    for mono in monomials), width)
             vg = 0 if gev is None else _order(gev(a) % pj, p, j)
-            e = s0 * vf + vg
             if not fopen and vg < j:
-                every[e] += weight
-                determined[e] += weight
+                census[vf, vg, True] += weight
             elif j < M:
                 refine(itertools.product(*(range(x, p * pj, pj) for x in a)),
                        j + 1)
             else:
-                every[e] += 1
+                census[vf, vg, False] += 1
 
     refine(cosets, 1)
+    return census
 
-    def weigh(counts):
-        return sum((Fraction(c, p**e) for e, c in counts.items()),
-                   Fraction(0)) / p**(M * n)
 
-    return Bracket(weigh(determined), weigh(every))
+def _bracket(cosets, fside, g, p, s0, M) -> Bracket:
+    """Bracket of the integral of |fside|^s0 |g| |dx| over the cosets
+    a + (pZ_p)^n for a in cosets, weighed from their census: every entry
+    counts in the upper sum, a settled one in the lower sum too."""
+    lo = hi = Fraction(0)
+    for (vf, vg, settled), count in _census(cosets, fside, g, p, M).items():
+        term = Fraction(count, p**(s0 * vf + vg))
+        hi += term
+        if settled:
+            lo += term
+    return Bracket(lo / p**(M * fside.n), hi / p**(M * fside.n))
 
 
 def truncated_integral(fside, g, p, s0, M) -> Bracket:
@@ -171,36 +179,27 @@ def find_base_point(fside, g, p, want_fzero=True, want_gzero=True):
 
 def measure_A_kl(fside, g, a, p, k, l) -> Fraction:
     """Exact measure of {x in a + (pZ_p)^n : fside(x) = 0 mod p^k and
-    g(x) = 0 mod p^l}, by counting residues mod p^max(k, l).
+    g(x) = 0 mod p^l}, from the census of the coset at level max(k, l).
 
     The base point must satisfy the common-vanishing hypothesis with a
     full-rank stacked Jacobian.
     """
-    comps = components(fside)
-    t = len(comps)
+    t = len(components(fside))
     n = fside.n
     if k < 1 or l < 1:
         raise ValueError("need k, l >= 1")
     if n < t + 1:
         raise HypothesisError(f"need n >= {t + 1} variables, got {n}")
-    fzero, gzero = _hypotheses(fside, g, p)(tuple(x % p for x in a))
+    base = tuple(x % p for x in a)
+    fzero, gzero = _hypotheses(fside, g, p)(base)
     if not (fzero and gzero):
         raise HypothesisError(
             "the base point must annihilate both factors mod p")
     depth = max(k, l)
     guard(p**((depth - 1) * n), "measure counting")
-    pk, pl = p**k, p**l
-    fevs = [comp.mod_evaluator(pk) for comp in comps]
-    gev = g.mod_evaluator(pl)
-    count = 0
-    for c in itertools.product(range(p**(depth - 1)), repeat=n):
-        x = [ai + p * ci for ai, ci in zip(a, c)]
-        xk = tuple(v % pk for v in x)
-        if any(ev(xk) for ev in fevs):
-            continue
-        if gev(tuple(v % pl for v in x)):
-            continue
-        count += 1
+    census = _census([base], fside, g, p, depth)
+    # an order still open at level depth is at least depth >= k, l
+    count = sum(c for (vf, vg, _), c in census.items() if vf >= k and vg >= l)
     return Fraction(count, p**(depth * n))
 
 

@@ -158,7 +158,11 @@ def _parse_fside(mode, n, entries):
 
 def parse_problem_file(path) -> ProblemSpec:
     with open(path, "r", encoding="ascii") as handle:
-        return parse_problem_text(handle.read())
+        try:
+            text = handle.read()
+        except UnicodeDecodeError as exc:
+            raise PolynomialParseError(str(exc), exc.start) from None
+    return parse_problem_text(text)
 
 
 # -- pipeline -----------------------------------------------------------

@@ -165,18 +165,19 @@ def test_criterion_6_measure_closed_values():
         3: (parse_polynomial("x + y + x*y*z", 3),
             parse_polynomial("x - y + z^2", 3)),
     }
+    grid = [(p, n, k, l) for p, n, k, l in itertools.product(
+        (2, 3, 5), (2, 3), (1, 2, 3), (1, 2)) if k >= l]
+    # 5^9 residues in the coset, most of them off the zero set of f
+    grid.append((5, 3, 4, 1))
     checked = 0
-    for p, n in itertools.product((2, 3, 5), (2, 3)):
+    for p, n, k, l in grid:
         f, g = single[n]
         a = oracle.find_base_point(f, g, p)
         if a is None:
             continue
-        for k, l in itertools.product((1, 2, 3), (1, 2)):
-            if k < l:
-                continue
-            assert oracle.measure_A_kl(f, g, a, p, k, l) == \
-                oracle.closed_measure_value(p, n, k, l)
-            checked += 1
+        assert oracle.measure_A_kl(f, g, a, p, k, l) == \
+            oracle.closed_measure_value(p, n, k, l)
+        checked += 1
     ff = PolynomialMapping([parse_polynomial("x + z", 3),
                             parse_polynomial("y - z", 3)])
     g = parse_polynomial("x + y + z + x*y*z", 3)

@@ -3,6 +3,7 @@
 import io
 import json
 import pathlib
+import sys
 from fractions import Fraction
 
 import pytest
@@ -115,6 +116,20 @@ g=x + y + z + x*y*z
         assert capsys.readouterr().err == \
             "internal error: weight is not linear on the piece\n"
 
+    @pytest.mark.parametrize("error", [ValueError("bad value"),
+                                       ZeroDivisionError("division by zero")])
+    def test_any_escaping_exception_is_internal(self, monkeypatch, capsys,
+                                                error):
+        def broken(*args, **kwargs):
+            raise error
+
+        monkeypatch.setattr(zeta, "assemble", broken)
+        code, text = run(["compute", FIXTURE])
+        assert code == cli.EXIT_INTERNAL == 5
+        assert text == ""
+        assert capsys.readouterr().err == \
+            f"internal error: {type(error).__name__}: {error}\n"
+
     def test_malformed_file(self, tmp_path):
         path = write(tmp_path, "mode=single\nn=2\np=5\nf=x + %\n")
         code, _ = run(["compute", path])
@@ -200,6 +215,15 @@ class TestCheck:
         assert "p=5: ok" in text
         assert "witness" in text
 
+    @pytest.mark.parametrize("sweep, message", [
+        ("abc", "invalid literal for int() with base 10: 'abc'"),
+        ("4", "p = 4 is not prime"), ("1", "p = 1 is not prime")])
+    def test_bad_sweep_is_a_parse_error(self, capsys, sweep, message):
+        code, text = run(["check", FIXTURE, "--sweep", sweep])
+        assert code == cli.EXIT_PARSE == 1
+        assert text == ""
+        assert capsys.readouterr().err == f"parse error: {message}\n"
+
     def test_json_round_trip(self):
         code, text = run(["check", FIXTURE, "--sweep", "3,5"])
         json_code, payload = run(["check", FIXTURE, "--sweep", "3,5", "--json"])
@@ -246,6 +270,19 @@ class TestOracle:
         path = write(tmp_path, "mode=single\nn=2\np=101\nf=x + y\n")
         code, _ = run(["oracle", path, "--level", "4"])
         assert code == 3
+
+    def test_report_too_long_to_print_is_a_size_guard(self, tmp_path,
+                                                      capsys):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("integer string conversion is unlimited")
+        # t = 2^(-s0) has a denominator of more than `limit` digits
+        path = write(tmp_path, "mode=single\nn=1\np=2\nf=x\n")
+        code, text = run(["oracle", path, "--level", "2",
+                          "--s0", str(4 * limit)])
+        assert code == cli.EXIT_SIZE == 3
+        assert text == ""
+        assert capsys.readouterr().err.startswith("size guard: printing")
 
     def test_json_round_trip(self, tmp_path):
         path = write(tmp_path, SINGLE)

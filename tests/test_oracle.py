@@ -4,7 +4,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from igusa import oracle
 from igusa.counting import CountTriple, components
@@ -91,6 +91,27 @@ def reference_bracket(residues, fside, g, p, s0, M):
     return oracle.Bracket(weigh(determined), weigh(every))
 
 
+def reference_measure(fside, g, a, p, k, l):
+    """The measure of A_{k,l} in a + (pZ_p)^n by a walk over every residue
+    mod p^max(k, l) of the coset, each component and g evaluated mod p^k
+    and mod p^l."""
+    n = fside.n
+    depth = max(k, l)
+    pk, pl = p**k, p**l
+    fevs = [comp.mod_evaluator(pk) for comp in components(fside)]
+    gev = g.mod_evaluator(pl)
+    count = 0
+    for c in itertools.product(range(p**(depth - 1)), repeat=n):
+        x = [ai + p * ci for ai, ci in zip(a, c)]
+        xk = tuple(v % pk for v in x)
+        if any(ev(xk) for ev in fevs):
+            continue
+        if gev(tuple(v % pl for v in x)):
+            continue
+        count += 1
+    return Fraction(count, p**(depth * n))
+
+
 @st.composite
 def integrands(draw):
     """(fside, g, p, s0, M): an f side of any mode and a measure that may
@@ -149,6 +170,48 @@ class TestAgainstReference:
         assert oracle._bracket(torus, fside, g, p, s0, M) == \
             reference_bracket(itertools.product(units, repeat=n),
                               fside, g, p, s0, M)
+
+
+@st.composite
+def measured_pairs(draw):
+    """(fside, g, p, k, l): a polynomial or a mapping of t <= 2 components
+    in n in {2, 3} variables with t < n, a non-trivial g, and
+    p^((max(k, l) - 1)n) <= 20,000 residues in a coset. All of them
+    vanish mod p at one torus point, so that a base point is often found."""
+    p = draw(st.sampled_from([2, 3, 5]))
+    n = draw(st.integers(2, 3))
+    k, l = draw(st.tuples(*[st.integers(1, 3)] * 2).filter(
+        lambda kl: p**((max(kl) - 1) * n) <= 20_000))
+    x = (1,) + (0,) * (n - 1)
+    exponents = st.tuples(*[st.integers(0, 2)] * n).filter(
+        lambda e: any(e) and e != x)
+    # coefficients up to 2p in size, so some are divisible by p
+    coefficients = st.integers(-2 * p, 2 * p).filter(bool)
+    a = draw(st.tuples(*[st.integers(1, p - 1)] * n))
+
+    def polynomial():
+        """Drawn terms, then a multiple of x making it vanish at a mod p."""
+        terms = draw(st.dictionaries(exponents, coefficients, min_size=1,
+                                     max_size=3))
+        value = IntegerPolynomial(n, terms).mod_evaluator(p)(a)
+        terms[x] = -value * pow(a[0], -1, p) % p
+        return IntegerPolynomial(n, terms)
+
+    t = draw(st.integers(1, n - 1))
+    fside = polynomial() if t == 1 and draw(st.booleans()) else \
+        PolynomialMapping([polynomial() for _ in range(t)])
+    return fside, polynomial(), p, k, l
+
+
+class TestMeasureAgainstReference:
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(measured_pairs())
+    def test_census_equals_residue_walk(self, case):
+        fside, g, p, k, l = case
+        a = oracle.find_base_point(fside, g, p)
+        assume(a is not None)
+        assert oracle.measure_A_kl(fside, g, a, p, k, l) == \
+            reference_measure(fside, g, a, p, k, l)
 
 
 class TestBracket:
