@@ -17,7 +17,7 @@ from .polynomials import (IntegerPolynomial, MonomialIdealSpec,
                           PolynomialMapping, parse_polynomial)
 from .problem import ProblemSpec, compute, parse_problem_file
 from .ratfun import Poly, RationalFunction
-from .zeta import CandidatePole, ExpFactor, ZetaRational, candidate_poles
+from .zeta import CandidatePole, ExpFactor, candidate_poles
 
 __version__ = "0.1.0"
 
@@ -28,8 +28,8 @@ __all__ = [
     "InternalConsistencyError", "MonomialIdealSpec", "NewtonPolyhedron",
     "PoleEvaluationError", "Poly", "PolynomialMapping",
     "PolynomialParseError", "ProblemSpec", "RationalCone",
-    "RationalFunction", "SizeGuardError", "ZetaRational",
-    "candidate_poles", "compute", "count_triple", "face_restriction",
-    "parse_polynomial", "parse_problem_file", "partition_pair",
-    "partition_single", "truncated_integral",
+    "RationalFunction", "SizeGuardError", "candidate_poles", "compute",
+    "count_triple", "face_restriction", "parse_polynomial",
+    "parse_problem_file", "partition_pair", "partition_single",
+    "truncated_integral",
 ]

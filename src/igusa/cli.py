@@ -103,11 +103,13 @@ def compute_report(comp):
             "counts": {"N": term.counts.N, "P": term.counts.P,
                        "Q": term.counts.Q},
             "L": term.L.to_json(),
-            "S": term.S.reduced.to_json(),
-            "S_factored": [piece.to_json() for piece in term.S.factored],
+            "S": term.S.to_json(),
+            "S_factored": [piece.to_json() for piece in term.pieces],
         })
     doc["cones"] = rows
     doc["zeta"] = comp.zeta.to_json()
+    if comp.notes:
+        doc["zeta"]["notes"] = list(comp.notes)
     factors = zeta.display_factors(comp.terms, spec.t_count)
     common = zeta.common_denominator_form(comp.zeta, factors, spec.p)
     if common is not None:

@@ -98,21 +98,20 @@ def rank_mod_p(rows, p):
 def point_test(fparts, gparts, p):
     """Compiled once for both sides (None never vanishes): their zero
     tests and point -> (f vanishes, g vanishes, failures), the failures
-    being an f-side Jacobian of rank below min(t, n) for t parts, a zero
-    gradient of g and a stacked Jacobian of rank below t + 1."""
+    being an f-side Jacobian of rank below t for t parts, a zero gradient
+    of g and a stacked Jacobian of rank below t + 1."""
     fzero, gzero = ((lambda point: False) if parts is None
                     else _zero_test(parts, p) for parts in (fparts, gparts))
     fgrad, ggrad = ([[poly.partial_derivative(i).mod_evaluator(p)
                       for i in range(1, poly.n + 1)] for poly in parts or ()]
                     for parts in (fparts, gparts))
     t = len(fgrad)
-    target = min(t, (fparts or gparts)[0].n)
 
     def test(a):
         fz, gz = fzero(a), gzero(a)
         frows = [[d(a) for d in row] for row in fgrad] if fz else []
         grows = [[d(a) for d in row] for row in ggrad] if gz else []
-        return fz, gz, (fz and rank_mod_p(frows, p) < target,
+        return fz, gz, (fz and rank_mod_p(frows, p) < t,
                         gz and rank_mod_p(grows, p) < 1,
                         fz and gz and rank_mod_p(frows + grows, p) < t + 1)
     return fzero, gzero, test
@@ -198,9 +197,10 @@ def check_strong_nondegenerate(ff: PolynomialMapping, gamma: NewtonPolyhedron,
                                p) -> DegeneracyReport:
     """For every face of gamma, the Newton polyhedron of ff: at every
     common torus zero of the face restrictions of all components, the
-    Jacobian has rank min(t, n) mod p."""
+    Jacobian has rank t mod p, as the coset value of L needs: when t > n,
+    no zero has it."""
     return _face_check(gamma, ff.components, p,
-                       f"Jacobian rank below {min(ff.t, ff.n)}")
+                       f"Jacobian rank below {ff.t}")
 
 
 def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
@@ -232,7 +232,7 @@ def cone_checks(fside, g, partition, p):
         t = len(fcomps)
         reports["f"] = _face_report(
             partition.polyhedra[0], [c.labels[0] for c in cones], fzeros,
-            f"Jacobian rank below {min(t, fside.n)}"
+            f"Jacobian rank below {t}"
             if isinstance(fside, PolynomialMapping) else SINGULAR)
     if g is not None:
         reports["g"] = _face_report(

@@ -156,10 +156,6 @@ class NewtonPolyhedron:
         return [(normal, offset, ffac) for normal, offset, ffac in self.facets()
                 if ffac.contains_face(face)]
 
-    def has_face(self, face):
-        return any(f.touching == face.touching and f.recession == face.recession
-                   for f in self.enumerate_faces())
-
     def contains_point(self, x):
         """Membership via the facet inequalities (x must also be >= 0)."""
         if any(v < 0 for v in x):
@@ -168,11 +164,6 @@ class NewtonPolyhedron:
                    for normal, offset in self.facet_normals())
 
 
-def face_restriction(poly, face, polyhedron=None):
-    """Terms of `poly` whose exponents lie on the given face.
-
-    When `polyhedron` is supplied, the face is validated against it.
-    """
-    if polyhedron is not None and not polyhedron.has_face(face):
-        raise ValueError("face does not belong to the given polyhedron")
+def face_restriction(poly, face):
+    """Terms of `poly` whose exponents lie on the given face."""
     return poly.restrict_to_exponents(face.touching)

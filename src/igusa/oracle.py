@@ -1,7 +1,8 @@
 """Brute-force verification: truncated p-adic integrals with rigorous
-two-sided brackets, exact coset measures and the coset closed values
-they must bracket. The torus integral must bracket the L factor of the
-formula, `zeta.l_delta`, at t = p^(-s0).
+two-sided brackets and exact coset measures. The closed values they
+must bracket at t = p^(-s0) are the formula's own: a coset integral
+brackets `zeta.coset_value` of its class, and the torus integral its
+sum over the torus, the L factor `zeta.l_delta`.
 
 All integrals are evaluated at a positive integer s = s0, which makes
 the integrand a simple function with exact rational values. Truncation
@@ -222,7 +223,7 @@ def torus_integral(fside, g, p, s0, M) -> Bracket:
     return _bracket(points, fside, g, p, s0, M)
 
 
-# -- closed values the brackets must contain ----------------------------
+# -- the closed value the measures must equal ---------------------------
 
 
 def closed_measure_value(p, n, k, l, t=1) -> Fraction:
@@ -231,14 +232,3 @@ def closed_measure_value(p, n, k, l, t=1) -> Fraction:
     is the t = 1 instance of the latter."""
     return Fraction(1, p**(n + (k - 1) * t + l - 1))
 
-
-def coset_closed_value(fzero, gzero, p, n, s0, t=1) -> Fraction:
-    """The four-case closed value of the coset integral at s = s0."""
-    base = Fraction(1, p**n)
-    if not fzero and not gzero:
-        return base
-    if fzero and not gzero:
-        return base * Fraction(p**t - 1, p**(s0 + t) - 1)
-    if not fzero and gzero:
-        return base * Fraction(1, p + 1)
-    return base * Fraction(p**t - 1, (p**(s0 + t) - 1) * (p + 1))

@@ -175,7 +175,8 @@ class Computation:
     counts: list = field(default_factory=list)
     reports: dict = field(default_factory=dict)
     terms: list = field(default_factory=list)
-    zeta: object = None
+    zeta: object = None  # the reduced RationalFunction Z(t)
+    notes: tuple = ()  # the degeneracy watermark, under an override
     poles: list = field(default_factory=list)
 
 
@@ -213,6 +214,6 @@ def compute(spec: ProblemSpec, override=False) -> Computation:
         raise DegeneracyError(bad[0])
     comp.terms = zeta.cone_terms(comp.partition, comp.counts, spec.p,
                                  spec.t_count)
-    comp.zeta = zeta.assemble(comp.terms, spec.p,
-                              notes=(DEGENERACY_NOTE,) if bad else ())
+    comp.zeta = zeta.assemble(comp.terms, spec.p)
+    comp.notes = (DEGENERACY_NOTE,) if bad else ()
     return comp

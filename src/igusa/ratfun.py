@@ -211,15 +211,6 @@ class RationalFunction:
     def is_zero(self):
         return self.num.is_zero()
 
-    def is_constant(self):
-        return self.num.degree <= 0 and self.den.degree <= 0
-
-    def as_fraction(self):
-        if not self.is_constant():
-            raise ValueError("not a constant")
-        num = self.num.coeffs[0] if self.num.coeffs else 0
-        return Fraction(num, self.den.coeffs[0])
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = RationalFunction.const(other)

@@ -12,7 +12,9 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd
+from operator import mul
 
 from .cones import ConePartition, RationalCone, simplicial_decompose
 from .errors import InternalConsistencyError
@@ -62,22 +64,6 @@ class FactoredPiece:
                 "factors": [[f.a, f.b] for f in self.factors]}
 
 
-@dataclass
-class ZetaRational:
-    reduced: RationalFunction
-    factored: tuple = ()  # FactoredPieces whose sum expands to `reduced`
-    notes: tuple = ()
-
-    def evaluate(self, tval):
-        return self.reduced.evaluate(tval)
-
-    def to_json(self):
-        out = self.reduced.to_json()
-        if self.notes:
-            out["notes"] = list(self.notes)
-        return out
-
-
 @dataclass(frozen=True)
 class CandidatePole:
     value: Fraction
@@ -96,16 +82,16 @@ def _exponents(partition: ConePartition, k):
             sum(gamma.m_value(k) for gamma in gamma_g) + sum(k))
 
 
-def s_delta(cone: RationalCone, partition: ConePartition, p) -> ZetaRational:
-    """Lattice sum over N^n intersect the relatively open cone.
+def s_delta(cone: RationalCone, partition: ConePartition, p):
+    """Lattice sum over N^n intersect the relatively open cone, as a
+    reduced RationalFunction and the FactoredPieces whose sum it is.
 
     Uses the closed form over a half-open simplicial decomposition, which
     reads the cone's faces from the partition; the zero-dimensional cone
     contributes 1.
     """
     if cone.dim == 0:
-        piece = FactoredPiece(((1, 0, 0),), ())
-        return ZetaRational(RationalFunction.const(1), (piece,))
+        return RationalFunction.const(1), (FactoredPiece(((1, 0, 0),), ()),)
     pieces = []
     for sp in simplicial_decompose(cone, partition):
         exps = [_exponents(partition, k) for k in sp.rays]
@@ -115,8 +101,8 @@ def s_delta(cone: RationalCone, partition: ConePartition, p) -> ZetaRational:
                              for h in sp.pp_points))
         pieces.append(FactoredPiece(terms, factors))
     den = _binomial_product((piece.factors for piece in pieces), p)
-    return ZetaRational(sum_over(den, (piece.expand(p) for piece in pieces)),
-                        tuple(pieces))
+    return (sum_over(den, (piece.expand(p) for piece in pieces)),
+            tuple(pieces))
 
 
 def _binomial_product(factor_lists, p):
@@ -142,24 +128,51 @@ def _check_linear(partition, rays, exps):
 # -- the L factors ------------------------------------------------------
 
 
+def coset_value(fzero, gzero, p, n, t_count) -> RationalFunction:
+    """The integral of |f side|^s |g| |dx| over a coset a + (pZ_p)^n of a
+    torus residue a, in t: under non-degeneracy it depends only on whether
+    the f side (tc = t_count components) and g vanish at a mod p,
+
+        1/p^n,  times t (p^tc - 1)/(p^tc - t) when the f side does,
+                times 1/(p + 1) when g does.
+
+    `l_delta` sums it over the torus; the oracle brackets it per coset.
+    """
+    num, den = Poly([1]), Poly([p**n * (p + 1 if gzero else 1)])
+    if fzero:
+        ptc = p**t_count
+        num, den = Poly([0, ptc - 1]), den * Poly([ptc, -1])
+    return RationalFunction(num, den)
+
+
+@lru_cache(maxsize=64)
+def _class_numerators(p, n, t_count):
+    """The shared denominator p^n (p+1) (p^tc - t) of the four coset
+    values, classes ordered (neither vanishes, the f side only, g only,
+    both), and their numerators over it as columns: column i holds the
+    four coefficients of t^i. The same for every cone of a problem."""
+    den = Poly([p**t_count, -1]) * (p**n * (p + 1))
+    values = (coset_value(fzero, gzero, p, n, t_count)
+              for gzero in (False, True) for fzero in (False, True))
+    return den, tuple(zip(*((value.num * den.exact_div(value.den)).coeffs
+                            for value in values)))
+
+
 def l_delta(counts, p, n, t_count) -> RationalFunction:
-    """Four-term local factor for a mapping with tc = t_count components,
-
-        L = ((p-1)^n - p^tc N (1-t)/(p^tc - t) - pP/(p+1)
-             - pQ (p^(tc-1)(p+1) - (p^(tc-1)+1) t) / ((p+1)(p^tc - t))) / p^n,
-
-    built over its common denominator p^n (p+1) (p^tc - t) and reduced once.
+    """The local factor L of a cone: the sum of `coset_value` over the
+    (p-1)^n torus residues, whose classes count (p-1)^n - N - P - Q
+    (neither vanishes), N (the f side only), P (g only) and Q (both),
+    added over their shared denominator and reduced once.
 
     One formula serves every f side: a single polynomial is t_count = 1,
     and a monomial ideal, whose f side never vanishes on the torus, has
-    N = Q = 0, which leaves the constant ((p-1)^n - pP/(p+1)) / p^n.
+    N = Q = 0 and a constant L.
     """
-    q, ptc = p**(t_count - 1), p**t_count
-    ptc_minus_t = Poly({0: ptc, 1: -1})
-    num = (ptc_minus_t * ((p - 1)**n * (p + 1) - p * counts.P)
-           - Poly([1, -1]) * (ptc * (p + 1) * counts.N)
-           - Poly([q * (p + 1), -(q + 1)]) * (p * counts.Q))
-    return RationalFunction(num, ptc_minus_t * (p**n * (p + 1)))
+    den, columns = _class_numerators(p, n, t_count)
+    sizes = ((p - 1)**n - counts.N - counts.P - counts.Q, counts.N,
+             counts.P, counts.Q)
+    return RationalFunction(
+        Poly([sum(map(mul, column, sizes)) for column in columns]), den)
 
 
 # -- assembly -----------------------------------------------------------
@@ -170,37 +183,36 @@ class ConeTerm:
     cone: RationalCone
     counts: object
     L: RationalFunction
-    S: ZetaRational
+    S: RationalFunction
+    pieces: tuple  # FactoredPieces whose sum expands to S
 
 
 def cone_terms(partition: ConePartition, counts, p, t_count):
     """Per-cone (L, S) data in partition order."""
     return [ConeTerm(cone, ct, l_delta(ct, p, partition.n, t_count),
-                     s_delta(cone, partition, p))
+                     *s_delta(cone, partition, p))
             for cone, ct in zip(partition.cones, counts)]
 
 
-def assemble(terms, p, notes=()) -> ZetaRational:
+def assemble(terms, p) -> RationalFunction:
     """Z(s) = sum over the cone terms of L * S, as a reduced rational
     function in t.
 
     The terms come from `cone_terms`; a degenerate input has already been
-    refused (or overridden, with `notes` carrying the watermark) before
-    any of them was built. The products are added over one common
-    denominator, every ExpFactor of the S pieces at its largest
-    multiplicity in one piece times each non-constant L denominator
-    (p^tc - t), and reduced once.
+    refused (or overridden) before any of them was built. The products
+    are added over one common denominator, every ExpFactor of the S
+    pieces at its largest multiplicity in one piece times each
+    non-constant L denominator (p^tc - t), and reduced once.
     """
     den = _binomial_product(
-        (piece.factors for term in terms for piece in term.S.factored), p)
+        (piece.factors for term in terms for piece in term.pieces), p)
     for L in {term.L.den.primitive() for term in terms}:
         if L.degree > 0:
             den = den * L
-    total = sum_over(den, ((term.L.num * term.S.reduced.num,
-                            term.L.den * term.S.reduced.den)
+    total = sum_over(den, ((term.L.num * term.S.num, term.L.den * term.S.den)
                            for term in terms))
     _check_no_pole_at_origin(total)
-    return ZetaRational(total, notes=tuple(notes))
+    return total
 
 
 def _check_no_pole_at_origin(rf: RationalFunction):
@@ -214,20 +226,14 @@ def display_factors(terms, t_count):
     """Distinct ExpFactors over all cones, for the common-denominator view:
     those of the S pieces, and L's p^(s+t_count) - 1 where some cone has
     N or Q."""
-    factors = []
-    for term in terms:
-        for piece in term.S.factored:
-            for f in piece.factors:
-                if f not in factors:
-                    factors.append(f)
+    factors = {f for term in terms for piece in term.pieces
+               for f in piece.factors}
     if any(term.counts.N or term.counts.Q for term in terms):
-        lf = ExpFactor(1, t_count)
-        if lf not in factors:
-            factors.append(lf)
+        factors.add(ExpFactor(1, t_count))
     return sorted(factors, key=lambda f: (f.a, f.b))
 
 
-def common_denominator_form(z: ZetaRational, factors, p):
+def common_denominator_form(z: RationalFunction, factors, p):
     """(numerator Poly with integer coefficients, constant_divisor) with
     z = numerator / (constant_divisor * prod factors), or None when the
     reduced denominator does not divide that product.
@@ -237,13 +243,13 @@ def common_denominator_form(z: ZetaRational, factors, p):
     den = Poly.const(p + 1)
     for f in factors:
         den = den * f.numerator_poly(p)
-    content = z.reduced.den.content()
-    cof = den.quotient(z.reduced.den.primitive())
+    content = z.den.content()
+    cof = den.quotient(z.den.primitive())
     if cof is None:
         return None
     # z = num * cof / (content * den); cancel what content shares with
     # the numerator's content
-    numerator = z.reduced.num * cof
+    numerator = z.num * cof
     common = gcd(numerator.content(), content)
     scale = content // common
     return Poly([c // common for c in numerator.coeffs]), (p + 1) * scale

@@ -150,6 +150,18 @@ class TestStrongCheck:
             assert check_strong_nondegenerate(ff, gamma, p).ok
         assert not check_strong_nondegenerate(ff, gamma, 2).ok
 
+    def test_more_components_than_variables(self):
+        # a torus zero of (x^2 + x, 2x) mod 2 has Jacobian rank 1 < t = 2:
+        # degenerate, though the rank is the most that n = 1 allows
+        ff = PolynomialMapping([parse_polynomial("x^2 + x", 1),
+                                parse_polynomial("2*x", 1)])
+        gamma = NewtonPolyhedron.of(ff)
+        report = check_strong_nondegenerate(ff, gamma, 2)
+        assert not report.ok
+        assert {w[1:] for w in report.witnesses} == {
+            ((1,), "Jacobian rank below 2")}
+        assert check_strong_nondegenerate(ff, gamma, 3).ok  # no torus zero
+
 
 class TestPairCheck:
     def _partition(self, f, g):

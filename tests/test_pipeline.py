@@ -93,7 +93,7 @@ def test_override_still_counts():
         counting.count_triple(None, face_restriction(spec.g, cone.labels[1]),
                               spec.p)
         for cone in comp.partition.cones]
-    assert comp.zeta.notes == (problem.DEGENERACY_NOTE,)
+    assert comp.notes == (problem.DEGENERACY_NOTE,)
 
 
 # -- one torus pass per cone ---------------------------------------------

@@ -6,13 +6,15 @@ from fractions import Fraction
 from math import prod
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from igusa import zeta
+from igusa.counting import CountTriple
 from igusa.errors import DegeneracyError
 from igusa.polynomials import PolynomialMapping, parse_polynomial
 from igusa.problem import ProblemSpec, build_geometry, compute
 from igusa.ratfun import Poly, RationalFunction
-from igusa.zeta import ExpFactor, FactoredPiece, ZetaRational
+from igusa.zeta import ExpFactor, FactoredPiece
 
 from conftest import (example_ideal, example_measure, example_spec,
                       report_budget)
@@ -25,19 +27,19 @@ def example_computation(p=13):
 class TestSDelta:
     def test_zero_cone(self):
         comp = example_computation()
-        s = comp.terms[0].S
-        assert s.reduced == 1
-        assert s.factored == (FactoredPiece(((1, 0, 0),), ()),)
+        term = comp.terms[0]
+        assert term.S == 1
+        assert term.pieces == (FactoredPiece(((1, 0, 0),), ()),)
 
     def test_delta4_carries_parallelepiped_term(self):
         comp = example_computation()
-        piece, = comp.terms[4].S.factored
+        piece, = comp.terms[4].pieces
         assert set(piece.factors) == {ExpFactor(11, 12), ExpFactor(5, 8)}
         assert sorted(piece.terms) == [(1, 0, 0), (1, 8, 10)]
 
     def test_factored_expansion_matches_reduced(self):
         # each piece evaluated straight from its terms and factors, with
-        # p^(a*s+b) = p^b / t^a, not through the sum that built S.reduced
+        # p^(a*s+b) = p^b / t^a, not through the sum that built S
         p = 13
         comp = example_computation(p)
         for tval in (Fraction(1, p), Fraction(1, p**2), Fraction(2, 7)):
@@ -48,8 +50,8 @@ class TestSDelta:
                 value = sum(
                     sum(c * power(a, b) for c, a, b in piece.terms)
                     / prod(power(f.a, f.b) - 1 for f in piece.factors)
-                    for piece in term.S.factored)
-                assert value == term.S.reduced.evaluate(tval)
+                    for piece in term.pieces)
+                assert value == term.S.evaluate(tval)
 
     def test_series_agreement(self):
         # partial lattice sum vs closed form, within the geometric tail
@@ -68,8 +70,75 @@ class TestSDelta:
             tail = Fraction(0)
             for m in range(B + 1, B + 200):
                 tail += Fraction(m + 1, p**m)
-            value = term.S.reduced.evaluate(t0)
+            value = term.S.evaluate(t0)
             assert abs(value - partial) <= tail, index
+
+
+# -- references: the four-term L and the four-case coset value at s0 ---
+
+
+def reference_l_delta(counts, p, n, t_count) -> RationalFunction:
+    """Four-term local factor for a mapping with tc = t_count components,
+
+        L = ((p-1)^n - p^tc N (1-t)/(p^tc - t) - pP/(p+1)
+             - pQ (p^(tc-1)(p+1) - (p^(tc-1)+1) t) / ((p+1)(p^tc - t))) / p^n,
+
+    built over its common denominator p^n (p+1) (p^tc - t) and reduced once.
+
+    One formula serves every f side: a single polynomial is t_count = 1,
+    and a monomial ideal, whose f side never vanishes on the torus, has
+    N = Q = 0, which leaves the constant ((p-1)^n - pP/(p+1)) / p^n.
+    """
+    q, ptc = p**(t_count - 1), p**t_count
+    ptc_minus_t = Poly({0: ptc, 1: -1})
+    num = (ptc_minus_t * ((p - 1)**n * (p + 1) - p * counts.P)
+           - Poly([1, -1]) * (ptc * (p + 1) * counts.N)
+           - Poly([q * (p + 1), -(q + 1)]) * (p * counts.Q))
+    return RationalFunction(num, ptc_minus_t * (p**n * (p + 1)))
+
+
+def reference_coset_value(fzero, gzero, p, n, s0, t=1) -> Fraction:
+    """The four-case closed value of the coset integral at s = s0."""
+    base = Fraction(1, p**n)
+    if not fzero and not gzero:
+        return base
+    if fzero and not gzero:
+        return base * Fraction(p**t - 1, p**(s0 + t) - 1)
+    if not fzero and gzero:
+        return base * Fraction(1, p + 1)
+    return base * Fraction(p**t - 1, (p**(s0 + t) - 1) * (p + 1))
+
+
+PRIMES = [q for q in range(2, 1010) if all(q % d for d in range(2, q))]
+
+
+@st.composite
+def local_factor_cases(draw):
+    """(counts, p, n, t_count): p <= 1009, n <= 4, t_count <= 3 and
+    N + P + Q <= (p-1)^n, each count drawn up to what is left."""
+    p = draw(st.sampled_from(PRIMES))
+    n = draw(st.integers(1, 4))
+    left = (p - 1)**n
+    N = draw(st.integers(0, left))
+    P = draw(st.integers(0, left - N))
+    Q = draw(st.integers(0, left - N - P))
+    return CountTriple(N, P, Q), p, n, draw(st.integers(1, 3))
+
+
+class TestCosetValue:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(local_factor_cases())
+    def test_l_delta_equals_four_term_formula(self, case):
+        assert zeta.l_delta(*case) == reference_l_delta(*case)
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(st.sampled_from(PRIMES), st.integers(1, 4), st.integers(1, 3),
+           st.integers(1, 4))
+    def test_coset_value_equals_four_cases(self, p, n, t_count, s0):
+        for fzero, gzero in itertools.product((False, True), repeat=2):
+            value = zeta.coset_value(fzero, gzero, p, n, t_count)
+            assert value.evaluate(Fraction(1, p**s0)) == \
+                reference_coset_value(fzero, gzero, p, n, s0, t_count)
 
 
 class TestLDelta:
@@ -81,7 +150,7 @@ class TestLDelta:
                            (3, 3, 2, 5), (5, 4, 3, 17), (7, 2, 1, 6),
                            (1009, 2, 3, 1000)):
             L = zeta.l_delta(CountTriple(0, P, 0), p, n, t)
-            assert L.as_fraction() == \
+            assert L == \
                 (Fraction((p - 1)**n) - Fraction(p * P, p + 1)) / p**n
 
     def test_single_formula_at_sample_points(self):
@@ -132,7 +201,7 @@ class TestAssembly:
             compute(spec)
         comp = compute(spec, override=True)
         assert any("unverified hypothesis" in note
-                   for note in comp.zeta.notes)
+                   for note in comp.notes)
 
     def test_redundant_generator_invariance(self):
         from igusa.polynomials import MonomialIdealSpec
@@ -141,7 +210,7 @@ class TestAssembly:
                           MonomialIdealSpec(2, [(5, 1), (3, 2), (2, 5),
                                                 (6, 3), (7, 2)]),
                           example_measure())
-        assert compute(fat).zeta.reduced == compute(base).zeta.reduced
+        assert compute(fat).zeta == compute(base).zeta
 
     def test_mapping_with_one_component_equals_single_mode(self):
         f = parse_polynomial("x^2 + y^3", 2)
@@ -150,7 +219,7 @@ class TestAssembly:
             single = compute(ProblemSpec("single", 2, p, f, g))
             mapped = compute(ProblemSpec(
                 "mapping", 2, p, PolynomialMapping([f]), g))
-            assert single.zeta.reduced == mapped.zeta.reduced
+            assert single.zeta == mapped.zeta
 
     def test_specialization_to_measure_integral(self):
         # at s = 0 the ideal norm drops out, leaving the integral of |g|,
@@ -183,14 +252,14 @@ class TestAssembly:
             # the maximal ideal (x, y): Z = (p^2 - 1) / (p^2 - t)
             spec = ProblemSpec("ideal", 2, p,
                                MonomialIdealSpec(2, [(1, 0), (0, 1)]), None)
-            assert compute(spec).zeta.reduced == RationalFunction(
+            assert compute(spec).zeta == RationalFunction(
                 Poly([p**2 - 1]), Poly([p**2, -1]))
             # a principal ideal x^a y^b: Z = (p-1)^2 / ((p-t^a)(p-t^b))
             for a, b in ((1, 2), (2, 3)):
                 spec = ProblemSpec("ideal", 2, p,
                                    MonomialIdealSpec(2, [(a, b)]), None)
                 den = Poly({0: p, a: -1}) * Poly({0: p, b: -1})
-                assert compute(spec).zeta.reduced == RationalFunction(
+                assert compute(spec).zeta == RationalFunction(
                     Poly([(p - 1)**2]), den)
 
     def test_trivial_measure_ideal_against_oracle(self):
@@ -217,7 +286,7 @@ class TestNonSimplicialFans:
         comp = compute(ProblemSpec("single", 3, p, f, None))
         assert len(comp.partition.cones) == 14
         assert self.non_simplicial(comp) == 1
-        assert comp.zeta.reduced == RationalFunction(Poly([p - 1]),
+        assert comp.zeta == RationalFunction(Poly([p - 1]),
                                                      Poly([p, -1]))
 
     @pytest.mark.parametrize("p", [2, 3, 5, 7])
@@ -227,7 +296,7 @@ class TestNonSimplicialFans:
         comp = compute(ProblemSpec("single", 4, p, f, None))
         assert len(comp.partition.cones) == 34
         assert self.non_simplicial(comp) == 7
-        assert comp.zeta.reduced == RationalFunction(
+        assert comp.zeta == RationalFunction(
             Poly([(p - 1) * (p**2 - 1)]), Poly([p, -1]) * Poly([p**2, -1]))
 
 
@@ -271,12 +340,11 @@ class TestCommonDenominatorForm:
                                                (6, (Poly([1]), 6))])
     def test_denominator_content_is_carried(self, content, form):
         # z = 1 / (content * (2 - t)) over (p + 1)(2^(s+1) - 1) at p = 2
-        z = ZetaRational(RationalFunction(Poly([1]),
-                                          Poly([2 * content, -content])))
+        z = RationalFunction(Poly([1]), Poly([2 * content, -content]))
         assert zeta.common_denominator_form(z, [ExpFactor(1, 1)], 2) == form
 
     def test_none_when_the_denominator_does_not_divide(self):
-        z = ZetaRational(RationalFunction(Poly([1]), Poly([1, 1])))
+        z = RationalFunction(Poly([1]), Poly([1, 1]))
         assert zeta.common_denominator_form(z, [ExpFactor(1, 1)], 2) is None
 
 
