@@ -1,21 +1,26 @@
 """Exhaustive torus counting over (F_p^x)^n and non-degeneracy checks.
 
-Every count is an exact enumeration of the (p-1)^n points with nonzero
-coordinates; a size guard refuses anything beyond 10^8 points. All
-non-degeneracy conditions are congruences mod p, so checking residues
-on the torus is equivalent to checking units of the p-adic integers.
+Every count is exact. A face restriction depends on only r <= n monomial
+coordinates, so `sweep` changes variables by a unimodular monomial map
+and enumerates the (p-1)^r points of the restriction's own torus; the
+size guard still refuses by the (p-1)^n points of the whole torus,
+beyond 10^8. All non-degeneracy conditions are congruences mod p, so
+checking residues on the torus is equivalent to checking units of the
+p-adic integers.
 
-Counts and checks share one pass per cone, `sweep`, which starts in
-`_torus`: its guard comes before any evaluator is compiled. A side with
-a unit monomial among its restrictions never vanishes, so it needs none.
+Counts and checks share one pass per distinct pair of restrictions,
+`sweep`; its guard comes before any algebra or evaluator. A side with a
+unit monomial among its restrictions never vanishes, so it needs none.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from math import prod
 
 from .errors import SizeGuardError
+from .linalg import smith_form, vec_dot, vec_sub
 from .newton import NewtonPolyhedron, face_restriction
 from .polynomials import IntegerPolynomial, PolynomialMapping
 
@@ -122,6 +127,18 @@ def sweep(fparts, gpart, p):
     each condition of `point_test` fails, from one pass: fparts are the f
     side's components on a cone's f face, gpart is g on its g face, and
     None is a side that never vanishes (monomial ideal, trivial measure).
+
+    The pass walks the restrictions' own torus. Let A have as rows each
+    part's exponents less that part's first one, and U A V = D be its
+    Smith form with r nonzero invariant factors. Then x = y^V, that is
+    x_j = prod_i y_i^V[j][i], is an automorphism of (F_p^x)^n that takes
+    each part to a unit monomial times a polynomial in y_1..y_r alone. So
+    the zeros are those of the reduced parts times a free (F_p^x)^(n-r),
+    and the counts scale by (p-1)^(n-r). The ranks carry over: at a zero,
+    the Jacobian in x is diag(monomials) . (Jacobian in y) . diag(y) . W .
+    diag(1/x), with W the transpose of V^-1, which is unimodular and so
+    invertible mod p. Witnesses are lifted back through x = y^V and
+    sorted.
     """
     # one monomial with a unit coefficient has no torus zero: drop its side
     fparts, gparts = (None if parts is None or any(
@@ -130,11 +147,28 @@ def sweep(fparts, gpart, p):
         for parts in (fparts, None if gpart is None else [gpart]))
     if fparts is None and gparts is None:
         return CountTriple(0, 0, 0), ((), (), ())  # nothing can vanish
-    points = _torus(p, (fparts or gparts)[0].n)  # the guard comes first
+    n = (fparts or gparts)[0].n
+    guard((p - 1)**n, f"the torus (F_{p}^x)^{n}")  # before any algebra
+    polys = [*(fparts or ()), *(gparts or ())]
+    _, v, diag = smith_form([vec_sub(e, next(iter(poly.terms)))
+                             for poly in polys for e in poly.terms]
+                            or [[0] * n])
+    r = sum(1 for d in diag if d)
+    columns = list(zip(*v))[:r]
+
+    def reduced(poly):
+        images = {tuple(vec_dot(e, col) for col in columns): c
+                  for e, c in poly.terms.items()}
+        low = [min(coords) for coords in zip(*images)]
+        return IntegerPolynomial(r, {vec_sub(e, low): c
+                                     for e, c in images.items()})
+
+    fparts, gparts = (None if parts is None else list(map(reduced, parts))
+                      for parts in (fparts, gparts))
     fzero, gzero, test = point_test(fparts, gparts, p)
     N = P = Q = 0
     found = ([], [], [])
-    for a in points:
+    for a in _torus(p, r):
         if fzero(a):
             if gzero(a):
                 Q += 1
@@ -147,7 +181,16 @@ def sweep(fparts, gpart, p):
         for zeros, failed in zip(found, test(a)[2]):
             if failed:
                 zeros.append(a)
-    return CountTriple(N, P, Q), tuple(map(tuple, found))
+
+    def lift(zeros):  # x_j = prod_i y_i^V[j][i] for y = z + w, w free
+        return tuple(sorted(
+            tuple(prod(map(pow, z + w, row, itertools.repeat(p))) % p
+                  for row in v)
+            for z in zeros
+            for w in itertools.product(range(1, p), repeat=n - r)))
+    scale = (p - 1)**(n - r)
+    return (CountTriple(N * scale, P * scale, Q * scale),
+            tuple(map(lift, found)))
 
 
 def count_triple(fpart, gpart, p) -> CountTriple:
@@ -215,17 +258,19 @@ def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
 
 def cone_checks(fside, g, partition, p):
     """The (N, P, Q) of every cone and the reports that apply, from one
-    sweep per cone: f over the faces of the partition's first polyhedron,
-    g over its second, each face with the witnesses of the first cone that
-    carries it, and pair over the cones. fside is None for a side that
-    never vanishes (monomial ideal), g for the trivial measure."""
+    sweep per distinct pair of restrictions: f over the faces of the
+    partition's first polyhedron, g over its second, each face with the
+    witnesses of the first cone that carries it, and pair over the cones.
+    fside is None for a side that never vanishes (monomial ideal), g for
+    the trivial measure."""
     fcomps = None if fside is None else components(fside)
     cones = partition.cones
-    counts, singular = zip(*(sweep(
-        None if fcomps is None else
-        [face_restriction(c, cone.labels[0]) for c in fcomps],
-        None if g is None else face_restriction(g, cone.labels[1]), p)
-        for cone in cones))
+    keys = [(None if fcomps is None else
+             tuple(face_restriction(c, cone.labels[0]) for c in fcomps),
+             None if g is None else face_restriction(g, cone.labels[1]))
+            for cone in cones]
+    swept = {key: sweep(*key, p) for key in dict.fromkeys(keys)}
+    counts, singular = zip(*map(swept.get, keys))
     fzeros, gzeros, pairzeros = zip(*singular)
     reports = {}
     if fcomps is not None:

@@ -1,21 +1,31 @@
 """Torus counts and non-degeneracy checks."""
 
+import io
 import itertools
+import json
+import pathlib
+import time
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from igusa import cli
 from igusa.counting import (CountTriple, check_nondegenerate_single,
                             check_pair_nondegenerate,
                             check_strong_nondegenerate, cone_name,
-                            count_triple, face_name, rank_mod_p)
+                            count_triple, face_name, point_test, rank_mod_p,
+                            sweep)
 from igusa.cones import partition_pair
 from igusa.errors import SizeGuardError
 from igusa.newton import NewtonPolyhedron, face_restriction
 from igusa.polynomials import (IntegerPolynomial, PolynomialMapping,
                                parse_polynomial)
+from igusa.ratfun import Poly, RationalFunction
 
-from conftest import example_measure
+from conftest import example_measure, report_budget
+from test_acceptance import closed_form
+
+FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "example_ideal.txt"
 
 
 def brute_counts(fparts, gpart, p, n):
@@ -294,3 +304,97 @@ class TestAgainstExactArithmetic:
                 parts, n, p, len(comps) + 1)]
         report = check_pair_nondegenerate(fside, g, partition, p)
         assert [w[:2] for w in report.witnesses] == expected
+
+
+# -- the reduced sweep against a walk over the whole torus ---------------
+
+
+def reference_sweep(fparts, gparts, p):
+    """`sweep`'s result from every one of the (p-1)^n torus points, with
+    no change of variables: fparts and gparts are lists of polynomials or
+    None."""
+    n = (fparts or gparts)[0].n
+    fzero, gzero, test = point_test(fparts, gparts, p)
+    N = P = Q = 0
+    found = ([], [], [])
+    for a in itertools.product(range(1, p), repeat=n):
+        fz, gz = fzero(a), gzero(a)
+        N += fz and not gz
+        P += gz and not fz
+        Q += fz and gz
+        if fz or gz:
+            for zeros, failed in zip(found, test(a)[2]):
+                if failed:
+                    zeros.append(a)
+    return CountTriple(N, P, Q), tuple(map(tuple, found))
+
+
+@st.composite
+def restrictions(draw):
+    """(p, f parts or None, g or None): polynomials in n <= 4 variables
+    whose exponents lie on one random affine sublattice of rank 0..n (each
+    with its own offset), with coefficients that p may divide."""
+    n = draw(st.integers(1, 4))
+    p = draw(st.sampled_from([2, 3, 5, 7] + ([11, 13] if n <= 3 else [])))
+    rank = draw(st.integers(0, n))
+    basis = [draw(st.tuples(*[st.integers(-2, 2)] * n)) for _ in range(rank)]
+    coefficients = st.one_of(st.integers(-6, 6).filter(bool),
+                             st.sampled_from([-p, p, 2 * p]))
+
+    def polynomial():
+        offset = draw(st.tuples(*[st.integers(0, 3)] * n))
+        steps = st.tuples(*[st.integers(0, 2)] * rank)
+        terms = {tuple(o + sum(k * b[i] for k, b in zip(ks, basis))
+                       for i, o in enumerate(offset)): c
+                 for ks, c in draw(st.dictionaries(
+                     steps, coefficients, min_size=1, max_size=5)).items()}
+        low = [min(0, *coords) for coords in zip(*terms)]
+        return IntegerPolynomial(n, {tuple(e - m for e, m in zip(exp, low)): c
+                                     for exp, c in terms.items()})
+
+    t = draw(st.sampled_from([None, 1, 2]))
+    fparts = None if t is None else [polynomial() for _ in range(t)]
+    g = polynomial() if fparts is None or draw(st.booleans()) else None
+    return p, fparts, g
+
+
+class TestReducedSweep:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(restrictions())
+    def test_matches_the_whole_torus(self, case):
+        p, fparts, g = case
+        assert sweep(fparts, g, p) == reference_sweep(
+            fparts, None if g is None else [g], p)
+
+
+# -- time budgets for the torus-heavy inputs -----------------------------
+
+
+def compute_zeta(path):
+    """The exit code of `igusa compute path --json` and its Z."""
+    out = io.StringIO()
+    code = cli.main(["compute", str(path), "--json"], out=out)
+    zeta = json.loads(out.getvalue())["zeta"]
+    return code, RationalFunction(
+        *(Poly([int(c) for c in zeta[k]]) for k in ("num", "den")))
+
+
+class TestTorusBudgets:
+    def test_fixture_at_1009(self, tmp_path):
+        # 1009 = 1 mod 3: g's torus zeros take the closed form's case
+        path = tmp_path / "fixture.txt"
+        path.write_text(FIXTURE.read_text().replace("p=13", "p=1009"))
+        started = time.perf_counter()
+        code, z = compute_zeta(path)
+        report_budget("compute on the fixture at p = 1009", started, 0.5)
+        assert code == cli.EXIT_OK
+        assert z == closed_form(1009)
+
+    def test_fermat_cubic_at_101(self, tmp_path):
+        path = tmp_path / "cubic.txt"
+        path.write_text("mode=single\nn=3\np=101\nf=x^3 + y^3 + z^3\n")
+        started = time.perf_counter()
+        code, z = compute_zeta(path)
+        report_budget("compute on x^3+y^3+z^3 at p = 101", started, 2.0)
+        assert code == cli.EXIT_OK
+        assert z.evaluate(1) == 1

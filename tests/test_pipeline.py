@@ -96,41 +96,42 @@ def test_override_still_counts():
     assert comp.notes == (problem.DEGENERACY_NOTE,)
 
 
-# -- one torus pass per cone ---------------------------------------------
+# -- one torus pass per distinct pair of restrictions -------------------
 
 
-def cones_to_sweep(comp):
-    """The cones with a side that may vanish on the torus: one whose
-    restrictions are none of them a single monomial with a unit
-    coefficient mod p."""
+def pairs_to_sweep(comp):
+    """The distinct (f restrictions, g restriction) pairs of the cones
+    with a side that may vanish on the torus: one whose restrictions are
+    none of them a single monomial with a unit coefficient mod p."""
     spec = comp.spec
     p = spec.p
-    swept = 0
+    swept = set()
     for cone in comp.partition.cones:
-        sides = []
-        if spec.mode != "ideal":
-            sides.append([face_restriction(c, cone.labels[0])
-                          for c in counting.components(spec.fside)])
-        if spec.g is not None:
-            sides.append([face_restriction(spec.g, cone.labels[1])])
-        swept += any(all(len(part.terms) > 1 or all(
-            c % p == 0 for c in part.terms.values()) for part in side)
-            for side in sides)
-    return swept
+        fparts = None if spec.mode == "ideal" else tuple(
+            face_restriction(c, cone.labels[0])
+            for c in counting.components(spec.fside))
+        gpart = None if spec.g is None else face_restriction(
+            spec.g, cone.labels[1])
+        gparts = None if gpart is None else (gpart,)
+        if any(side is not None and all(len(part.terms) > 1 or all(
+                c % p == 0 for c in part.terms.values()) for part in side)
+               for side in (fparts, gparts)):
+            swept.add((fparts, gpart))
+    return len(swept)
 
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
 def test_one_torus_pass_per_cone(monkeypatch, spec):
     calls = count_calls(monkeypatch, counting, "_torus")
     comp = compute(spec)
-    assert len(calls) == cones_to_sweep(comp) <= len(comp.partition.cones)
+    assert len(calls) == pairs_to_sweep(comp) <= len(comp.partition.cones)
     geometry = problem.build_geometry(spec)
     for p in (2, 3, 5, 7, 11):
         calls.clear()
         pspec = dataclasses.replace(spec, p=p)
         checked = dataclasses.replace(geometry, spec=pspec)
         problem.run_checks(checked)
-        assert len(calls) == cones_to_sweep(checked) <= len(
+        assert len(calls) == pairs_to_sweep(checked) <= len(
             geometry.partition.cones)
 
 
