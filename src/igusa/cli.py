@@ -195,11 +195,12 @@ def _fraction_str(value):
 def oracle_report(comp, s0, M):
     spec = comp.spec
     tval = Fraction(1, spec.p**s0)
+    t_value = _fraction_str(tval)  # refused before anything is evaluated
     value = comp.zeta.evaluate(tval)
     bracket = oracle.truncated_integral(spec.fside, spec.g, spec.p, s0, M)
     return {
         "command": "oracle", "spec": _spec_doc(spec),
-        "s0": s0, "level": M, "t_value": _fraction_str(tval),
+        "s0": s0, "level": M, "t_value": t_value,
         "formula_value": _fraction_str(value),
         "bracket": {"lo": _fraction_str(bracket.lo),
                     "hi": _fraction_str(bracket.hi)},

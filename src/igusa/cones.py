@@ -37,8 +37,8 @@ class RationalCone:
 @dataclass(frozen=True)
 class SimplicialPiece:
     rays: tuple  # linearly independent primitive vectors
-    mult: int
-    pp_points: tuple  # lattice points of the half-open parallelepiped
+    pp_points: tuple  # the half-open parallelepiped's lattice points, as
+    # many as the multiplicity of the rays
 
 
 class ConePartition:
@@ -131,32 +131,21 @@ def partition_pair(gamma1: NewtonPolyhedron,
 # -- multiplicities and parallelepiped points ---------------------------
 
 
-def _ray_smith_form(rays):
-    """(rays, V, d) for the matrix K whose columns are the rays, with
-    U K V = diag(d); raises ValueError unless the rays are independent."""
-    rays = [tuple(map(int, r)) for r in rays]
-    _, v, d = linalg.smith_form(list(zip(*rays)))
-    if len(d) < len(rays) or 0 in d:
-        raise ValueError("rays are linearly dependent")
-    return rays, v, d
-
-
-def multiplicity(rays):
-    """Index of Z k_1 + ... + Z k_r in the lattice points of their span."""
-    return math.prod(_ray_smith_form(rays)[2])
-
-
 def parallelepiped_points(rays):
     """Integer points sum lambda_j k_j with all 0 <= lambda_j < 1.
 
-    Includes the origin; the count equals multiplicity(rays). With
+    Includes the origin; the count is the multiplicity of the rays, the
+    index of Z k_1 + ... + Z k_r in the lattice points of their span. With
     U K V = diag(d_1 | ... | d_r) for K = (k_1 ... k_r), the point K lambda
     is integral exactly when V^-1 lambda lies in prod (1/d_i) Z, so the
     points are lambda = V (y_i / d_i) mod 1 for y in prod range(d_i): one
     per element of (Z^n cap span) / <rays>. Scaled by L = d_r, lambda and
     the sum are integers and the division by L is exact.
     """
-    rays, v, d = _ray_smith_form(rays)
+    rays = [tuple(map(int, r)) for r in rays]
+    _, v, d = linalg.smith_form(list(zip(*rays)))
+    if len(d) < len(rays) or 0 in d:
+        raise ValueError("rays are linearly dependent")
     mult = math.prod(d)
     guard(mult, "parallelepiped point enumeration")
     scale = d[-1]
@@ -212,15 +201,14 @@ def simplicial_decompose(cone: RationalCone, partition: ConePartition):
     if cone.dim < 1:
         raise ValueError("decomposition needs a cone of dimension >= 1")
     if len(cone.rays) == cone.dim:
-        return [_make_piece(cone.rays)]
+        return [_piece(cone.rays)]
     facets = [set(facet.rays) for facet in partition.facets_of(cone)]
     faces = {subset for simplex in _pull_triangulate(cone, partition.facets_of)
              for size in range(1, len(simplex) + 1)
              for subset in itertools.combinations(simplex, size)}
-    return [_make_piece(face) for face in sorted(faces)
+    return [_piece(face) for face in sorted(faces)
             if not any(facet.issuperset(face) for facet in facets)]
 
 
-def _make_piece(rays):
-    points = tuple(parallelepiped_points(rays))  # as many as the multiplicity
-    return SimplicialPiece(rays, len(points), points)
+def _piece(rays):
+    return SimplicialPiece(rays, tuple(parallelepiped_points(rays)))

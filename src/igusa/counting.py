@@ -16,8 +16,9 @@ unit monomial among its restrictions never vanishes, so it needs none.
 from __future__ import annotations
 
 import itertools
+import sys
 from dataclasses import dataclass
-from math import prod
+from math import log10, prod
 
 from .errors import SizeGuardError
 from .linalg import smith_form, vec_dot, vec_sub
@@ -27,9 +28,15 @@ from .polynomials import IntegerPolynomial, PolynomialMapping
 ENUMERATION_LIMIT = 10**8
 
 
-def guard(work, what):
-    """Refuse, before it starts, an enumeration of `work` steps over the
-    limit; `what` names it in the message."""
+def guard(base, what, exponent=1):
+    """Refuse, before it starts, an enumeration of base**exponent steps
+    over the limit; `what` names it in the message. A power too long for
+    str() (4300 digits if unlimited) is refused unbuilt, by its digits."""
+    digits = exponent * log10(base) if base > 1 else 0
+    if digits >= (sys.get_int_max_str_digits() or 4300):
+        raise SizeGuardError(f"{what} needs a {int(digits) + 1}-digit number "
+                             f"of steps, over the limit {ENUMERATION_LIMIT}")
+    work = base**exponent
     if work > ENUMERATION_LIMIT:
         raise SizeGuardError(
             f"{what} needs {work} steps, over the limit {ENUMERATION_LIMIT}")
@@ -57,7 +64,7 @@ class DegeneracyReport:
 
 
 def _torus(p, n):
-    guard((p - 1)**n, f"the torus (F_{p}^x)^{n}")
+    guard(p - 1, f"the torus (F_{p}^x)^{n}", n)
     return itertools.product(range(1, p), repeat=n)
 
 
@@ -148,7 +155,7 @@ def sweep(fparts, gpart, p):
     if fparts is None and gparts is None:
         return CountTriple(0, 0, 0), ((), (), ())  # nothing can vanish
     n = (fparts or gparts)[0].n
-    guard((p - 1)**n, f"the torus (F_{p}^x)^{n}")  # before any algebra
+    guard(p - 1, f"the torus (F_{p}^x)^{n}", n)  # before any algebra
     polys = [*(fparts or ()), *(gparts or ())]
     _, v, diag = smith_form([vec_sub(e, next(iter(poly.terms)))
                              for poly in polys for e in poly.terms]

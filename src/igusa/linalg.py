@@ -1,17 +1,15 @@
 """Small exact linear algebra over the integers.
 
 The geometry only needs integer matrices: a handful of rows in dimension
-<= 5. One fraction-free forward elimination (Bareiss) serves rank,
-kernel and linear solve, and every entry it makes is an integer; only the
-solutions of `solve_columns` are Fractions. Normals of hyperplanes are
-kernel vectors, and `cone_facets` is the one facet search: of the cone
-over a Newton polyhedron, which gives the polyhedron's facets. The
-Smith normal form comes with the unimodular transforms that bring a
-matrix to it.
+<= 5. One fraction-free forward elimination (Bareiss) serves rank and the
+facet search, and every entry it makes is an integer. `cone_facets` is
+the one facet search: of the cone over a Newton polyhedron, which gives
+the polyhedron's facets; each candidate normal is the one primitive
+integer vector orthogonal to d-1 independent rays. The Smith normal form
+comes with the unimodular transforms that bring a matrix to it.
 """
 
 import itertools
-from fractions import Fraction
 from math import gcd
 from operator import mul
 
@@ -87,38 +85,6 @@ def _kernel_vector(echelon, pivots, free):
         v = [x * (abs(row[c]) // g) for x in v]
         v[c] = -s // g if row[c] > 0 else s // g
     return primitive(v)
-
-
-def kernel_basis(rows):
-    """Basis of {x : M x = 0} as primitive integer vectors.
-
-    `rows` are the rows of M; the kernel lives in the column space side.
-    One vector per free column, in column order.
-    """
-    if not rows:
-        return []
-    echelon, pivots, _ = _eliminate(rows)
-    return [_kernel_vector(echelon, pivots, f)
-            for f in range(len(rows[0])) if f not in pivots]
-
-
-def solve_columns(columns, target):
-    """Solve sum_j lam_j * columns[j] = target exactly over Q.
-
-    Returns the list of Fractions lam, or None when the system is
-    inconsistent. Columns must be linearly independent. The solution is
-    read off the kernel vector of [columns | target] at the last column.
-    """
-    ncols = len(columns)
-    aug = [[col[i] for col in columns] + [target[i]]
-           for i in range(len(target))]
-    echelon, pivots, _ = _eliminate(aug)
-    if ncols in pivots:
-        return None  # inconsistent
-    if len(pivots) != ncols:
-        raise ValueError("columns are linearly dependent")
-    v = _kernel_vector(echelon, pivots, ncols)
-    return [Fraction(-x, v[ncols]) for x in v[:ncols]]
 
 
 def smith_form(rows):
@@ -198,19 +164,22 @@ def cone_facets(rays):
     primitive h with h . r >= 0 for every ray and d-1 independent rays
     tight, d = the dimension of the space.
 
-    Each candidate is the one kernel vector of d-1 rays, so its d-1 rays
-    are tight; a candidate that supports the cone is a facet normal. The
-    sum of the rays lies in the interior, where every facet normal is
-    positive, so it orients the candidates; many ray subsets span the same
-    hyperplane, and each hyperplane is tested once.
+    Each (d-1)-subset of the rays is eliminated once; one of rank d-1 has
+    a single free column, and its kernel vector is the candidate, on which
+    the d-1 rays are tight. A candidate that supports the cone is a facet
+    normal. The sum of the rays lies in the interior, where every facet
+    normal is positive, so it orients the candidates; many ray subsets
+    span the same hyperplane, and each hyperplane is tested once.
     """
+    d = len(rays[0])
     interior = [sum(col) for col in zip(*rays)]
     supporting = {}
-    for sub in itertools.combinations(rays, len(rays[0]) - 1):
-        kernel = kernel_basis(sub)
-        if len(kernel) != 1:
+    for sub in itertools.combinations(rays, d - 1):
+        echelon, pivots, _ = _eliminate(sub)
+        if len(pivots) < d - 1:
             continue
-        h = kernel[0]
+        free, = set(range(d)).difference(pivots)
+        h = _kernel_vector(echelon, pivots, free)
         if vec_dot(h, interior) < 0:
             h = tuple(-x for x in h)
         if h not in supporting:

@@ -156,13 +156,6 @@ class NewtonPolyhedron:
         return [(normal, offset, ffac) for normal, offset, ffac in self.facets()
                 if ffac.contains_face(face)]
 
-    def contains_point(self, x):
-        """Membership via the facet inequalities (x must also be >= 0)."""
-        if any(v < 0 for v in x):
-            return False
-        return all(linalg.vec_dot(normal, x) >= offset
-                   for normal, offset in self.facet_normals())
-
 
 def face_restriction(poly, face):
     """Terms of `poly` whose exponents lie on the given face."""

@@ -128,7 +128,7 @@ def _bracket(cosets, fside, g, p, s0, M) -> Bracket:
 def truncated_integral(fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral over Z_p^n of |fside|^s0 |g| |dx| at
     level M. g may be None (trivial measure)."""
-    guard(p**(M * fside.n), "truncated integration")
+    guard(p, "truncated integration", M * fside.n)
     return _bracket(itertools.product(range(p), repeat=fside.n),
                     fside, g, p, s0, M)
 
@@ -197,7 +197,7 @@ def measure_A_kl(fside, g, a, p, k, l) -> Fraction:
         raise HypothesisError(
             "the base point must annihilate both factors mod p")
     depth = max(k, l)
-    guard(p**((depth - 1) * n), "measure counting")
+    guard(p, "measure counting", (depth - 1) * n)
     census = _census([base], fside, g, p, depth)
     # an order still open at level depth is at least depth >= k, l
     count = sum(c for (vf, vg, _), c in census.items() if vf >= k and vg >= l)
@@ -208,27 +208,16 @@ def coset_integral(a, fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| over a + (pZ_p)^n."""
     base = tuple(x % p for x in a)
     _hypotheses(fside, g, p)(base)
-    guard(p**((M - 1) * fside.n), "coset integration")
+    guard(p, "coset integration", (M - 1) * fside.n)
     return _bracket([base], fside, g, p, s0, M)
 
 
 def torus_integral(fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| over (Z_p^x)^n, after
     checking the coset hypotheses at every torus residue."""
-    guard(((p - 1) * p**(M - 1))**fside.n, "torus integration")
+    guard((p - 1) * p**(M - 1), "torus integration", fside.n)
     check = _hypotheses(fside, g, p)
     points = list(counting._torus(p, fside.n))
     for a in points:
         check(a)
     return _bracket(points, fside, g, p, s0, M)
-
-
-# -- the closed value the measures must equal ---------------------------
-
-
-def closed_measure_value(p, n, k, l, t=1) -> Fraction:
-    """Closed measure of A_{k,l}: p^(-n-k-l+2) for a single polynomial
-    (t = 1) and p^(-n-(k-1)t-l+1) for a t-component mapping; the former
-    is the t = 1 instance of the latter."""
-    return Fraction(1, p**(n + (k - 1) * t + l - 1))
-

@@ -97,26 +97,21 @@ class Poly:
             return self
         return Poly([x // c for x in self.coeffs])
 
-    def divmod(self, other):
-        """Pseudo-division: (q, r) with lc(other)^k * self = q * other + r,
+    def pseudo_remainder(self, other):
+        """r with lc(other)^k * self = q * other + r for some q in Z[t],
         k = max(0, deg self - deg other + 1) and deg r < deg other."""
         if other.is_zero():
             raise ZeroDivisionError("polynomial division by zero")
         u, v = list(self.coeffs), other.coeffs
         n, lead = other.degree, v[-1]
-        steps = len(u) - n
-        if steps <= 0:
-            return Poly([]), self
         v_terms = [(j, c) for j, c in enumerate(v[:-1]) if c]
-        q = [0] * steps
-        for k in range(steps - 1, -1, -1):
+        for k in range(len(u) - n - 1, -1, -1):
             c = u[n + k]
-            q[k] = c * lead**k
             u = [x * lead for x in u[:n + k]]
             if c:
                 for j, vc in v_terms:
                     u[j + k] -= c * vc
-        return Poly(q), Poly(u)
+        return Poly(u)
 
     def quotient(self, other):
         """self / other in Z[t], or None when other does not divide self
@@ -163,7 +158,7 @@ class Poly:
         if a.degree < b.degree:
             a, b = b, a
         while b.degree > 0:
-            r = a.divmod(b)[1]
+            r = a.pseudo_remainder(b)
             if r.is_zero():
                 break
             a, b = b, r.primitive()

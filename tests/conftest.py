@@ -5,7 +5,10 @@ measure polynomial g = x^4y^2 + xy^5. Its fan, counts and zeta function
 are known in closed form, which makes it the anchor for golden tests.
 """
 
+import itertools
+import math
 import time
+from fractions import Fraction
 
 import pytest
 
@@ -42,3 +45,29 @@ def ideal():
 @pytest.fixture
 def measure():
     return example_measure()
+
+
+def closed_measure_value(p, n, k, l, t=1):
+    """Closed measure of A_{k,l}: p^(-n-k-l+2) for a single polynomial
+    (t = 1) and p^(-n-(k-1)t-l+1) for a t-component mapping; the former
+    is the t = 1 instance of the latter."""
+    return Fraction(1, p**(n + (k - 1) * t + l - 1))
+
+
+def laplace_det(m):
+    """Laplace expansion along the first row."""
+    if not m:
+        return 1
+    return sum((-1)**j * m[0][j] * laplace_det([row[:j] + row[j + 1:]
+                                                 for row in m[1:]])
+               for j in range(len(m)))
+
+
+def minor_gcd(rays):
+    """The multiplicity of independent rays k_1..k_r in Z^n, counted apart
+    from the Smith form: the gcd of the r x r minors of the n x r matrix
+    (k_1 ... k_r), which is the index of Z k_1 + ... + Z k_r in the
+    lattice points of its span."""
+    return math.gcd(*(laplace_det([[ray[i] for ray in rays] for i in rows])
+                      for rows in itertools.combinations(range(len(rays[0])),
+                                                         len(rays))))

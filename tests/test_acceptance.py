@@ -10,8 +10,7 @@ import time
 from fractions import Fraction
 
 from igusa import linalg, oracle
-from igusa.cones import (multiplicity, parallelepiped_points, partition_pair,
-                         partition_single)
+from igusa.cones import parallelepiped_points, partition_pair, partition_single
 from igusa.counting import check_nondegenerate_single, count_triple
 from igusa.newton import NewtonPolyhedron
 from igusa.polynomials import (MonomialIdealSpec, PolynomialMapping,
@@ -20,8 +19,8 @@ from igusa.problem import ProblemSpec, build_geometry, compute
 from igusa.ratfun import Poly, RationalFunction
 from igusa.zeta import ExpFactor, coset_value, l_delta
 
-from conftest import (example_ideal, example_measure, example_spec,
-                      report_budget)
+from conftest import (closed_measure_value, example_ideal, example_measure,
+                      example_spec, minor_gcd, report_budget)
 
 
 def _report(number, label, started, limit):
@@ -82,7 +81,7 @@ def test_criterion_2_cone_table():
         piece, = term.pieces
         assert set(piece.factors) == {ExpFactor(a, b) for a, b in factors}
         assert sorted(piece.terms) == sorted(terms)
-    assert multiplicity([(1, 1), (3, 1)]) == 2
+    assert minor_gcd([(1, 1), (3, 1)]) == 2
     assert parallelepiped_points([(1, 1), (3, 1)]) == [(0, 0), (2, 1)]
     counts = [term.counts.P for term in comp.terms]
     assert counts == [36, 0, 0, 0, 0, 36, 0, 0, 0, 0]
@@ -176,7 +175,7 @@ def test_criterion_6_measure_closed_values():
         if a is None:
             continue
         assert oracle.measure_A_kl(f, g, a, p, k, l) == \
-            oracle.closed_measure_value(p, n, k, l)
+            closed_measure_value(p, n, k, l)
         checked += 1
     ff = PolynomialMapping([parse_polynomial("x + z", 3),
                             parse_polynomial("y - z", 3)])
@@ -185,7 +184,7 @@ def test_criterion_6_measure_closed_values():
         a = oracle.find_base_point(ff, g, p)
         for k, l in itertools.product((1, 2), (1, 2)):
             assert oracle.measure_A_kl(ff, g, a, p, k, l) == \
-                oracle.closed_measure_value(p, 3, k, l, t=2)
+                closed_measure_value(p, 3, k, l, t=2)
             checked += 1
     assert checked >= 18
     _report(6, "coset measure closed values on the (p, k, l) grid",
@@ -246,7 +245,7 @@ def _check_multiplicities():
         rays = [linalg.primitive(ray) for ray in rays]
         if linalg.rank([list(ray) for ray in rays]) != r:
             continue
-        assert len(parallelepiped_points(rays)) == multiplicity(rays)
+        assert len(parallelepiped_points(rays)) == minor_gcd(rays)
         done += 1
 
 

@@ -4,6 +4,7 @@ import io
 import json
 import pathlib
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -280,6 +281,35 @@ class TestOracle:
         path = write(tmp_path, "mode=single\nn=1\np=2\nf=x\n")
         code, text = run(["oracle", path, "--level", "2",
                           "--s0", str(4 * limit)])
+        assert code == cli.EXIT_SIZE == 3
+        assert text == ""
+        assert capsys.readouterr().err.startswith("size guard: printing")
+
+    @pytest.mark.parametrize("level, figure", [
+        ("4", "815730721 steps"),  # 13^8 residues
+        ("2000", "steps"),  # 13^4000: 4456 digits, too long for str()
+        ("10000000", "a 22278868-digit number of steps")])
+    def test_truncation_guard_is_prompt(self, level, figure, capsys):
+        # the guard compares sizes before it builds 13^(2 level) and names
+        # a figure too long to print by its digits
+        started = time.perf_counter()
+        code, text = run(["oracle", FIXTURE, "--level", level])
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_SIZE == 3
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("size guard: truncated integration needs ")
+        assert err.endswith(f"{figure}, over the limit 100000000\n")
+
+    def test_unprintable_t_is_refused_before_evaluation(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0 or limit >= 22279:
+            pytest.skip("13^20000, 22279 digits, prints under this limit")
+        # t = 13^-20000 is refused before Z is evaluated or the census
+        # weighed at it
+        started = time.perf_counter()
+        code, text = run(["oracle", FIXTURE, "--level", "2", "--s0", "20000"])
+        assert time.perf_counter() - started < 1.0
         assert code == cli.EXIT_SIZE == 3
         assert text == ""
         assert capsys.readouterr().err.startswith("size guard: printing")

@@ -1,26 +1,22 @@
 """Exact integer/rational linear algebra primitives."""
 
+import itertools
 import math
 from fractions import Fraction
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from igusa import linalg
 
+from conftest import laplace_det
+
 
 def det3(m):
     return (m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
             - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
             + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0]))
-
-
-def laplace_det(m):
-    if not m:
-        return 1
-    return sum((-1)**j * m[0][j] * laplace_det([row[:j] + row[j + 1:]
-                                                 for row in m[1:]])
-               for j in range(len(m)))
 
 
 def matmul(a, b):
@@ -131,6 +127,14 @@ def invariant_factors(rows):
     return [d for d in linalg.smith_form(rows)[2] if d]
 
 
+def kernel_vectors(rows):
+    """The kernel vectors `cone_facets` takes: one elimination, then one
+    back-substitution per free column, in column order."""
+    echelon, pivots, _ = linalg._eliminate(rows)
+    return [linalg._kernel_vector(echelon, pivots, f)
+            for f in range(len(rows[0])) if f not in pivots]
+
+
 class TestRankKernel:
     def test_rank_known(self):
         assert linalg.rank([[1, 0], [0, 1]]) == 2
@@ -139,17 +143,17 @@ class TestRankKernel:
 
     def test_kernel_orthogonal(self):
         rows = [[1, 2, 3], [0, 1, 1]]
-        for v in linalg.kernel_basis(rows):
+        for v in kernel_vectors(rows):
             assert all(linalg.vec_dot(row, v) == 0 for row in rows)
 
     @given(st.lists(st.lists(st.integers(-5, 5), min_size=3, max_size=3),
                     min_size=1, max_size=3))
     def test_rank_plus_nullity(self, rows):
-        assert linalg.rank(rows) + len(linalg.kernel_basis(rows)) == 3
+        assert linalg.rank(rows) + len(kernel_vectors(rows)) == 3
 
     def test_kernel_vectors_primitive(self):
         from math import gcd
-        for v in linalg.kernel_basis([[2, 4, 6]]):
+        for v in kernel_vectors([[2, 4, 6]]):
             g = 0
             for x in v:
                 g = gcd(g, abs(x))
@@ -161,32 +165,85 @@ class TestAgainstReference:
     @given(deficient_matrices())
     def test_rank_and_kernel(self, rows):
         assert linalg.rank(rows) == reference_rank(rows)
-        assert linalg.kernel_basis(rows) == reference_kernel(rows)
+        assert kernel_vectors(rows) == reference_kernel(rows)
         echelon = linalg._eliminate(rows)[0]
         assert all(type(x) is int for row in echelon for x in row)
 
     @PROPERTY
     @given(deficient_matrices().filter(lambda rows: len(rows[0]) > 1))
     def test_solve_columns(self, rows):
-        # the last column is the target, the others are the columns
+        # the reference the cone tests solve with, against rank: the last
+        # column is the target, the others are the columns
         columns = list(zip(*rows))
-        args = (columns[:-1], columns[-1])
-        assert outcome(linalg.solve_columns, *args) == outcome(
-            reference_solve, *args)
+        columns, target = columns[:-1], columns[-1]
+        got = outcome(reference_solve, columns, target)
+        if linalg.rank(rows) > linalg.rank(columns):
+            assert got is None
+        elif linalg.rank(columns) < len(columns):
+            assert got == "dependent"
+        else:
+            assert [sum(lam * col[i] for lam, col in zip(got, columns))
+                    for i in range(len(target))] == list(target)
+
+
+@st.composite
+def newton_cones(draw):
+    """(n, rays) of the cone over a Newton polyhedron in n = 1..4, from
+    every support point: collinear points give ray subsets of rank below
+    n, the dimension of a facet."""
+    n, top, size = draw(st.sampled_from(
+        [(2, 6, 6), (3, 3, 5), (4, 2, 5), (1, 9, 4)]))
+    point = st.tuples(*[st.integers(0, top)] * n).filter(any)
+    support = draw(st.sets(point, min_size=1, max_size=size))
+    units = [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
+    return n, [pt + (1,) for pt in sorted(support)] + units
+
+
+class TestConeFacets:
+    @PROPERTY
+    @given(newton_cones())
+    def test_candidate_normals_are_reference_kernels(self, cone):
+        n, rays = cone
+        taken = []  # (rows eliminated, normals taken from them)
+        eliminate, kernel_vector = linalg._eliminate, linalg._kernel_vector
+
+        def record_eliminate(rows):
+            taken.append((rows, []))
+            return eliminate(rows)
+
+        def record_kernel_vector(*args):
+            taken[-1][1].append(kernel_vector(*args))
+            return taken[-1][1][-1]
+
+        with mock.patch.object(linalg, "_eliminate", record_eliminate), \
+                mock.patch.object(linalg, "_kernel_vector", record_kernel_vector):
+            facets = linalg.cone_facets(rays)
+        assert [rows for rows, _ in taken] == list(
+            itertools.combinations(rays, n))
+        for rows, normals in taken:
+            kernel = reference_kernel(rows)
+            if len(kernel) != 1:
+                assert normals == []  # skipped before back-substitution
+            else:
+                h, = normals
+                assert h in (kernel[0], tuple(-x for x in kernel[0]))
+        candidates = {h for _, hs in taken for h in hs}
+        assert all(h in candidates or tuple(-x for x in h) in candidates
+                   for h in facets)
 
 
 class TestSolve:
     def test_exact_solution(self):
         cols = [(3, 1), (1, 1)]
-        sol = linalg.solve_columns(cols, (2, 1))
+        sol = reference_solve(cols, (2, 1))
         assert sol == [Fraction(1, 2), Fraction(1, 2)]
 
     def test_inconsistent_returns_none(self):
-        assert linalg.solve_columns([(1, 0)], (0, 1)) is None
+        assert reference_solve([(1, 0)], (0, 1)) is None
 
     def test_dependent_columns_rejected(self):
         with pytest.raises(ValueError):
-            linalg.solve_columns([(1, 1), (2, 2)], (3, 3))
+            reference_solve([(1, 1), (2, 2)], (3, 3))
 
 
 class TestSmith:

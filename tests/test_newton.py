@@ -1,4 +1,4 @@
-"""Newton polyhedra: weights, first meet loci, facets, faces, membership."""
+"""Newton polyhedra: weights, first meet loci, facets, faces."""
 
 import itertools
 import random
@@ -13,6 +13,7 @@ from igusa.newton import NewtonPolyhedron, face_restriction
 from igusa.polynomials import parse_polynomial
 
 from conftest import example_ideal, example_measure, report_budget
+from test_linalg import reference_kernel
 
 
 def gamma_I():
@@ -39,7 +40,7 @@ def reference_facets(gamma):
     for base in points:
         pool = [linalg.vec_sub(pt, base) for pt in points if pt != base]
         for combo in itertools.combinations(pool + units, n - 1):
-            kernel = linalg.kernel_basis(list(combo))
+            kernel = reference_kernel(list(combo))
             if len(kernel) != 1:
                 continue
             normal = kernel[0]
@@ -66,44 +67,6 @@ def reference_faces(gamma, facets):
             found.setdefault((face.touching, face.recession), face)
     return sorted(found.values(), key=lambda f: (
         -f.dim, sorted(f.touching), sorted(f.recession)))
-
-
-def contains_point_by_support(gamma, x):
-    """Membership by the support alone: x in conv(support) + R_+^n, that
-    is, some convex combination of support points is coordinatewise
-    <= x."""
-    if any(v < 0 for v in x):
-        return False
-    return convex_below(sorted(gamma.support), x)
-
-
-def convex_below(points, x):
-    """Is some convex combination of `points` coordinatewise <= x?
-
-    Vertex enumeration of the feasible set {lambda >= 0, sum lambda = 1,
-    sum lambda * points <= x} with exact rationals: a vertex has
-    |active lambdas| = |tight coordinates| + 1; solve each square system
-    and accept any solution meeting every constraint. Desk scale only
-    (small supports, n <= 3).
-    """
-    n = len(x)
-    idx = list(range(len(points)))
-    for tight_coords in itertools.chain.from_iterable(
-            itertools.combinations(range(n), r) for r in range(n + 1)):
-        for free in itertools.combinations(idx, len(tight_coords) + 1):
-            cols = [[1] + [points[i][c] for c in tight_coords] for i in free]
-            rhs = [1] + [x[c] for c in tight_coords]
-            try:
-                sol = linalg.solve_columns(cols, rhs)
-            except ValueError:
-                continue  # dependent columns: not a vertex
-            if sol is None or any(s < 0 for s in sol):
-                continue
-            y = [sum(sol[j] * points[i][c] for j, i in enumerate(free))
-                 for c in range(n)]
-            if all(yc <= xc for yc, xc in zip(y, x)):
-                return True
-    return False
 
 
 def _supports(n, top, size):
@@ -261,32 +224,6 @@ class TestAgainstReferences:
             assert gamma.m_value(normal) == offset and face.dim == 3
         # reference_facets finds the same 21, in about 30 s
         assert len(facets) == 21
-
-
-class TestMembership:
-    grid = list(itertools.product(range(9), repeat=2))
-
-    def test_facet_description_matches_support_oracle(self):
-        for g in (gamma_I(), gamma_g()):
-            for x in self.grid:
-                assert g.contains_point(x) == contains_point_by_support(g, x)
-
-    def test_support_points_inside(self):
-        g = gamma_I()
-        for pt in g.support:
-            assert g.contains_point(pt)
-
-    def test_negative_outside(self):
-        assert not gamma_I().contains_point((-1, 3))
-
-    @settings(max_examples=50)
-    @given(st.sets(st.tuples(st.integers(0, 5), st.integers(0, 5)),
-                   min_size=1, max_size=4).filter(
-                       lambda s: (0, 0) not in s))
-    def test_random_supports_agree(self, support):
-        g = NewtonPolyhedron(support, 2)
-        for x in itertools.product(range(7), repeat=2):
-            assert g.contains_point(x) == contains_point_by_support(g, x)
 
 
 class TestFaceRestriction:

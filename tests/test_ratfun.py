@@ -19,14 +19,11 @@ class TestPoly:
         assert P(1, 2, 0, 0).degree == 1
         assert P(0).is_zero()
 
-    def test_divmod(self):
-        q, r = P(-1, 0, 1).divmod(P(1, 1))  # (t^2-1)/(t+1)
-        assert q == P(-1, 1)
-        assert r.is_zero()
-        # pseudo-division by a non-monic divisor: 2^2 (t^2+1) = q (2t+1) + r
-        q, r = P(1, 0, 1).divmod(P(1, 2))
-        assert q * P(1, 2) + r == P(1, 0, 1) * 4
-        assert r.degree < 1
+    def test_pseudo_remainder(self):
+        assert P(-1, 0, 1).pseudo_remainder(P(1, 1)).is_zero()  # (t^2-1)/(t+1)
+        # by a non-monic divisor: 2^2 (t^2+1) = (2t-1) (2t+1) + 5
+        assert P(1, 0, 1).pseudo_remainder(P(1, 2)) == P(5)
+        assert P(3, 1).pseudo_remainder(P(1, 0, 1)) == P(3, 1)  # k = 0
 
     def test_exact_div_raises_on_remainder(self):
         with pytest.raises(InternalConsistencyError):
