@@ -20,7 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import oracle, problem, zeta
-from .errors import (DegeneracyError, IgusaError, InternalConsistencyError,
+from .errors import (DegeneracyError, InternalConsistencyError,
                      PolynomialParseError, SizeGuardError)
 from .ratfun import Poly
 
@@ -314,9 +314,6 @@ def main(argv=None, out=None):
     except InternalConsistencyError as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except IgusaError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except Exception as exc:  # anything else escaping is a bug
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL

@@ -17,8 +17,7 @@ import math
 from dataclasses import dataclass
 
 from . import linalg
-from .counting import guard
-from .errors import InternalConsistencyError
+from .errors import InternalConsistencyError, guard
 from .newton import NewtonPolyhedron
 
 
@@ -32,13 +31,6 @@ class RationalCone:
         """A lattice point in the relatively open cone: the sum of the
         rays (empty for the zero-dimensional cone)."""
         return tuple(sum(col) for col in zip(*self.rays))
-
-
-@dataclass(frozen=True)
-class SimplicialPiece:
-    rays: tuple  # linearly independent primitive vectors
-    pp_points: tuple  # the half-open parallelepiped's lattice points, as
-    # many as the multiplicity of the rays
 
 
 class ConePartition:
@@ -136,14 +128,15 @@ def parallelepiped_points(rays):
 
     Includes the origin; the count is the multiplicity of the rays, the
     index of Z k_1 + ... + Z k_r in the lattice points of their span. With
-    U K V = diag(d_1 | ... | d_r) for K = (k_1 ... k_r), the point K lambda
-    is integral exactly when V^-1 lambda lies in prod (1/d_i) Z, so the
-    points are lambda = V (y_i / d_i) mod 1 for y in prod range(d_i): one
-    per element of (Z^n cap span) / <rays>. Scaled by L = d_r, lambda and
-    the sum are integers and the division by L is exact.
+    U K V = diag(d_1 | ... | d_r) for K = (k_1 ... k_r) and a unimodular U
+    that need not be built, the point K lambda is integral exactly when
+    V^-1 lambda lies in prod (1/d_i) Z, so the points are lambda =
+    V (y_i / d_i) mod 1 for y in prod range(d_i): one per element of
+    (Z^n cap span) / <rays>. Scaled by L = d_r, lambda and the sum are
+    integers and the division by L is exact.
     """
     rays = [tuple(map(int, r)) for r in rays]
-    _, v, d = linalg.smith_form(list(zip(*rays)))
+    v, d = linalg.smith_form(list(zip(*rays)))
     if len(d) < len(rays) or 0 in d:
         raise ValueError("rays are linearly dependent")
     mult = math.prod(d)
@@ -190,7 +183,8 @@ def _pull_triangulate(cone, facets_of):
 
 def simplicial_decompose(cone: RationalCone, partition: ConePartition):
     """Half-open disjoint cover of the relatively open cone by relatively
-    open simplicial pieces whose rays come from the parent.
+    open simplicial pieces whose rays come from the parent, each given as
+    the sorted tuple of its linearly independent rays.
 
     Already-simplicial cones come back as a single identity piece. For
     the rest, a pulling triangulation (first ray in sorted order) is
@@ -201,14 +195,10 @@ def simplicial_decompose(cone: RationalCone, partition: ConePartition):
     if cone.dim < 1:
         raise ValueError("decomposition needs a cone of dimension >= 1")
     if len(cone.rays) == cone.dim:
-        return [_piece(cone.rays)]
+        return [cone.rays]
     facets = [set(facet.rays) for facet in partition.facets_of(cone)]
     faces = {subset for simplex in _pull_triangulate(cone, partition.facets_of)
              for size in range(1, len(simplex) + 1)
              for subset in itertools.combinations(simplex, size)}
-    return [_piece(face) for face in sorted(faces)
+    return [face for face in sorted(faces)
             if not any(facet.issuperset(face) for facet in facets)]
-
-
-def _piece(rays):
-    return SimplicialPiece(rays, tuple(parallelepiped_points(rays)))

@@ -16,31 +16,14 @@ unit monomial among its restrictions never vanishes, so it needs none.
 from __future__ import annotations
 
 import itertools
-import sys
 from dataclasses import dataclass
-from math import log10, prod
+from math import prod
 
-from .errors import SizeGuardError
+from .cones import partition_single
+from .errors import guard
 from .linalg import smith_form, vec_dot, vec_sub
 from .newton import NewtonPolyhedron, face_restriction
 from .polynomials import IntegerPolynomial, PolynomialMapping
-
-ENUMERATION_LIMIT = 10**8
-
-
-def guard(base, what, exponent=1):
-    """Refuse, before it starts, an enumeration of base**exponent steps
-    over the limit; `what` names it in the message. A power too long for
-    str() (4300 digits if unlimited) is refused unbuilt, by its digits."""
-    digits = exponent * log10(base) if base > 1 else 0
-    if digits >= (sys.get_int_max_str_digits() or 4300):
-        raise SizeGuardError(f"{what} needs a {int(digits) + 1}-digit number "
-                             f"of steps, over the limit {ENUMERATION_LIMIT}")
-    work = base**exponent
-    if work > ENUMERATION_LIMIT:
-        raise SizeGuardError(
-            f"{what} needs {work} steps, over the limit {ENUMERATION_LIMIT}")
-
 
 @dataclass(frozen=True)
 class CountTriple:
@@ -157,9 +140,9 @@ def sweep(fparts, gpart, p):
     n = (fparts or gparts)[0].n
     guard(p - 1, f"the torus (F_{p}^x)^{n}", n)  # before any algebra
     polys = [*(fparts or ()), *(gparts or ())]
-    _, v, diag = smith_form([vec_sub(e, next(iter(poly.terms)))
-                             for poly in polys for e in poly.terms]
-                            or [[0] * n])
+    v, diag = smith_form([vec_sub(e, next(iter(poly.terms)))
+                          for poly in polys for e in poly.terms]
+                         or [[0] * n])
     r = sum(1 for d in diag if d)
     columns = list(zip(*v))[:r]
 
@@ -228,19 +211,12 @@ def _face_report(gamma, labels, zeros, condition) -> DegeneracyReport:
 SINGULAR = "face polynomial has a singular torus zero"
 
 
-def _face_check(gamma, polys, p, condition):
-    """The f-side condition on every face of gamma, one sweep per face."""
-    return _report(((face_name(face), sweep(
-        [face_restriction(c, face) for c in polys], None, p)[1][0])
-        for face in gamma.enumerate_faces()), condition)
-
-
 def check_nondegenerate_single(f: IntegerPolynomial, gamma: NewtonPolyhedron,
                                p) -> DegeneracyReport:
     """For every face of gamma, the Newton polyhedron of f (the whole
     polyhedron included), the face polynomial has no singular torus zero
-    mod p."""
-    return _face_check(gamma, [f], p, SINGULAR)
+    mod p. Each face of a single fan carries exactly one cone."""
+    return cone_checks(f, None, partition_single(gamma), p)[1]["f"]
 
 
 def check_strong_nondegenerate(ff: PolynomialMapping, gamma: NewtonPolyhedron,
@@ -249,8 +225,7 @@ def check_strong_nondegenerate(ff: PolynomialMapping, gamma: NewtonPolyhedron,
     common torus zero of the face restrictions of all components, the
     Jacobian has rank t mod p, as the coset value of L needs: when t > n,
     no zero has it."""
-    return _face_check(gamma, ff.components, p,
-                       f"Jacobian rank below {ff.t}")
+    return cone_checks(ff, None, partition_single(gamma), p)[1]["f"]
 
 
 def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:

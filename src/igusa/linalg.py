@@ -6,7 +6,7 @@ facet search, and every entry it makes is an integer. `cone_facets` is
 the one facet search: of the cone over a Newton polyhedron, which gives
 the polyhedron's facets; each candidate normal is the one primitive
 integer vector orthogonal to d-1 independent rays. The Smith normal form
-comes with the unimodular transforms that bring a matrix to it.
+comes with the unimodular column transform that brings a matrix to it.
 """
 
 import itertools
@@ -90,21 +90,19 @@ def _kernel_vector(echelon, pivots, free):
 def smith_form(rows):
     """Smith normal form of an integer matrix A, given by its rows.
 
-    Returns (U, V, d): unimodular integer matrices U (rows x rows) and
-    V (columns x columns) and the diagonal d of length min(rows, columns)
-    with U A V = D = diag(d), every d_i >= 0 and d_1 | d_2 | ... (any
-    zeros last). Row operations are applied to U and column operations
-    to V as they are applied to A.
+    Returns (V, d): a unimodular integer matrix V (columns x columns) and
+    the diagonal d of length min(rows, columns) with U A V = D = diag(d)
+    for some unimodular U, every d_i >= 0 and d_1 | d_2 | ... (any zeros
+    last). Column operations are applied to V as they are applied to A;
+    the row operations are applied to A alone.
     """
     m = [list(map(int, row)) for row in rows]
     nr = len(m)
     nc = len(m[0]) if m else 0
-    u = [[int(i == j) for j in range(nr)] for i in range(nr)]
     v = [[int(i == j) for j in range(nc)] for i in range(nc)]
 
     def add_row(dst, src, q):  # row dst += q * row src
-        for mat in (m, u):
-            mat[dst] = [a + q * b for a, b in zip(mat[dst], mat[src])]
+        m[dst] = [a + q * b for a, b in zip(m[dst], m[src])]
 
     def add_col(dst, src, q):  # column dst += q * column src
         for mat in (m, v):
@@ -125,7 +123,6 @@ def smith_form(rows):
             break
         _, i0, j0 = min(entries)
         m[t], m[i0] = m[i0], m[t]
-        u[t], u[i0] = u[i0], u[t]
         swap_cols(t, j0)
         while True:
             # Euclid steps on column t and row t; a nonzero remainder is
@@ -136,7 +133,6 @@ def smith_form(rows):
                     add_row(i, t, -(m[i][t] // m[t][t]))
                     if m[i][t]:
                         m[t], m[i] = m[i], m[t]
-                        u[t], u[i] = u[i], u[t]
                         clean = False
             for j in range(t + 1, nc):
                 if m[t][j]:
@@ -153,10 +149,8 @@ def smith_form(rows):
             if bad is None:
                 break
             add_row(t, bad, 1)
-        if m[t][t] < 0:
-            add_row(t, t, -2)  # negate row t
-        diag.append(m[t][t])
-    return u, v, diag
+        diag.append(abs(m[t][t]))
+    return v, diag
 
 
 def cone_facets(rays):

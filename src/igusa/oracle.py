@@ -27,8 +27,8 @@ from fractions import Fraction
 from operator import itemgetter, mul
 
 from . import counting
-from .counting import components, guard, point_test
-from .errors import HypothesisError
+from .counting import components, point_test
+from .errors import HypothesisError, guard
 from .polynomials import MonomialIdealSpec
 
 
@@ -214,7 +214,10 @@ def coset_integral(a, fside, g, p, s0, M) -> Bracket:
 
 def torus_integral(fside, g, p, s0, M) -> Bracket:
     """Bracket of the integral of |fside|^s0 |g| over (Z_p^x)^n, after
-    checking the coset hypotheses at every torus residue."""
+    checking the coset hypotheses at every torus residue. The exact work
+    ((p-1) p^(M-1))^n is built only once the smaller bound p^((M-1)n) of
+    its cosets has passed the guard."""
+    guard(p, "torus integration", (M - 1) * fside.n)
     guard((p - 1) * p**(M - 1), "torus integration", fside.n)
     check = _hypotheses(fside, g, p)
     points = list(counting._torus(p, fside.n))

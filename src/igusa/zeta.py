@@ -16,6 +16,7 @@ from functools import lru_cache
 from math import gcd
 from operator import mul
 
+from . import cones
 from .cones import ConePartition, RationalCone, simplicial_decompose
 from .errors import InternalConsistencyError
 from .ratfun import Poly, RationalFunction, sum_over
@@ -48,12 +49,13 @@ class FactoredPiece:
     def expand(self, p):
         """(numerator, denominator) Polys of the piece, unreduced."""
         a_total = sum(f.a for f in self.factors)
-        num = Poly({})
+        coeffs = [0] * (a_total + 1)
         for coeff, a, b in self.terms:
             if a > a_total:
                 raise InternalConsistencyError(
                     "numerator exponent escapes the denominator t-power")
-            num = num + Poly({a_total - a: coeff * p**b})
+            coeffs[a_total - a] += coeff * p**b
+        num = Poly(coeffs)
         den = Poly.const(1)
         for f in self.factors:
             den = den * f.numerator_poly(p)
@@ -93,12 +95,13 @@ def s_delta(cone: RationalCone, partition: ConePartition, p):
     if cone.dim == 0:
         return RationalFunction.const(1), (FactoredPiece(((1, 0, 0),), ()),)
     pieces = []
-    for sp in simplicial_decompose(cone, partition):
-        exps = [_exponents(partition, k) for k in sp.rays]
-        _check_linear(partition, sp.rays, exps)
+    for rays in simplicial_decompose(cone, partition):
+        exps = [_exponents(partition, k) for k in rays]
+        _check_linear(partition, rays, exps)
         factors = tuple(ExpFactor(a, b) for a, b in exps)
+        # looked up on the module, where perfbench/tracing.py wraps it
         terms = tuple(sorted((1, *_exponents(partition, h))
-                             for h in sp.pp_points))
+                             for h in cones.parallelepiped_points(rays)))
         pieces.append(FactoredPiece(terms, factors))
     den = _binomial_product((piece.factors for piece in pieces), p)
     return (sum_over(den, (piece.expand(p) for piece in pieces)),

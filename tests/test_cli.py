@@ -9,8 +9,8 @@ from fractions import Fraction
 
 import pytest
 
-from igusa import cli, zeta
-from igusa.errors import InternalConsistencyError
+from igusa import cli, problem, zeta
+from igusa.errors import HypothesisError, InternalConsistencyError
 from igusa.problem import PSI_13, compute, parse_problem_file
 from igusa.ratfun import Poly, RationalFunction
 from igusa.zeta import ExpFactor
@@ -130,6 +130,19 @@ g=x + y + z + x*y*z
         assert text == ""
         assert capsys.readouterr().err == \
             f"internal error: {type(error).__name__}: {error}\n"
+
+    def test_other_package_error_is_internal(self, monkeypatch, capsys):
+        # exit 1 is for parse and I/O errors only
+        def broken(*args, **kwargs):
+            raise HypothesisError("the measure polynomial is singular")
+
+        monkeypatch.setattr(problem, "compute", broken)
+        code, text = run(["compute", FIXTURE])
+        assert code == cli.EXIT_INTERNAL == 5
+        assert text == ""
+        err = capsys.readouterr().err
+        assert err.startswith("internal error: HypothesisError")
+        assert err.count("\n") == 1
 
     def test_malformed_file(self, tmp_path):
         path = write(tmp_path, "mode=single\nn=2\np=5\nf=x + %\n")

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from igusa import linalg
 
-from conftest import laplace_det
+from conftest import laplace_det, minor_gcd
 
 
 def det3(m):
@@ -124,7 +124,7 @@ def outcome(solve, columns, target):
 
 
 def invariant_factors(rows):
-    return [d for d in linalg.smith_form(rows)[2] if d]
+    return [d for d in linalg.smith_form(rows)[1] if d]
 
 
 def kernel_vectors(rows):
@@ -272,13 +272,21 @@ class TestSmith:
     @PROPERTY
     @given(matrices())
     def test_smith_form(self, rows):
-        u, v, d = linalg.smith_form(rows)
-        nr, nc = len(rows), len(rows[0])
-        assert matmul(matmul(u, rows), v) == [
-            [d[i] if i == j else 0 for j in range(nc)] for i in range(nr)]
-        assert abs(laplace_det(u)) == abs(laplace_det(v)) == 1
+        # U A V = diag(d) for some unimodular U exactly when the columns
+        # of A V past r are zero and column i < r is d_i w_i for integer
+        # columns w_i whose maximal minors have gcd 1
+        v, d = linalg.smith_form(rows)
+        assert abs(laplace_det(v)) == 1
         nonzero = [x for x in d if x]
         assert d == nonzero + [0] * (len(d) - len(nonzero))
+        r = len(nonzero)
+        columns = list(zip(*matmul(rows, v)))
+        assert all(not any(col) for col in columns[r:])
+        w = []
+        for col, di in zip(columns, nonzero):
+            assert all(x % di == 0 for x in col)
+            w.append([x // di for x in col])
+        assert r == 0 or minor_gcd(w) == 1
         assert all(x > 0 for x in nonzero)
         assert all(b % a == 0 for a, b in zip(nonzero, nonzero[1:]))
         assert len(nonzero) == linalg.rank(rows)

@@ -1,6 +1,7 @@
 """Brute-force integration oracles: brackets, measures, closed values."""
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -420,6 +421,14 @@ class TestTorusIntegral:
         f = poly("x + y")
         with pytest.raises(HypothesisError):
             oracle.torus_integral(f, g, 3, 1, 2)
+
+    def test_huge_level_is_refused_at_once(self):
+        # the coset bound 13^(2(M-1)) is guarded before the exact figure
+        # (12 * 13^(M-1))^2 is built, which took seconds at M = 4 * 10^6
+        started = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="torus integration"):
+            oracle.torus_integral(poly("x + y"), None, 13, 1, 4 * 10**6)
+        assert time.perf_counter() - started < 1.0
 
 
 class TestPinnedBrackets:

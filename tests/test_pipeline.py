@@ -190,6 +190,17 @@ def specs(draw):
     return ProblemSpec(mode, n, p, fside, g if with_g else None)
 
 
+def face_check(gamma, polys, p, condition):
+    """The f-side condition on every face of gamma from one sweep per
+    face, apart from the cones of any fan."""
+    witnesses = tuple(
+        (counting.face_name(face), a, condition)
+        for face in gamma.enumerate_faces()
+        for a in counting.sweep([face_restriction(c, face) for c in polys],
+                                None, p)[1][0])
+    return counting.DegeneracyReport(not witnesses, witnesses)
+
+
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(specs())
 def test_cone_sweeps_match_face_and_cone_functions(spec):
@@ -199,14 +210,21 @@ def test_cone_sweeps_match_face_and_cone_functions(spec):
     p = spec.p
     expected = {}
     if spec.mode == "single":
-        expected["f"] = counting.check_nondegenerate_single(
-            spec.fside, comp.partition.polyhedra[0], p)
+        gamma = comp.partition.polyhedra[0]
+        expected["f"] = face_check(gamma, [spec.fside], p, counting.SINGULAR)
+        assert counting.check_nondegenerate_single(
+            spec.fside, gamma, p) == expected["f"]
     elif spec.mode == "mapping":
-        expected["f"] = counting.check_strong_nondegenerate(
-            spec.fside, comp.partition.polyhedra[0], p)
+        gamma = comp.partition.polyhedra[0]
+        expected["f"] = face_check(gamma, spec.fside.components, p,
+                                   f"Jacobian rank below {spec.fside.t}")
+        assert counting.check_strong_nondegenerate(
+            spec.fside, gamma, p) == expected["f"]
     if spec.g is not None:
-        expected["g"] = counting.check_nondegenerate_single(
-            spec.g, comp.partition.polyhedra[1], p)
+        gamma = comp.partition.polyhedra[1]
+        expected["g"] = face_check(gamma, [spec.g], p, counting.SINGULAR)
+        assert counting.check_nondegenerate_single(
+            spec.g, gamma, p) == expected["g"]
         if spec.mode != "ideal":
             expected["pair"] = counting.check_pair_nondegenerate(
                 spec.fside, spec.g, comp.partition, p)
