@@ -2,7 +2,10 @@
 
 import itertools
 import time
+import tracemalloc
+from collections import Counter
 from fractions import Fraction
+from operator import itemgetter, mul
 
 import pytest
 from hypothesis import assume, example, given, settings, strategies as st
@@ -15,7 +18,8 @@ from igusa.polynomials import (IntegerPolynomial, MonomialIdealSpec,
 from igusa.problem import ProblemSpec, compute
 from igusa.zeta import coset_value, l_delta
 
-from conftest import closed_measure_value
+from conftest import (closed_measure_value, example_ideal, example_measure,
+                      report_budget)
 
 
 def poly(text, n=2):
@@ -115,21 +119,62 @@ def reference_measure(fside, g, a, p, k, l):
     return Fraction(count, p**(depth * n))
 
 
+def reference_census(cosets, fside, g, p, M):
+    """`oracle._census` by full evaluation: every part is evaluated mod
+    p^M at every sub-coset visited, and a coset mod p^j is split into all
+    its p^n sub-cosets mod p^(j+1) while the f side or g is open on it."""
+    n = fside.n
+    if isinstance(fside, MonomialIdealSpec):
+        atoms = [itemgetter(i) for i in range(n)]
+        monomials = fside.generators
+    else:
+        atoms = [c.mod_evaluator(p**M) for c in components(fside)]
+        monomials = [[0] * k + [1] for k in range(len(atoms))]
+    width = 1 + max(map(sum, monomials))
+    gev = None if g is None else g.mod_evaluator(p**M)
+    census = Counter()
+
+    def refine(points, j):
+        pj = p**j
+        weight = p**((M - j) * n)
+        for a in points:
+            keys = []
+            for atom in atoms:
+                o = _ord_residue(atom(a) % pj, p, j)[0]
+                keys.append(width * o + (o == j))
+            vf, fopen = divmod(min(sum(map(mul, mono, keys))
+                                   for mono in monomials), width)
+            vg = 0 if gev is None else _ord_residue(gev(a) % pj, p, j)[0]
+            if not fopen and vg < j:
+                census[vf, vg, True] += weight
+            elif j < M:
+                refine(itertools.product(*(range(x, p * pj, pj) for x in a)),
+                       j + 1)
+            else:
+                census[vf, vg, False] += 1
+
+    refine(cosets, 1)
+    return census
+
+
 @st.composite
 def integrands(draw):
     """(fside, g, p, s0, M): an f side of any mode and a measure that may
-    be trivial, in n <= 3 variables, with p^(Mn) <= 20,000 residues."""
-    p = draw(st.sampled_from([2, 3, 5]))
+    be trivial, in n <= 3 variables, with p^(Mn) <= 20,000 residues.
+    Terms x^p and coefficients divisible by p give parts whose gradient
+    is 0 mod p."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
     n = draw(st.integers(1, 3))
     M = draw(st.integers(1, max(m for m in range(1, 15)
                                 if p**(m * n) <= 20_000)))
-    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
-    # coefficients up to 2p in size, so some are divisible by p
-    coefficients = st.integers(-2 * p, 2 * p).filter(bool)
+    exponents = st.tuples(*[st.sampled_from([0, 1, 2, 3, p, p + 1])]
+                          * n).filter(any)
+    coefficients = st.one_of(st.integers(-2 * p, 2 * p),
+                             st.sampled_from([p, -p, p * p, 2 * p**3]))
 
     def polynomial():
         return IntegerPolynomial(n, draw(st.dictionaries(
-            exponents, coefficients, min_size=1, max_size=3)))
+            exponents, coefficients.filter(bool), min_size=1, max_size=3)))
 
     mode = draw(st.sampled_from(["ideal", "single", "mapping"]))
     if mode == "ideal":
@@ -173,6 +218,41 @@ class TestAgainstReference:
         assert oracle._bracket(torus, fside, g, p, s0, M) == \
             reference_bracket(itertools.product(units, repeat=n),
                               fside, g, p, s0, M)
+
+
+@st.composite
+def censuses(draw):
+    """(cosets, fside, g, p, M): an integrand and the cosets mod p it
+    starts from: all of them, one of them, or the torus."""
+    fside, g, p, _, M = draw(integrands())
+    n = fside.n
+    start = draw(st.sampled_from(["all", "one", "torus"]))
+    if start == "all":
+        cosets = list(itertools.product(range(p), repeat=n))
+    elif start == "one":
+        cosets = [draw(st.tuples(*[st.integers(0, p - 1)] * n))]
+    else:
+        cosets = list(itertools.product(range(1, p), repeat=n))
+    return cosets, fside, g, p, M
+
+
+class TestCensusAgainstReference:
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(censuses())
+    # x^2 + y^2 at p = 2 has a zero gradient mod 2: it stays open on every
+    # sub-coset of (0, 0) and settles on every one of (1, 1)
+    @example(([(0, 0), (1, 1)], parse_polynomial("x^2 + y^2", 2),
+              parse_polynomial("x^2*y + 2*x", 2), 2, 4))
+    @example(([(0, 0), (3, 5)], parse_polynomial("343*x + 343*y^2", 2),
+              parse_polynomial("49*x*y", 2), 7, 3))
+    @example(([(0, 1), (1, 0)], *NEVER_SETTLED[:3], 4))
+    # on the sub-cosets of (0, 1) the two components stay open on the two
+    # parallel lines c_1 = 1 and c_1 = 0, which cover them all
+    @example(([(0, 1)], PolynomialMapping([parse_polynomial("x + 2*y^2", 2),
+                                           parse_polynomial("x + 4*y^2", 2)]),
+              None, 2, 3))
+    def test_lift_equals_full_evaluation(self, case):
+        assert oracle._census(*case) == reference_census(*case)
 
 
 @st.composite
@@ -429,6 +509,35 @@ class TestTorusIntegral:
         with pytest.raises(SizeGuardError, match="torus integration"):
             oracle.torus_integral(poly("x + y"), None, 13, 1, 4 * 10**6)
         assert time.perf_counter() - started < 1.0
+
+
+class TestLiftBudgets:
+    def test_fixture_at_p13_level3(self):
+        f, g = example_ideal(), example_measure()
+        started = time.perf_counter()
+        b = oracle.truncated_integral(f, g, 13, 1, 3)
+        report_budget("truncated integral of the fixture at p = 13, M = 3",
+                      started, 0.5)
+        zeta = compute(ProblemSpec("ideal", 2, 13, f, g)).zeta
+        assert b.contains(zeta.evaluate(Fraction(1, 13)))
+
+    def test_no_list_of_every_sub_coset(self):
+        # 23^4 = 279,841 sub-cosets per split; listing them peaked at 25 MB
+        f = parse_polynomial("x1*x2 + x3*x4 + x1^3", 4)
+        g = parse_polynomial("x1 + x2 + x3 + x4 + 1", 4)
+        a = oracle.find_base_point(f, g, 23, True, False)
+        tracemalloc.start()
+        try:
+            started = time.perf_counter()
+            b = oracle.coset_integral(a, f, g, 23, 1, 2)
+            report_budget("n = 4 coset integral at p = 23, M = 2", started,
+                          1.0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20, f"peak {peak} bytes"
+        assert b.contains(coset_value(True, False, 23, 4, 1).evaluate(
+            Fraction(1, 23)))
 
 
 class TestPinnedBrackets:
