@@ -74,6 +74,19 @@ def _factored_str(p, pieces):
 # -- report construction -------------------------------------------------
 
 
+def _fraction_str(value):
+    """str(value) for an int or Fraction, refused as a size guard when a
+    numerator or denominator has more digits than the interpreter converts
+    to a string. Every number a report prints that can grow past that
+    passes through here before any output is written."""
+    try:
+        return str(value)
+    except ValueError:  # the only ValueError int.__str__ raises
+        raise SizeGuardError(
+            "printing the report needs an integer of more than "
+            f"{sys.get_int_max_str_digits()} digits") from None
+
+
 def _spec_doc(spec):
     doc = {"mode": spec.mode, "n": spec.n, "p": spec.p,
            "f": str(spec.fside),
@@ -102,20 +115,21 @@ def compute_report(comp):
             "rays": [list(r) for r in cone.rays],
             "counts": {"N": term.counts.N, "P": term.counts.P,
                        "Q": term.counts.Q},
-            "L": term.L.to_json(),
-            "S": term.S.to_json(),
+            "L": term.L.to_json(_fraction_str),
+            "S": term.S.to_json(_fraction_str),
             "S_factored": [piece.to_json() for piece in term.pieces],
         })
     doc["cones"] = rows
-    doc["zeta"] = comp.zeta.to_json()
+    doc["zeta"] = comp.zeta.to_json(_fraction_str)
     if comp.notes:
         doc["zeta"]["notes"] = list(comp.notes)
     factors = zeta.display_factors(comp.terms, spec.t_count)
     common = zeta.common_denominator_form(comp.zeta, factors, spec.p)
     if common is not None:
         numerator, const = common
+        _fraction_str(const)  # refused here, not half-way through the output
         doc["zeta_factored"] = {
-            "numerator": [str(c) for c in numerator.coeffs],
+            "numerator": [_fraction_str(c) for c in numerator.coeffs],
             "constant_divisor": const,
             "factors": [[f.a, f.b] for f in factors],
         }
@@ -179,17 +193,6 @@ def render_check(doc):
                 lines.append(f"    witness {point} in {w['where']}: "
                              f"{w['condition']}")
     return "\n".join(lines) + "\n"
-
-
-def _fraction_str(value):
-    """str(value), refused as a size guard when a numerator or denominator
-    has more digits than the interpreter converts to a string."""
-    try:
-        return str(value)
-    except ValueError:  # the only ValueError int.__str__ raises
-        raise SizeGuardError(
-            "printing the oracle report needs an integer of more than "
-            f"{sys.get_int_max_str_digits()} digits") from None
 
 
 def oracle_report(comp, s0, M):

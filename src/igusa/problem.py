@@ -214,6 +214,6 @@ def compute(spec: ProblemSpec, override=False) -> Computation:
         raise DegeneracyError(bad[0])
     comp.terms = zeta.cone_terms(comp.partition, comp.counts, spec.p,
                                  spec.t_count)
-    comp.zeta = zeta.assemble(comp.terms, spec.p)
+    comp.zeta = zeta.assemble(comp.terms, spec.p, spec.t_count)
     comp.notes = (DEGENERACY_NOTE,) if bad else ()
     return comp

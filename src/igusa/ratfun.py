@@ -1,21 +1,26 @@
 """Exact univariate rational-function arithmetic in the variable t.
 
 Polynomials are dense lists of integer coefficients (index = power of t).
-Division is integer pseudo-division, and the gcd is the primitive
-polynomial remainder sequence (Knuth, TAOCP vol. 2, 4.6.1): each
-pseudo-remainder is divided by its content, so coefficients stay small.
+Division is integer pseudo-division (exact by a monic divisor), and the
+gcd is the primitive polynomial remainder sequence (Knuth, TAOCP vol. 2,
+4.6.1): each pseudo-remainder is divided by its content, so coefficients
+stay small.
 
 RationalFunction keeps its canonical form: coprime integer polynomials,
 jointly content-free, with a positive leading coefficient of the
 denominator, which makes equality a plain comparison. A rational constant
-such as 1/p^n is an integer numerator over an integer denominator.
-`sum_over` adds many fractions over one known common denominator and
-reduces once, instead of reducing every partial sum.
+such as 1/p^n is an integer numerator over an integer denominator. The
+generic constructor reaches it through the full gcd. `sum_over` adds
+many fractions over a denominator known to be a product of binomials
+p^b - t^a and reduces once, against the monic, pairwise coprime factors
+of those binomials, so no gcd at full degree runs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, lcm
 from operator import index
 
@@ -37,6 +42,16 @@ class Poly:
         while lst and not lst[-1]:
             lst.pop()
         self.coeffs = lst
+
+    @classmethod
+    def _of(cls, lst):
+        """A Poly that takes over `lst`, a list of ints the arithmetic
+        below made, without checking each one as __init__ does."""
+        while lst and not lst[-1]:
+            lst.pop()
+        poly = cls.__new__(cls)
+        poly.coeffs = lst
+        return poly
 
     @classmethod
     def const(cls, c):
@@ -62,27 +77,27 @@ class Poly:
         out = list(a)
         for i, c in enumerate(b):
             out[i] += c
-        return Poly(out)
+        return Poly._of(out)
 
     def __neg__(self):
-        return Poly([-c for c in self.coeffs])
+        return Poly._of([-c for c in self.coeffs])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Poly([c * other for c in self.coeffs] if other else [])
+            return Poly._of([c * other for c in self.coeffs] if other else [])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
-            return Poly([])
+            return Poly._of([])
         out = [0] * (len(a) + len(b) - 1)
         b_terms = [(j, c) for j, c in enumerate(b) if c]
         for i, ca in enumerate(a):
             if ca:
                 for j, cb in b_terms:
                     out[i + j] += ca * cb
-        return Poly(out)
+        return Poly._of(out)
 
     __rmul__ = __mul__
 
@@ -95,7 +110,7 @@ class Poly:
         c = self.content()
         if c <= 1:
             return self
-        return Poly([x // c for x in self.coeffs])
+        return Poly._of([x // c for x in self.coeffs])
 
     def pseudo_remainder(self, other):
         """r with lc(other)^k * self = q * other + r for some q in Z[t],
@@ -111,7 +126,7 @@ class Poly:
             if c:
                 for j, vc in v_terms:
                     u[j + k] -= c * vc
-        return Poly(u)
+        return Poly._of(u)
 
     def quotient(self, other):
         """self / other in Z[t], or None when other does not divide self
@@ -135,7 +150,7 @@ class Poly:
                     rem[j + k] -= f * vc
         if any(rem[:n]):
             return None
-        return Poly(q)
+        return Poly._of(q)
 
     def exact_div(self, other):
         """self / other, which the caller's invariants make a polynomial
@@ -145,6 +160,20 @@ class Poly:
             raise InternalConsistencyError(
                 f"division is not exact: ({self}) / ({other})")
         return q
+
+    def divmod_monic(self, other):
+        """(q, r) with self = q * other + r and deg r < deg other, for a
+        monic `other`, by which division is exact in Z[t]."""
+        rem, n = list(self.coeffs), other.degree
+        v_terms = [(j, c) for j, c in enumerate(other.coeffs[:-1]) if c]
+        q = [0] * max(0, len(rem) - n)
+        for k in range(len(q) - 1, -1, -1):
+            c = rem[n + k]
+            if c:
+                q[k] = c
+                for j, vc in v_terms:
+                    rem[j + k] -= c * vc
+        return Poly._of(q), Poly._of(rem[:n])
 
     def gcd(self, other):
         """Greatest common divisor in Z[t], with a positive leading
@@ -253,9 +282,10 @@ class RationalFunction:
             raise PoleEvaluationError(f"evaluation at pole t = {tval}")
         return self.num.evaluate(tval) / den
 
-    def to_json(self):
-        return {"num": [str(c) for c in self.num.coeffs],
-                "den": [str(c) for c in self.den.coeffs]}
+    def to_json(self, number_str=str):
+        """The coefficients as strings, each made by `number_str`."""
+        return {"num": [number_str(c) for c in self.num.coeffs],
+                "den": [number_str(c) for c in self.den.coeffs]}
 
     def __str__(self):
         if self.den == Poly.const(1):
@@ -265,24 +295,105 @@ class RationalFunction:
     __repr__ = __str__
 
 
-def sum_over(den, fractions):
-    """The sum of num/d over the (num, d) Poly pairs in `fractions`, where
-    every d divides `den` over Q, as one reduced RationalFunction.
+def binomial(a, b, p):
+    """p^b - t^a, the expansion of p^(a*s+b) - 1 times t^a (a constant
+    when a = 0)."""
+    if a == 0:
+        return Poly.const(p**b - 1)
+    return Poly({0: p**b, a: -1})
+
+
+def sum_over(binomials, p, fractions):
+    """The sum of num/d over the (num, d) Poly pairs in `fractions`, as one
+    reduced RationalFunction, where every d divides over Q the product of
+    the binomials p^b - t^a (b >= 1), each (a, b) taken to its
+    multiplicity in the mapping `binomials`.
 
     Each d is split into its content c and primitive part, which divides
-    den in Z[t]; num * (den / primitive part) / c is brought over den times
-    the lcm of the contents, the numerators are added, and the sum is
-    reduced once."""
+    that product in Z[t]; num * (product / primitive part) / c is brought
+    over the product times the lcm of the contents, and the numerators
+    are added. The sum is reduced once, against the coprime base of the
+    known denominator instead of by a gcd at full degree:
+
+      with g = gcd(a, b), a = g a' and b = g b', t^a - p^b is the product
+      over d | g of F = Phi_d^hom(t^a', p^b'). Each F is monic, so N mod F
+      is exact in Z[t]; its roots are the t with t^a' = zeta p^b' for a
+      primitive d-th root of unity zeta, so F is squarefree and F's of
+      distinct (a', b', d) share no root. For d = 1, t^a' - p^b' is
+      irreducible (Capelli: p^b' is no q-th power for a prime q | a',
+      and it is positive), so F either divides N or is coprime to it;
+      for d > 1, F can split, and N shares gcd(N mod F, F) with it.
+
+    Every base factor is divided out as often as the numerator allows,
+    then the joint content, the gcd that remains in Z[t], is cancelled.
+    The result is the canonical form, the one `RationalFunction(num,
+    den)` reaches through the full gcd.
+    """
+    den = Poly.const(1)
+    for (a, b), m in binomials.items():
+        for _ in range(m):
+            den = den * binomial(a, b, p)
     parts = []
     for num, d in fractions:
         c = d.content()
         cofactor = den.exact_div(d.primitive())
         parts.append((num * cofactor, c))
     common = lcm(*(c for _, c in parts))
-    total = Poly([])
-    for num, c in parts:
-        total = total + num * (common // c)
-    return RationalFunction(total, den * common)
+    num = Poly([])
+    for part, c in parts:
+        num = num + part * (common // c)
+    if num.is_zero():
+        return RationalFunction(num)
+    den = den * common
+    for factor, d, e in _coprime_base(binomials, p):
+        for _ in range(e):
+            q, r = num.divmod_monic(factor)
+            if r.is_zero():
+                shared = factor
+            elif d == 1:
+                break
+            else:
+                shared = r.gcd(factor)
+                if shared.degree == 0:
+                    break
+                q = num.exact_div(shared)
+            num, den = q, den.exact_div(shared)
+    c = gcd(num.content(), den.content())
+    if den.coeffs[-1] < 0:
+        c = -c
+    if c != 1:
+        num = Poly._of([x // c for x in num.coeffs])
+        den = Poly._of([x // c for x in den.coeffs])
+    return RationalFunction(num, den, _normalized=True)
+
+
+def _coprime_base(binomials, p):
+    """(F, d, e) for the factors F = Phi_d^hom(t^a', p^b') of the
+    non-constant binomials, each with the multiplicity e it has in their
+    product; distinct F's are coprime."""
+    base = Counter()
+    for (a, b), m in binomials.items():
+        if a:
+            g = gcd(a, b)
+            for d in range(1, g + 1):
+                if g % d == 0:
+                    base[a // g, b // g, d] += m
+    for (a, b, d), e in base.items():
+        phi = _cyclotomic(d)
+        top = len(phi) - 1
+        yield (Poly({a * k: c * p**(b * (top - k))
+                     for k, c in enumerate(phi) if c}), d, e)
+
+
+@lru_cache(maxsize=256)
+def _cyclotomic(d):
+    """Coefficients of the d-th cyclotomic polynomial Phi_d, from
+    t^d - 1 = the product of Phi_e over e | d."""
+    phi = Poly({0: -1, d: 1})
+    for e in range(1, d):
+        if d % e == 0:
+            phi = phi.exact_div(Poly(_cyclotomic(e)))
+    return tuple(phi.coeffs)
 
 
 def _coerce(x):

@@ -19,7 +19,7 @@ from operator import mul
 from . import cones
 from .cones import ConePartition, RationalCone, simplicial_decompose
 from .errors import InternalConsistencyError
-from .ratfun import Poly, RationalFunction, sum_over
+from .ratfun import Poly, RationalFunction, binomial, sum_over
 
 
 @dataclass(frozen=True)
@@ -34,9 +34,7 @@ class ExpFactor:
             raise ValueError("p^0 - 1 would be the zero factor")
 
     def numerator_poly(self, p):
-        if self.a == 0:
-            return Poly.const(p**self.b - 1)
-        return Poly({0: p**self.b, self.a: -1})
+        return binomial(self.a, self.b, p)
 
 
 @dataclass(frozen=True)
@@ -103,21 +101,20 @@ def s_delta(cone: RationalCone, partition: ConePartition, p):
         terms = tuple(sorted((1, *_exponents(partition, h))
                              for h in cones.parallelepiped_points(rays)))
         pieces.append(FactoredPiece(terms, factors))
-    den = _binomial_product((piece.factors for piece in pieces), p)
-    return (sum_over(den, (piece.expand(p) for piece in pieces)),
+    binomials = _binomial_product(piece.factors for piece in pieces)
+    return (sum_over(binomials, p, (piece.expand(p) for piece in pieces)),
             tuple(pieces))
 
 
-def _binomial_product(factor_lists, p):
-    """Product of the ExpFactors, each at the largest multiplicity it has
-    in any one of the lists: a common denominator of the pieces."""
+def _binomial_product(factor_lists):
+    """The ExpFactors as a {(a, b): multiplicity} multiset, each at the
+    largest multiplicity it has in any one of the lists: the binomials
+    p^b - t^a whose product is a common denominator of the pieces, and
+    whose known factors `sum_over` reduces by."""
     mult = Counter()
     for factors in factor_lists:
-        mult |= Counter(factors)
-    den = Poly.const(1)
-    for f in mult.elements():
-        den = den * f.numerator_poly(p)
-    return den
+        mult |= Counter((f.a, f.b) for f in factors)
+    return mult
 
 
 def _check_linear(partition, rays, exps):
@@ -197,23 +194,24 @@ def cone_terms(partition: ConePartition, counts, p, t_count):
             for cone, ct in zip(partition.cones, counts)]
 
 
-def assemble(terms, p) -> RationalFunction:
+def assemble(terms, p, t_count) -> RationalFunction:
     """Z(s) = sum over the cone terms of L * S, as a reduced rational
     function in t.
 
     The terms come from `cone_terms`; a degenerate input has already been
     refused (or overridden) before any of them was built. The products
-    are added over one common denominator, every ExpFactor of the S
-    pieces at its largest multiplicity in one piece times each
-    non-constant L denominator (p^tc - t), and reduced once.
+    are added over one common denominator, the binomials of every
+    ExpFactor of the S pieces at its largest multiplicity in one piece,
+    times L's p^(s+t_count) - 1 where some cone has N or Q (elsewhere L
+    is a constant), and reduced once by those binomials' factors.
     """
-    den = _binomial_product(
-        (piece.factors for term in terms for piece in term.pieces), p)
-    for L in {term.L.den.primitive() for term in terms}:
-        if L.degree > 0:
-            den = den * L
-    total = sum_over(den, ((term.L.num * term.S.num, term.L.den * term.S.den)
-                           for term in terms))
+    binomials = _binomial_product(
+        piece.factors for term in terms for piece in term.pieces)
+    if any(term.counts.N or term.counts.Q for term in terms):
+        binomials[1, t_count] += 1
+    total = sum_over(binomials, p,
+                     ((term.L.num * term.S.num, term.L.den * term.S.den)
+                      for term in terms))
     _check_no_pole_at_origin(total)
     return total
 

@@ -185,6 +185,21 @@ g=x + y + z + x*y*z
         assert out == ""
         assert capsys.readouterr().err.startswith("size guard: parallelepiped")
 
+    @pytest.mark.parametrize("flags", [["--json"], []])
+    def test_compute_too_long_to_print_is_a_size_guard(self, tmp_path,
+                                                       capsys, flags):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0 or limit >= 14444:
+            pytest.skip("14444 digits, the longest integer, print under "
+                        "this limit")
+        # g = x^1200 y^1200 puts integers of up to 14444 digits into S and Z
+        path = write(tmp_path, "mode=single\nn=2\np=101\nf=x^2 + y^3\n"
+                               "g=x^1200*y^1200\n")
+        code, text = run(["compute", path, *flags])
+        assert code == cli.EXIT_SIZE == 3
+        assert text == ""
+        assert capsys.readouterr().err.startswith("size guard: printing")
+
     @pytest.mark.parametrize("command", ["compute", "check", "poles"])
     def test_huge_prime_size_guard(self, tmp_path, capsys, command):
         # from psi_13 on, Miller-Rabin to the first 13 primes is not exact

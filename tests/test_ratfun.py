@@ -1,5 +1,6 @@
 """Exact univariate rational-function arithmetic."""
 
+from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -7,7 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from igusa.errors import InternalConsistencyError, PoleEvaluationError
-from igusa.ratfun import Poly, RationalFunction, sum_over
+from igusa.ratfun import Poly, RationalFunction, binomial, sum_over
 
 
 def P(*coeffs):
@@ -216,6 +217,51 @@ def fraction_pairs(draw):
     return num, den
 
 
+primes = st.sampled_from([2, 3, 5, 7])
+# (a, b) of the binomial p^b - t^a: constants (a = 0), powers that share a
+# factor with b, and t^8 - 16, whose t^4 + 4 splits at p = 2
+binomial_keys = st.one_of(st.tuples(st.integers(0, 6), st.integers(1, 6)),
+                          st.just((8, 4)))
+
+
+@st.composite
+def binomial_sums(draw):
+    """(binomials, p, fractions): a multiset of binomials p^b - t^a, with
+    repeats, and up to four (num, d) pairs whose d is a content times
+    some of the binomials, each at most to its multiplicity."""
+    p = draw(primes)
+    binomials = Counter(draw(st.lists(binomial_keys, min_size=1, max_size=4)))
+    fractions = []
+    for num in draw(st.lists(low_degree, min_size=1, max_size=4)):
+        a, da = _as_int_poly(num)
+        c = draw(contents)
+        d = Poly.const(da * c.numerator)
+        for key in binomials.elements():
+            if draw(st.booleans()):
+                d = d * binomial(*key, p)
+        fractions.append((a * c.denominator, d))
+    return binomials, p, fractions
+
+
+@st.composite
+def reducible_fractions(draw):
+    """(binomials, p, num, content): a numerator that carries some factors
+    of the binomials (whole binomials, t^a' - p^b' with a = g a' and
+    b = g b' for g = gcd(a, b), and at p = 2 the factors of t^4 + 4)
+    over a content times their product."""
+    p = draw(primes)
+    keys = draw(st.lists(binomial_keys, min_size=1, max_size=4))
+    pool = [binomial(a, b, p) for a, b in keys]
+    pool += [Poly({0: -p**(b // gcd(a, b)), a // gcd(a, b): 1})
+             for a, b in keys if a]
+    if p == 2:
+        pool += [P(2, 2, 1), P(2, -2, 1), P(4, 0, 0, 0, 1)]
+    num = draw(nonzero_polys)
+    for factor in draw(st.lists(st.sampled_from(pool), max_size=4)):
+        num = num * factor
+    return Counter(keys), p, num, draw(st.sampled_from([1, 3, -4, 12]))
+
+
 class TestAgainstFractionArithmetic:
     @settings(derandomize=True, max_examples=60, deadline=None)
     @given(fraction_pairs())
@@ -232,17 +278,43 @@ class TestAgainstFractionArithmetic:
             assert (f.num.coeffs, f.den.coeffs) == want
             assert all(type(c) is int for c in f.num.coeffs + f.den.coeffs)
 
-    @settings(derandomize=True, max_examples=20, deadline=None)
-    @given(st.lists(fraction_pairs(), min_size=1, max_size=4))
-    def test_sum_over_matches_pairwise_sum(self, pairs):
-        pairs = [(num, den) for num, den in pairs if _strip(den)]
-        fractions, den = [], Poly.const(1)
-        for num, d in pairs:
-            (a, da), (b, db) = _as_int_poly(num or [0]), _as_int_poly(d)
-            fractions.append((a * db, b * da))
-            den = den * (b * da)
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(binomial_sums())
+    def test_sum_over_matches_pairwise_sum(self, case):
+        binomials, p, fractions = case
         expected = sum((RationalFunction(n, d) for n, d in fractions),
                        RationalFunction.const(0))
-        total = sum_over(den, fractions)
+        total = sum_over(binomials, p, fractions)
         assert total == expected
         assert all(type(c) is int for c in total.num.coeffs + total.den.coeffs)
+
+
+class TestSumOverReduction:
+    """`sum_over` reduces by the factors of its known binomials; the
+    reference is the full gcd of `RationalFunction(num, den)`."""
+
+    @settings(derandomize=True, max_examples=150, deadline=None)
+    @given(reducible_fractions())
+    def test_matches_full_gcd(self, case):
+        binomials, p, num, content = case
+        den = Poly.const(content)
+        for a, b in binomials.elements():
+            den = den * binomial(a, b, p)
+        assert sum_over(binomials, p, [(num, den)]) == RationalFunction(num, den)
+
+    def test_split_cyclotomic_factor(self):
+        # at p = 2, t^8 - 16 = (t^2 - 2)(t^2 + 2)(t^2 + 2t + 2)(t^2 - 2t + 2);
+        # the last two split Phi_4^hom(t^2, 2) = t^4 + 4
+        den = binomial(8, 4, 2)
+        num = P(2, 2, 1) * P(3, 1)
+        total = sum_over({(8, 4): 1}, 2, [(num, den)])
+        assert total == RationalFunction(num, den)
+        assert (total.num, total.den) == (P(-3, -1),
+                                          P(-4, 0, 0, 0, 1) * P(2, -2, 1))
+        twice = sum_over({(8, 4): 2}, 2, [(num * num, den * den)])
+        assert (twice.num, twice.den) == (total.num * total.num,
+                                          total.den * total.den)
+
+    def test_zero_sum(self):
+        total = sum_over({(1, 1): 1}, 3, [(P(1), P(3, -1)), (P(-1), P(3, -1))])
+        assert (total.num, total.den) == (Poly([]), P(1))
