@@ -123,7 +123,7 @@ def compute_report(comp):
     doc["zeta"] = comp.zeta.to_json(_fraction_str)
     if comp.notes:
         doc["zeta"]["notes"] = list(comp.notes)
-    factors = zeta.display_factors(comp.terms, spec.t_count)
+    factors = sorted(comp.binomials)
     common = zeta.common_denominator_form(comp.zeta, factors, spec.p)
     if common is not None:
         numerator, const = common
@@ -131,7 +131,7 @@ def compute_report(comp):
         doc["zeta_factored"] = {
             "numerator": [_fraction_str(c) for c in numerator.coeffs],
             "constant_divisor": const,
-            "factors": [[f.a, f.b] for f in factors],
+            "factors": [list(f) for f in factors],
         }
     doc["poles"] = _pole_rows(comp)
     return doc

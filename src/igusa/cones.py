@@ -64,12 +64,7 @@ class ConePartition:
 
     def rays(self):
         """All distinct primitive ray generators appearing in the partition."""
-        seen = []
-        for cone in self.cones:
-            for ray in cone.rays:
-                if ray not in seen:
-                    seen.append(ray)
-        return sorted(seen)
+        return sorted({ray for cone in self.cones for ray in cone.rays})
 
 
 def _angular_sort(cones, n):

@@ -211,21 +211,19 @@ def _face_report(gamma, labels, zeros, condition) -> DegeneracyReport:
 SINGULAR = "face polynomial has a singular torus zero"
 
 
-def check_nondegenerate_single(f: IntegerPolynomial, gamma: NewtonPolyhedron,
+def check_nondegenerate_single(ff, gamma: NewtonPolyhedron,
                                p) -> DegeneracyReport:
-    """For every face of gamma, the Newton polyhedron of f (the whole
-    polyhedron included), the face polynomial has no singular torus zero
-    mod p. Each face of a single fan carries exactly one cone."""
-    return cone_checks(f, None, partition_single(gamma), p)[1]["f"]
-
-
-def check_strong_nondegenerate(ff: PolynomialMapping, gamma: NewtonPolyhedron,
-                               p) -> DegeneracyReport:
-    """For every face of gamma, the Newton polyhedron of ff: at every
-    common torus zero of the face restrictions of all components, the
-    Jacobian has rank t mod p, as the coset value of L needs: when t > n,
-    no zero has it."""
+    """For every face of gamma, the Newton polyhedron of ff (the whole
+    polyhedron included): at every common torus zero of the face
+    restrictions of ff's t components, the Jacobian has rank t mod p, as
+    the coset value of L needs (when t > n, no zero has it). For a single
+    polynomial (t = 1), the face polynomial has no singular torus zero.
+    Each face of a single fan carries exactly one cone."""
     return cone_checks(ff, None, partition_single(gamma), p)[1]["f"]
+
+
+# the same check for a mapping, under its own name
+check_strong_nondegenerate = check_nondegenerate_single
 
 
 def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:

@@ -9,8 +9,11 @@ face down exactly because the recession cone is the full orthant.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 from . import linalg
+from .errors import guard
+from .polynomials import IntegerPolynomial
 
 
 @dataclass(frozen=True)
@@ -91,9 +94,7 @@ class NewtonPolyhedron:
         Gamma = {x in R_+^n : k_j . x >= offset_j for all j}; each normal
         is the unique primitive inward vector of one facet.
         """
-        if self._facets is None:
-            self._facets = self._compute_facets()
-        return [(normal, offset) for normal, offset, _ in self._facets]
+        return [(normal, offset) for normal, offset, _ in self.facets()]
 
     def facets(self):
         """Like facet_normals but also yields the facet Face objects."""
@@ -131,11 +132,16 @@ class NewtonPolyhedron:
         of the facets closed under intersection with each facet, dropping
         pairs that touch no support point: the face lattice from facet
         incidences (Kaibel and Pfetsch 2002), at a cost of #faces x
-        #facets set intersections.
+        #facets set intersections. A proper face of dimension k is the
+        intersection of n - k facets, which bounds #faces before the
+        closure starts.
         """
         if self._faces is not None:
             return list(self._faces)
         facets = [(face.touching, face.recession) for _, _, face in self.facets()]
+        bound = 1 + sum(comb(len(facets), i)
+                        for i in range(1, min(self.n, len(facets)) + 1))
+        guard(bound * len(facets), "face enumeration")
         found = set(facets)
         todo = list(facets)
         while todo:
@@ -159,4 +165,5 @@ class NewtonPolyhedron:
 
 def face_restriction(poly, face):
     """Terms of `poly` whose exponents lie on the given face."""
-    return poly.restrict_to_exponents(face.touching)
+    return IntegerPolynomial(poly.n, {e: c for e, c in poly.terms.items()
+                                      if e in face.touching})

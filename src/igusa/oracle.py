@@ -235,15 +235,21 @@ def _hypotheses(fside, g, p):
 
     The returned check takes a point with coordinates in range(p),
     returns (fzero, gzero) and raises HypothesisError naming the failing
-    condition.
+    condition. A monomial ideal never vanishes on the torus and is read
+    so, as `problem.run_checks` does; a point off the torus is refused.
     """
+    ideal = isinstance(fside, MonomialIdealSpec)
     comps = components(fside)
-    test = point_test(comps, None if g is None else [g], p)[2]
+    test = point_test(None if ideal else comps, None if g is None else [g],
+                      p)[2]
     conditions = ("the f side's Jacobian is rank-deficient",
                   "the measure polynomial is singular",
                   f"the stacked Jacobian has rank below {len(comps) + 1}")
 
     def check(a):
+        if ideal and 0 in a:
+            raise HypothesisError(f"{a} mod {p} is off the torus, where a "
+                                  "monomial ideal is not read")
         fzero, gzero, failed = test(a)
         for bad, condition in zip(failed, conditions):
             if bad:

@@ -16,6 +16,8 @@ import string
 from .errors import PolynomialParseError
 
 EXPONENT_LIMIT = 10**6
+# each level of parentheses costs the parser four stack frames
+NESTING_LIMIT = 100
 
 _SHORT_NAMES = ("x", "y", "z")
 
@@ -189,12 +191,6 @@ class IntegerPolynomial:
             total += v
         return total
 
-    def restrict_to_exponents(self, exponents):
-        """Keep exactly the terms whose exponent vector is in `exponents`."""
-        keep = set(map(tuple, exponents))
-        return IntegerPolynomial(
-            self.n, {e: c for e, c in self.terms.items() if e in keep})
-
     # -- printing -------------------------------------------------------
 
     def __str__(self):
@@ -280,19 +276,18 @@ class _Parser:
     term   := factor ('*' factor)*
     factor := '-'* base ('^' INT)?
     base   := INT | VAR | '(' expr ')'
+
+    Parentheses nested deeper than NESTING_LIMIT are refused.
     """
 
     def __init__(self, text, n):
         self.text = text
         self.n = n
         self.pos = 0
-        names = {}
-        for i in range(1, n + 1):
-            names[f"x{i}"] = i - 1
-        if n <= 3:
-            for i, alias in enumerate(_SHORT_NAMES[:n]):
-                names[alias] = i
-        self.names = names
+        self.depth = 0
+        # x1..xn are always accepted, and x, y, z as well where they print
+        self.names = {f"x{i + 1}": i for i in range(n)}
+        self.names.update((name, i) for i, name in enumerate(variable_names(n)))
 
     def parse(self):
         poly = self._expr()
@@ -357,11 +352,16 @@ class _Parser:
     def _base(self):
         ch = self._peek()
         if ch == "(":
+            if self.depth == NESTING_LIMIT:
+                raise PolynomialParseError(
+                    f"parentheses nested deeper than {NESTING_LIMIT}", self.pos)
+            self.depth += 1
             self.pos += 1
             poly = self._expr()
             if self._peek() != ")":
                 raise PolynomialParseError("expected ')'", self.pos)
             self.pos += 1
+            self.depth -= 1
             return poly
         if ch.isdigit():
             return IntegerPolynomial.constant(

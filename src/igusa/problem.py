@@ -175,6 +175,7 @@ class Computation:
     counts: list = field(default_factory=list)
     reports: dict = field(default_factory=dict)
     terms: list = field(default_factory=list)
+    binomials: dict = field(default_factory=dict)  # Z's denominator, by (a, b)
     zeta: object = None  # the reduced RationalFunction Z(t)
     notes: tuple = ()  # the degeneracy watermark, under an override
     poles: list = field(default_factory=list)
@@ -214,6 +215,7 @@ def compute(spec: ProblemSpec, override=False) -> Computation:
         raise DegeneracyError(bad[0])
     comp.terms = zeta.cone_terms(comp.partition, comp.counts, spec.p,
                                  spec.t_count)
-    comp.zeta = zeta.assemble(comp.terms, spec.p, spec.t_count)
+    comp.binomials = zeta.denominator_binomials(comp.terms, spec.t_count)
+    comp.zeta = zeta.assemble(comp.terms, spec.p, comp.binomials)
     comp.notes = (DEGENERACY_NOTE,) if bad else ()
     return comp

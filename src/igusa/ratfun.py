@@ -1,10 +1,16 @@
 """Exact univariate rational-function arithmetic in the variable t.
 
 Polynomials are dense lists of integer coefficients (index = power of t).
-Division is integer pseudo-division (exact by a monic divisor), and the
-gcd is the primitive polynomial remainder sequence (Knuth, TAOCP vol. 2,
-4.6.1): each pseudo-remainder is divided by its content, so coefficients
-stay small.
+Two division loops serve every job. `quotient` is exact division in
+Z[t], or None when it is not exact; `exact_div` is the same where the
+caller knows it is. `pseudo_remainder` is the remainder of lc^k * self,
+which by a monic divisor is the plain remainder. The gcd is the
+primitive polynomial remainder sequence over pseudo-remainders (Knuth,
+TAOCP vol. 2, 4.6.1): each is divided by its content, so coefficients
+stay small. `sum_over` divides by an irreducible monic base factor with
+`quotient`, and by one that can split through its remainder and a
+small gcd. By a monic divisor neither loop divides or rescales a
+coefficient, so each is one pass.
 
 RationalFunction keeps its canonical form: coprime integer polynomials,
 jointly content-free, with a positive leading coefficient of the
@@ -121,8 +127,9 @@ class Poly:
         n, lead = other.degree, v[-1]
         v_terms = [(j, c) for j, c in enumerate(v[:-1]) if c]
         for k in range(len(u) - n - 1, -1, -1):
-            c = u[n + k]
-            u = [x * lead for x in u[:n + k]]
+            c = u.pop()  # the coefficient of t^(n+k)
+            if lead != 1:  # by a monic divisor, a plain remainder
+                u = [x * lead for x in u]
             if c:
                 for j, vc in v_terms:
                     u[j + k] -= c * vc
@@ -142,12 +149,13 @@ class Poly:
         for k in range(len(q) - 1, -1, -1):
             c = rem[n + k]
             if c:
-                f, r = divmod(c, lead)
-                if r:
-                    return None
-                q[k] = f
+                if lead != 1:  # by a monic divisor, no division at all
+                    c, r = divmod(c, lead)
+                    if r:
+                        return None
+                q[k] = c
                 for j, vc in v_terms:
-                    rem[j + k] -= f * vc
+                    rem[j + k] -= c * vc
         if any(rem[:n]):
             return None
         return Poly._of(q)
@@ -160,20 +168,6 @@ class Poly:
             raise InternalConsistencyError(
                 f"division is not exact: ({self}) / ({other})")
         return q
-
-    def divmod_monic(self, other):
-        """(q, r) with self = q * other + r and deg r < deg other, for a
-        monic `other`, by which division is exact in Z[t]."""
-        rem, n = list(self.coeffs), other.degree
-        v_terms = [(j, c) for j, c in enumerate(other.coeffs[:-1]) if c]
-        q = [0] * max(0, len(rem) - n)
-        for k in range(len(q) - 1, -1, -1):
-            c = rem[n + k]
-            if c:
-                q[k] = c
-                for j, vc in v_terms:
-                    rem[j + k] -= c * vc
-        return Poly._of(q), Poly._of(rem[:n])
 
     def gcd(self, other):
         """Greatest common divisor in Z[t], with a positive leading
@@ -303,6 +297,15 @@ def binomial(a, b, p):
     return Poly({0: p**b, a: -1})
 
 
+def binomial_product(pairs, p):
+    """The product of the binomials p^b - t^a over the (a, b) in `pairs`,
+    each taken as often as it occurs."""
+    den = Poly.const(1)
+    for a, b in pairs:
+        den = den * binomial(a, b, p)
+    return den
+
+
 def sum_over(binomials, p, fractions):
     """The sum of num/d over the (num, d) Poly pairs in `fractions`, as one
     reduced RationalFunction, where every d divides over Q the product of
@@ -316,23 +319,22 @@ def sum_over(binomials, p, fractions):
     known denominator instead of by a gcd at full degree:
 
       with g = gcd(a, b), a = g a' and b = g b', t^a - p^b is the product
-      over d | g of F = Phi_d^hom(t^a', p^b'). Each F is monic, so N mod F
-      is exact in Z[t]; its roots are the t with t^a' = zeta p^b' for a
-      primitive d-th root of unity zeta, so F is squarefree and F's of
-      distinct (a', b', d) share no root. For d = 1, t^a' - p^b' is
-      irreducible (Capelli: p^b' is no q-th power for a prime q | a',
-      and it is positive), so F either divides N or is coprime to it;
-      for d > 1, F can split, and N shares gcd(N mod F, F) with it.
+      over d | g of F = Phi_d^hom(t^a', p^b'). Each F is monic, so N / F
+      and N mod F are exact in Z[t]; its roots are the t with t^a' =
+      zeta p^b' for a primitive d-th root of unity zeta, so F is
+      squarefree and F's of distinct (a', b', d) share no root. For
+      d = 1, t^a' - p^b' is irreducible (Capelli: p^b' is no q-th power
+      for a prime q | a', and it is positive), so F either divides N or
+      is coprime to it; for d > 1, F can split, and N shares
+      gcd(N mod F, F) with it.
 
     Every base factor is divided out as often as the numerator allows,
     then the joint content, the gcd that remains in Z[t], is cancelled.
     The result is the canonical form, the one `RationalFunction(num,
     den)` reaches through the full gcd.
     """
-    den = Poly.const(1)
-    for (a, b), m in binomials.items():
-        for _ in range(m):
-            den = den * binomial(a, b, p)
+    den = binomial_product(
+        (key for key, m in binomials.items() for _ in range(m)), p)
     parts = []
     for num, d in fractions:
         c = d.content()
@@ -347,13 +349,12 @@ def sum_over(binomials, p, fractions):
     den = den * common
     for factor, d, e in _coprime_base(binomials, p):
         for _ in range(e):
-            q, r = num.divmod_monic(factor)
-            if r.is_zero():
-                shared = factor
-            elif d == 1:
-                break
-            else:
-                shared = r.gcd(factor)
+            if d == 1:
+                shared, q = factor, num.quotient(factor)
+                if q is None:
+                    break
+            else:  # gcd(0, F) = F when F divides N
+                shared = num.pseudo_remainder(factor).gcd(factor)
                 if shared.degree == 0:
                     break
                 q = num.exact_div(shared)

@@ -19,7 +19,7 @@ from operator import mul
 from . import cones
 from .cones import ConePartition, RationalCone, simplicial_decompose
 from .errors import InternalConsistencyError
-from .ratfun import Poly, RationalFunction, binomial, sum_over
+from .ratfun import Poly, RationalFunction, binomial_product, sum_over
 
 
 @dataclass(frozen=True)
@@ -32,9 +32,6 @@ class ExpFactor:
     def __post_init__(self):
         if (self.a, self.b) == (0, 0):
             raise ValueError("p^0 - 1 would be the zero factor")
-
-    def numerator_poly(self, p):
-        return binomial(self.a, self.b, p)
 
 
 @dataclass(frozen=True)
@@ -53,11 +50,8 @@ class FactoredPiece:
                 raise InternalConsistencyError(
                     "numerator exponent escapes the denominator t-power")
             coeffs[a_total - a] += coeff * p**b
-        num = Poly(coeffs)
-        den = Poly.const(1)
-        for f in self.factors:
-            den = den * f.numerator_poly(p)
-        return num, den
+        return (Poly(coeffs),
+                binomial_product(((f.a, f.b) for f in self.factors), p))
 
     def to_json(self):
         return {"terms": [[c, a, b] for c, a, b in self.terms],
@@ -101,19 +95,19 @@ def s_delta(cone: RationalCone, partition: ConePartition, p):
         terms = tuple(sorted((1, *_exponents(partition, h))
                              for h in cones.parallelepiped_points(rays)))
         pieces.append(FactoredPiece(terms, factors))
-    binomials = _binomial_product(piece.factors for piece in pieces)
+    binomials = _largest_multiplicities(pieces)
     return (sum_over(binomials, p, (piece.expand(p) for piece in pieces)),
             tuple(pieces))
 
 
-def _binomial_product(factor_lists):
-    """The ExpFactors as a {(a, b): multiplicity} multiset, each at the
-    largest multiplicity it has in any one of the lists: the binomials
-    p^b - t^a whose product is a common denominator of the pieces, and
-    whose known factors `sum_over` reduces by."""
+def _largest_multiplicities(pieces):
+    """The ExpFactors of the pieces as a {(a, b): multiplicity} multiset,
+    each at the largest multiplicity it has in any one piece: the
+    binomials p^b - t^a whose product is a common denominator of the
+    pieces, and whose known factors `sum_over` reduces by."""
     mult = Counter()
-    for factors in factor_lists:
-        mult |= Counter((f.a, f.b) for f in factors)
+    for piece in pieces:
+        mult |= Counter((f.a, f.b) for f in piece.factors)
     return mult
 
 
@@ -194,21 +188,24 @@ def cone_terms(partition: ConePartition, counts, p, t_count):
             for cone, ct in zip(partition.cones, counts)]
 
 
-def assemble(terms, p, t_count) -> RationalFunction:
-    """Z(s) = sum over the cone terms of L * S, as a reduced rational
-    function in t.
-
-    The terms come from `cone_terms`; a degenerate input has already been
-    refused (or overridden) before any of them was built. The products
-    are added over one common denominator, the binomials of every
-    ExpFactor of the S pieces at its largest multiplicity in one piece,
-    times L's p^(s+t_count) - 1 where some cone has N or Q (elsewhere L
-    is a constant), and reduced once by those binomials' factors.
-    """
-    binomials = _binomial_product(
-        piece.factors for term in terms for piece in term.pieces)
+def denominator_binomials(terms, t_count):
+    """Z's common denominator as a {(a, b): multiplicity} multiset of
+    binomials p^b - t^a: every ExpFactor of the S pieces at its largest
+    multiplicity in one piece, and L's p^(s+t_count) - 1 once more where
+    some cone has N or Q (elsewhere L is a constant)."""
+    binomials = _largest_multiplicities(
+        piece for term in terms for piece in term.pieces)
     if any(term.counts.N or term.counts.Q for term in terms):
         binomials[1, t_count] += 1
+    return binomials
+
+
+def assemble(terms, p, binomials) -> RationalFunction:
+    """Z(s) = sum over the cone terms of L * S, as a reduced rational
+    function in t: the products are added over the product of
+    `binomials`, which `denominator_binomials` made of the same terms,
+    and reduced once by its factors. A degenerate input has already been
+    refused (or overridden) before any term was built."""
     total = sum_over(binomials, p,
                      ((term.L.num * term.S.num, term.L.den * term.S.den)
                       for term in terms))
@@ -223,27 +220,15 @@ def _check_no_pole_at_origin(rf: RationalFunction):
             "residual negative power of t survived reduction")
 
 
-def display_factors(terms, t_count):
-    """Distinct ExpFactors over all cones, for the common-denominator view:
-    those of the S pieces, and L's p^(s+t_count) - 1 where some cone has
-    N or Q."""
-    factors = {f for term in terms for piece in term.pieces
-               for f in piece.factors}
-    if any(term.counts.N or term.counts.Q for term in terms):
-        factors.add(ExpFactor(1, t_count))
-    return sorted(factors, key=lambda f: (f.a, f.b))
-
-
 def common_denominator_form(z: RationalFunction, factors, p):
     """(numerator Poly with integer coefficients, constant_divisor) with
-    z = numerator / (constant_divisor * prod factors), or None when the
-    reduced denominator does not divide that product.
+    z = numerator / (constant_divisor * prod factors), each (a, b) in
+    `factors` standing for p^(a*s+b) - 1, or None when the reduced
+    denominator does not divide that product.
 
     The constant divisor is p + 1 times the lcm of the denominators the
     numerator would otherwise have."""
-    den = Poly.const(p + 1)
-    for f in factors:
-        den = den * f.numerator_poly(p)
+    den = binomial_product(factors, p) * (p + 1)
     content = z.den.content()
     cof = den.quotient(z.den.primitive())
     if cof is None:

@@ -12,8 +12,7 @@ import pytest
 from igusa import cli, problem, zeta
 from igusa.errors import HypothesisError, InternalConsistencyError
 from igusa.problem import PSI_13, compute, parse_problem_file
-from igusa.ratfun import Poly, RationalFunction
-from igusa.zeta import ExpFactor
+from igusa.ratfun import Poly, RationalFunction, binomial
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "example_ideal.txt")
 
@@ -102,7 +101,7 @@ g=x + y + z + x*y*z
         zf = json.loads(payload)["zeta_factored"]
         den = Poly.const(zf["constant_divisor"])
         for a, b in zf["factors"]:
-            den = den * ExpFactor(a, b).numerator_poly(3)
+            den = den * binomial(a, b, 3)
         comp = compute(parse_problem_file(path))
         assert RationalFunction(Poly([int(c) for c in zf["numerator"]]), den) == comp.zeta
 
@@ -175,6 +174,25 @@ g=x + y + z + x*y*z
         assert out == ""
         assert capsys.readouterr().err == \
             f"parse error: {message} (at position 0)\n"
+
+    def test_deep_nesting_is_a_parse_error(self, tmp_path, capsys):
+        # 300 levels would overflow the parser's stack
+        path = write(tmp_path, "mode=single\nn=2\np=5\nf="
+                               + 300 * "(" + "x + y" + 300 * ")" + "\n")
+        code, out = run(["compute", path])
+        assert code == cli.EXIT_PARSE == 1
+        assert out == ""
+        assert capsys.readouterr().err == \
+            "parse error: parentheses nested deeper than 100 (at position 100)\n"
+
+    def test_face_enumeration_size_guard(self, tmp_path, capsys):
+        # x1 + x2 in n = 30 has 3 * 2^29 faces
+        path = write(tmp_path, "mode=single\nn=30\np=2\nf=x1 + x2\n")
+        code, out = run(["poles", path])
+        assert code == cli.EXIT_SIZE == 3
+        assert out == ""
+        assert capsys.readouterr().err.startswith(
+            "size guard: face enumeration")
 
     def test_parallelepiped_size_guard(self, tmp_path, capsys):
         # a simplicial piece of multiplicity 100460333 > ENUMERATION_LIMIT

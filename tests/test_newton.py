@@ -8,7 +8,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from igusa import linalg
+from igusa import errors, linalg
+from igusa.errors import SizeGuardError
 from igusa.newton import NewtonPolyhedron, face_restriction
 from igusa.polynomials import parse_polynomial
 
@@ -224,6 +225,24 @@ class TestAgainstReferences:
             assert gamma.m_value(normal) == offset and face.dim == 3
         # reference_facets finds the same 21, in about 30 s
         assert len(facets) == 21
+
+    def test_face_guard_comes_before_the_closure(self):
+        # x1 + x2 in n = 30: 31 facets and 3 * 2^29 faces
+        gamma = NewtonPolyhedron.of(parse_polynomial("x1 + x2", 30))
+        started = time.perf_counter()
+        with pytest.raises(SizeGuardError, match="face enumeration"):
+            gamma.enumerate_faces()
+        report_budget("refusing the faces of x1 + x2 in n = 30", started, 1.0)
+
+    def test_face_guard_bound(self, monkeypatch):
+        # n = 4 and 5 facets: at most 1 + 5 + 10 + 10 + 5 faces, each
+        # intersected with the 5 facets
+        f = parse_polynomial("x1 + x2", 4)
+        monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 31 * 5 - 1)
+        with pytest.raises(SizeGuardError):
+            NewtonPolyhedron.of(f).enumerate_faces()
+        monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 31 * 5)
+        assert len(NewtonPolyhedron.of(f).enumerate_faces()) == 3 * 2**3
 
 
 class TestFaceRestriction:

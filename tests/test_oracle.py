@@ -470,6 +470,12 @@ class TestCosetIntegral:
         with pytest.raises(HypothesisError):
             oracle.coset_integral((1, 2), f, g, 3, 1, 3)
 
+    def test_ideal_off_the_torus_refused(self):
+        # the ideal is read as a unit, which holds on the torus only
+        with pytest.raises(HypothesisError, match="off the torus"):
+            oracle.coset_integral((0, 1), example_ideal(), example_measure(),
+                                  13, 1, 2)
+
 
 class TestTorusIntegral:
     def test_constant_integrand(self):
@@ -495,6 +501,19 @@ class TestTorusIntegral:
         assert value == Fraction(144 - Fraction(36 * 13, 14), 13**2)
         b = oracle.torus_integral(f, g, 13, 1, 2)
         assert b.contains(value)
+
+    def test_monomial_ideal(self):
+        # the ideal never vanishes on the torus: N = Q = 0, and P = 36
+        # zeros of g, as for the monomial f side above
+        p = 13
+        value = torus_value(CountTriple(0, 36, 0), p, 2, 1)
+        b = oracle.torus_integral(example_ideal(), example_measure(), p, 1, 2)
+        assert b.contains(value)
+        a = oracle.find_base_point(example_ideal(), example_measure(), p,
+                                   want_fzero=False)
+        assert oracle.coset_integral(a, example_ideal(), example_measure(),
+                                     p, 1, 2).contains(
+            coset_value(False, True, p, 2, 1).evaluate(Fraction(1, p)))
 
     def test_degenerate_point_rejected(self):
         g = poly("x^4*y^2 + x*y^5")

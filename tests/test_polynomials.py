@@ -4,9 +4,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from igusa.errors import PolynomialParseError
-from igusa.polynomials import (IntegerPolynomial, MonomialIdealSpec,
-                               PolynomialMapping, parse_monomial_generator,
-                               parse_polynomial)
+from igusa.polynomials import (NESTING_LIMIT, IntegerPolynomial,
+                               MonomialIdealSpec, PolynomialMapping,
+                               parse_monomial_generator, parse_polynomial)
 
 
 def poly(text, n=2):
@@ -62,6 +62,15 @@ class TestParser:
     def test_exponent_limit(self):
         with pytest.raises(PolynomialParseError):
             poly("x^10000000")
+
+    def test_nesting_limit(self):
+        deepest = NESTING_LIMIT * "(" + "x" + NESTING_LIMIT * ")"
+        assert poly(f"{deepest} + {deepest}^2") == poly("x + x^2")
+        for depth in (NESTING_LIMIT + 1, 300, 10**5):
+            with pytest.raises(PolynomialParseError) as err:
+                poly("y + " + depth * "(" + "x" + depth * ")")
+            # at the first '(' past the limit
+            assert err.value.position == 4 + NESTING_LIMIT
 
     def test_monomial_generator(self):
         assert parse_monomial_generator("x^5*y", 2) == (5, 1)

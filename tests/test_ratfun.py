@@ -1,5 +1,7 @@
 """Exact univariate rational-function arithmetic."""
 
+import random
+import time
 from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
@@ -9,6 +11,8 @@ from hypothesis import given, settings, strategies as st
 
 from igusa.errors import InternalConsistencyError, PoleEvaluationError
 from igusa.ratfun import Poly, RationalFunction, binomial, sum_over
+
+from conftest import report_budget
 
 
 def P(*coeffs):
@@ -314,6 +318,18 @@ class TestSumOverReduction:
         twice = sum_over({(8, 4): 2}, 2, [(num * num, den * den)])
         assert (twice.num, twice.den) == (total.num * total.num,
                                           total.den * total.den)
+
+    def test_remainder_at_large_degree_budget(self):
+        # t + 7 = Phi_2^hom(t, 7), a factor of t^2 - 49 (d = 2), does not
+        # divide a random numerator of degree 20000: its remainder is
+        # taken in one pass, with no rescaled copy per step
+        rng = random.Random(1)
+        num = Poly([rng.randint(-5, 5) for _ in range(20000)])
+        den = binomial(2, 2, 7) * binomial(20000, 1, 7)
+        started = time.perf_counter()
+        total = sum_over({(2, 2): 1, (20000, 1): 1}, 7, [(num, den)])
+        report_budget("sum_over at t-degree 20000", started, 1.0)
+        assert total.den.degree == 20002
 
     def test_zero_sum(self):
         total = sum_over({(1, 1): 1}, 3, [(P(1), P(3, -1)), (P(-1), P(3, -1))])

@@ -231,6 +231,16 @@ class TestAssembly:
             assert with_ideal.zeta.evaluate(1) == \
                 g_alone.zeta.evaluate(Fraction(1, p))
 
+    def test_binomial_shared_by_l_and_s(self):
+        # f = x (1 + y): L's 5^(s+1) - 1 is also the binomial of the S
+        # piece on the ray (1, 0), so Z's denominator holds it twice
+        f = parse_polynomial("x + x*y", 2)
+        comp = compute(ProblemSpec("single", 2, 5, f, None))
+        assert comp.binomials == {(0, 1): 1, (1, 1): 2}
+        z_x = RationalFunction(Poly([4]), Poly([5, -1]))  # Z of x, of 1 + y
+        assert comp.zeta == z_x * z_x == RationalFunction(
+            Poly([16]), Poly([25, -10, 1]))
+
     def test_trivial_measure_single(self):
         # Z for f = x + y over Z_2: hand geometric series
         # sum over k of measure(ord f = k) p^{-ks}; known closed form
@@ -319,8 +329,8 @@ class TestLargeDiagonalCurves:
         zeros = sum(1 for x in range(p) for y in range(p)
                     if (x**a + y**b) % p == 0)
         assert z.evaluate(0) == 1 - Fraction(zeros, p**2)  # mu(ord f = 0)
-        factors = zeta.display_factors(comp.terms, 1)
-        assert zeta.common_denominator_form(z, factors, p) is not None
+        assert zeta.common_denominator_form(
+            z, sorted(comp.binomials), p) is not None
         report_budget(f"x^{a}+y^{b} at p = 7", started, self.BUDGETS[a, b])
 
 
@@ -345,11 +355,11 @@ class TestCommonDenominatorForm:
     def test_denominator_content_is_carried(self, content, form):
         # z = 1 / (content * (2 - t)) over (p + 1)(2^(s+1) - 1) at p = 2
         z = RationalFunction(Poly([1]), Poly([2 * content, -content]))
-        assert zeta.common_denominator_form(z, [ExpFactor(1, 1)], 2) == form
+        assert zeta.common_denominator_form(z, [(1, 1)], 2) == form
 
     def test_none_when_the_denominator_does_not_divide(self):
         z = RationalFunction(Poly([1]), Poly([1, 1]))
-        assert zeta.common_denominator_form(z, [ExpFactor(1, 1)], 2) is None
+        assert zeta.common_denominator_form(z, [(1, 1)], 2) is None
 
 
 class TestCandidatePoles:
