@@ -17,13 +17,13 @@ from .polynomials import (IntegerPolynomial, MonomialIdealSpec,
                           PolynomialMapping, parse_polynomial)
 from .problem import ProblemSpec, compute, parse_problem_file
 from .ratfun import Poly, RationalFunction
-from .zeta import CandidatePole, ExpFactor, candidate_poles
+from .zeta import CandidatePole, candidate_poles
 
 __version__ = "0.1.0"
 
 __all__ = [
     "Bracket", "CandidatePole", "ConePartition", "CountTriple",
-    "DegeneracyError", "DegeneracyReport", "ExpFactor", "Face",
+    "DegeneracyError", "DegeneracyReport", "Face",
     "HypothesisError", "IgusaError", "IntegerPolynomial",
     "InternalConsistencyError", "MonomialIdealSpec", "NewtonPolyhedron",
     "PoleEvaluationError", "Poly", "PolynomialMapping",

@@ -3,8 +3,9 @@
 Subcommands: compute (full pipeline with per-cone table), check
 (non-degeneracy reports, optionally swept over primes), oracle
 (truncated-integral bracket vs formula value) and poles (candidate-pole
-table). Text rendering is a pure function of the JSON report, so JSON
-output round-trips to byte-identical text.
+table). Every report's JSON document is built here alone, and its text
+is a pure function of it, so JSON output round-trips to byte-identical
+text.
 
 Exit codes: 0 ok, 1 parse error, 2 degeneracy, 3 size guard, 4 oracle
 violation, 5 internal error (a broken invariant, or any other exception
@@ -18,6 +19,7 @@ import dataclasses
 import json
 import sys
 from fractions import Fraction
+from math import log10
 
 from . import oracle, problem, zeta
 from .errors import (DegeneracyError, InternalConsistencyError,
@@ -82,9 +84,12 @@ def _fraction_str(value):
     try:
         return str(value)
     except ValueError:  # the only ValueError int.__str__ raises
-        raise SizeGuardError(
-            "printing the report needs an integer of more than "
-            f"{sys.get_int_max_str_digits()} digits") from None
+        raise _unprintable() from None
+
+
+def _unprintable():
+    return SizeGuardError("printing the report needs an integer of more "
+                          f"than {sys.get_int_max_str_digits()} digits")
 
 
 def _spec_doc(spec):
@@ -101,10 +106,22 @@ def _pole_rows(comp):
             for cp in comp.poles]
 
 
+def _ratfun_doc(rf):
+    return {"num": [_fraction_str(c) for c in rf.num.coeffs],
+            "den": [_fraction_str(c) for c in rf.den.coeffs]}
+
+
+def _report_doc(rep):
+    return {"ok": rep.ok,
+            "witnesses": [{"where": str(where), "point": list(point),
+                           "condition": condition}
+                          for where, point, condition in rep.witnesses]}
+
+
 def compute_report(comp):
     spec = comp.spec
     doc = {"command": "compute", "spec": _spec_doc(spec)}
-    doc["reports"] = {name: rep.to_json()
+    doc["reports"] = {name: _report_doc(rep)
                       for name, rep in comp.reports.items()}
     rows = []
     for i, term in enumerate(comp.terms):
@@ -115,12 +132,14 @@ def compute_report(comp):
             "rays": [list(r) for r in cone.rays],
             "counts": {"N": term.counts.N, "P": term.counts.P,
                        "Q": term.counts.Q},
-            "L": term.L.to_json(_fraction_str),
-            "S": term.S.to_json(_fraction_str),
-            "S_factored": [piece.to_json() for piece in term.pieces],
+            "L": _ratfun_doc(term.L),
+            "S": _ratfun_doc(term.S),
+            "S_factored": [{"terms": [list(t) for t in piece.terms],
+                            "factors": [list(f) for f in piece.factors]}
+                           for piece in term.pieces],
         })
     doc["cones"] = rows
-    doc["zeta"] = comp.zeta.to_json(_fraction_str)
+    doc["zeta"] = _ratfun_doc(comp.zeta)
     if comp.notes:
         doc["zeta"]["notes"] = list(comp.notes)
     factors = sorted(comp.binomials)
@@ -174,7 +193,7 @@ def check_report(reports_by_p):
         doc["results"].append({
             "p": p,
             "ok": all(rep.ok for rep in reports.values()),
-            "reports": {name: rep.to_json()
+            "reports": {name: _report_doc(rep)
                         for name, rep in reports.items()},
         })
     return doc
@@ -197,6 +216,9 @@ def render_check(doc):
 
 def oracle_report(comp, s0, M):
     spec = comp.spec
+    limit = sys.get_int_max_str_digits()
+    if limit and s0 * log10(spec.p) >= limit:  # p^s0 too long, unbuilt
+        raise _unprintable()
     tval = Fraction(1, spec.p**s0)
     t_value = _fraction_str(tval)  # refused before anything is evaluated
     value = comp.zeta.evaluate(tval)

@@ -40,11 +40,6 @@ class DegeneracyReport:
     ok: bool
     witnesses: tuple  # of (identifier, point, failed condition)
 
-    def to_json(self):
-        return {"ok": self.ok,
-                "witnesses": [{"where": str(w[0]), "point": list(w[1]),
-                               "condition": w[2]} for w in self.witnesses]}
-
 
 def _torus(p, n):
     guard(p - 1, f"the torus (F_{p}^x)^{n}", n)

@@ -10,8 +10,10 @@ comes with the unimodular column transform that brings a matrix to it.
 """
 
 import itertools
-from math import gcd
+from math import comb, gcd
 from operator import mul
+
+from .errors import guard
 
 
 def vec_dot(a, b):
@@ -28,18 +30,14 @@ def vec_sub(a, b):
 
 def primitive(v):
     """Scale an integer vector by 1/gcd; zero vector stays zero."""
-    g = 0
-    for x in v:
-        g = gcd(g, abs(x))
-    if g == 0:
-        return tuple(v)
-    return tuple(x // g for x in v)
+    g = gcd(*v)
+    return tuple(x // g for x in v) if g else tuple(v)
 
 
 def _eliminate(rows):
     """Fraction-free forward elimination (Bareiss 1968).
 
-    Returns (echelon rows, pivot columns, sign of the row permutation).
+    Returns (echelon rows, pivot columns).
     Each step divides exactly by the previous pivot, so every entry stays
     an integer: after k pivots, an entry below them is the minor on the k
     pivot rows and columns plus its own row and column. So the last of r
@@ -47,7 +45,7 @@ def _eliminate(rows):
     """
     m = [list(row) for row in rows]
     pivots = []
-    sign, prev = 1, 1
+    prev = 1
     ncols = len(m[0]) if m else 0
     for c in range(ncols):
         r = len(pivots)
@@ -58,14 +56,13 @@ def _eliminate(rows):
             if pivot is None:
                 continue
             m[r], m[pivot] = m[pivot], m[r]
-            sign = -sign
         top, p = m[r], m[r][c]
         for i in range(r + 1, len(m)):
             f = m[i][c]
             m[i] = [(a * p - f * b) // prev for a, b in zip(m[i], top)]
         prev = p
         pivots.append(c)
-    return m, pivots, sign
+    return m, pivots
 
 
 def rank(rows):
@@ -158,7 +155,8 @@ def cone_facets(rays):
     primitive h with h . r >= 0 for every ray and d-1 independent rays
     tight, d = the dimension of the space.
 
-    Each (d-1)-subset of the rays is eliminated once; one of rank d-1 has
+    Each (d-1)-subset of the rays is eliminated once, after the size
+    guard has weighed their number; one of rank d-1 has
     a single free column, and its kernel vector is the candidate, on which
     the d-1 rays are tight. A candidate that supports the cone is a facet
     normal. The sum of the rays lies in the interior, where every facet
@@ -166,10 +164,11 @@ def cone_facets(rays):
     span the same hyperplane, and each hyperplane is tested once.
     """
     d = len(rays[0])
+    guard(comb(len(rays), d - 1), "facet search")
     interior = [sum(col) for col in zip(*rays)]
     supporting = {}
     for sub in itertools.combinations(rays, d - 1):
-        echelon, pivots, _ = _eliminate(sub)
+        echelon, pivots = _eliminate(sub)
         if len(pivots) < d - 1:
             continue
         free, = set(range(d)).difference(pivots)

@@ -276,18 +276,6 @@ class RationalFunction:
             raise PoleEvaluationError(f"evaluation at pole t = {tval}")
         return self.num.evaluate(tval) / den
 
-    def to_json(self, number_str=str):
-        """The coefficients as strings, each made by `number_str`."""
-        return {"num": [number_str(c) for c in self.num.coeffs],
-                "den": [number_str(c) for c in self.den.coeffs]}
-
-    def __str__(self):
-        if self.den == Poly.const(1):
-            return str(self.num)
-        return f"({self.num}) / ({self.den})"
-
-    __repr__ = __str__
-
 
 def binomial(a, b, p):
     """p^b - t^a, the expansion of p^(a*s+b) - 1 times t^a (a constant

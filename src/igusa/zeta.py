@@ -3,7 +3,7 @@ sums S, their product-sum, and candidate-pole extraction.
 
 The prime p is a fixed integer, so everything is an exact rational
 function in t = p^(-s). Exponentials p^(a*s+b) turn into p^b * t^(-a);
-the factor p^(a*s+b) - 1 is kept symbolically as an ExpFactor (a, b) for
+the factor p^(a*s+b) - 1 is kept symbolically as the pair (a, b) for
 display and becomes (p^b - t^a)/t^a when expanded.
 """
 
@@ -23,39 +23,22 @@ from .ratfun import Poly, RationalFunction, binomial_product, sum_over
 
 
 @dataclass(frozen=True)
-class ExpFactor:
-    """The denominator factor p^(a*s+b) - 1."""
-
-    a: int  # coefficient of s (nonnegative)
-    b: int  # constant part
-
-    def __post_init__(self):
-        if (self.a, self.b) == (0, 0):
-            raise ValueError("p^0 - 1 would be the zero factor")
-
-
-@dataclass(frozen=True)
 class FactoredPiece:
-    """sum of coeff * p^(a*s+b) terms over a product of ExpFactors."""
+    """sum of coeff * p^(a*s+b) terms over a product of p^(a*s+b) - 1."""
 
     terms: tuple  # of (coeff, a, b)
-    factors: tuple  # of ExpFactor
+    factors: tuple  # of (a, b), a the coefficient of s
 
     def expand(self, p):
         """(numerator, denominator) Polys of the piece, unreduced."""
-        a_total = sum(f.a for f in self.factors)
+        a_total = sum(a for a, _ in self.factors)
         coeffs = [0] * (a_total + 1)
         for coeff, a, b in self.terms:
             if a > a_total:
                 raise InternalConsistencyError(
                     "numerator exponent escapes the denominator t-power")
             coeffs[a_total - a] += coeff * p**b
-        return (Poly(coeffs),
-                binomial_product(((f.a, f.b) for f in self.factors), p))
-
-    def to_json(self):
-        return {"terms": [[c, a, b] for c, a, b in self.terms],
-                "factors": [[f.a, f.b] for f in self.factors]}
+        return Poly(coeffs), binomial_product(self.factors, p)
 
 
 @dataclass(frozen=True)
@@ -88,9 +71,8 @@ def s_delta(cone: RationalCone, partition: ConePartition, p):
         return RationalFunction.const(1), (FactoredPiece(((1, 0, 0),), ()),)
     pieces = []
     for rays in simplicial_decompose(cone, partition):
-        exps = [_exponents(partition, k) for k in rays]
-        _check_linear(partition, rays, exps)
-        factors = tuple(ExpFactor(a, b) for a, b in exps)
+        factors = tuple(_exponents(partition, k) for k in rays)
+        _check_linear(partition, rays, factors)
         # looked up on the module, where perfbench/tracing.py wraps it
         terms = tuple(sorted((1, *_exponents(partition, h))
                              for h in cones.parallelepiped_points(rays)))
@@ -101,13 +83,13 @@ def s_delta(cone: RationalCone, partition: ConePartition, p):
 
 
 def _largest_multiplicities(pieces):
-    """The ExpFactors of the pieces as a {(a, b): multiplicity} multiset,
+    """The factors of the pieces as a {(a, b): multiplicity} multiset,
     each at the largest multiplicity it has in any one piece: the
     binomials p^b - t^a whose product is a common denominator of the
     pieces, and whose known factors `sum_over` reduces by."""
     mult = Counter()
     for piece in pieces:
-        mult |= Counter((f.a, f.b) for f in piece.factors)
+        mult |= Counter(piece.factors)
     return mult
 
 
@@ -190,7 +172,7 @@ def cone_terms(partition: ConePartition, counts, p, t_count):
 
 def denominator_binomials(terms, t_count):
     """Z's common denominator as a {(a, b): multiplicity} multiset of
-    binomials p^b - t^a: every ExpFactor of the S pieces at its largest
+    binomials p^b - t^a: every factor of the S pieces at its largest
     multiplicity in one piece, and L's p^(s+t_count) - 1 once more where
     some cone has N or Q (elsewhere L is a constant)."""
     binomials = _largest_multiplicities(

@@ -1,6 +1,7 @@
 """Command-line interface: exit codes, rendering, JSON round-trips."""
 
 import io
+import itertools
 import json
 import pathlib
 import sys
@@ -194,6 +195,22 @@ g=x + y + z + x*y*z
         assert capsys.readouterr().err.startswith(
             "size guard: face enumeration")
 
+    def test_facet_search_size_guard(self, tmp_path, capsys):
+        # the 286 monomials of degree 10 in n = 4 and the 4 axes are the
+        # rays of the cone over Gamma: C(290, 4) subsets of 4 of them
+        terms = ("*".join(f"x{i}" for i in m) for m in
+                 itertools.combinations_with_replacement(range(1, 5), 10))
+        path = write(tmp_path, "mode=single\nn=4\np=2\nf="
+                               + " + ".join(terms) + "\n")
+        started = time.perf_counter()
+        code, out = run(["poles", path])
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_SIZE == 3
+        assert out == ""
+        assert capsys.readouterr().err == ("size guard: facet search needs "
+                                           "288641640 steps, over the limit "
+                                           "100000000\n")
+
     def test_parallelepiped_size_guard(self, tmp_path, capsys):
         # a simplicial piece of multiplicity 100460333 > ENUMERATION_LIMIT
         path = write(tmp_path, "mode=single\nn=3\np=2\n"
@@ -359,6 +376,22 @@ class TestOracle:
         assert code == cli.EXIT_SIZE == 3
         assert text == ""
         assert capsys.readouterr().err.startswith("size guard: printing")
+
+    def test_huge_s0_is_refused_unbuilt(self, capsys):
+        limit = sys.get_int_max_str_digits()
+        if limit == 0:
+            pytest.skip("integer string conversion is unlimited")
+        # 13^(10^9) has over 10^9 digits: refused by their count, before
+        # it is built
+        started = time.perf_counter()
+        code, text = run(["oracle", FIXTURE, "--level", "2",
+                          "--s0", "1000000000"])
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_SIZE == 3
+        assert text == ""
+        assert capsys.readouterr().err == (
+            "size guard: printing the report needs an integer of more than "
+            f"{limit} digits\n")
 
     def test_json_round_trip(self, tmp_path):
         path = write(tmp_path, SINGLE)

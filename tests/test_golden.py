@@ -29,6 +29,7 @@ INPUTS = {
     "single_g": GOLDEN / "single_g.txt",
     "mapping": GOLDEN / "mapping.txt",
     "mapping_g": GOLDEN / "mapping_g.txt",
+    "pair_witness": GOLDEN / "pair_witness.txt",  # check fails pair at p=3
     "example_ideal": FIXTURES / "example_ideal.txt",
 }
 COMMANDS = {

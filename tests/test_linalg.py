@@ -130,7 +130,7 @@ def invariant_factors(rows):
 def kernel_vectors(rows):
     """The kernel vectors `cone_facets` takes: one elimination, then one
     back-substitution per free column, in column order."""
-    echelon, pivots, _ = linalg._eliminate(rows)
+    echelon, pivots = linalg._eliminate(rows)
     return [linalg._kernel_vector(echelon, pivots, f)
             for f in range(len(rows[0])) if f not in pivots]
 

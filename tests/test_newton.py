@@ -244,6 +244,16 @@ class TestAgainstReferences:
         monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 31 * 5)
         assert len(NewtonPolyhedron.of(f).enumerate_faces()) == 3 * 2**3
 
+    def test_facet_guard_bound(self, monkeypatch):
+        # the cone over Gamma has 2 support points and 4 axes as rays in
+        # R^5, so the facet search eliminates C(6, 4) = 15 subsets
+        f = parse_polynomial("x1 + x2", 4)
+        monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 14)
+        with pytest.raises(SizeGuardError, match="facet search needs 15 "):
+            NewtonPolyhedron.of(f).facets()
+        monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 15)
+        assert len(NewtonPolyhedron.of(f).facets()) == 5
+
 
 class TestFaceRestriction:
     def test_restriction_keeps_face_terms(self):
