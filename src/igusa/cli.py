@@ -46,24 +46,17 @@ def _ratfun_str(doc):
 
 
 def _exp_str(p, a, b):
+    # b = m_g(k) + sigma(k) >= 1 for every k != 0, so b > 0 wherever a > 0
     if a == 0:
         return f"{p}^{b}"
-    head = f"{a}s" if a != 1 else "s"
-    if b > 0:
-        return f"{p}^({head}+{b})"
-    if b < 0:
-        return f"{p}^({head}{b})"
-    return f"{p}^({head})"
+    return f"{p}^({a if a != 1 else ''}s+{b})"
 
 
 def _factored_str(p, pieces):
     chunks = []
     for piece in pieces:
-        terms = []
-        for c, a, b in piece["terms"]:
-            body = _exp_str(p, a, b) if (a, b) != (0, 0) else "1"
-            terms.append(body if c == 1 else f"{c}*{body}")
-        num = " + ".join(terms)
+        num = " + ".join(_exp_str(p, a, b) if (a, b) != (0, 0) else "1"
+                         for _, a, b in piece["terms"])
         if not piece["factors"]:
             chunks.append(num)
             continue
@@ -134,7 +127,7 @@ def compute_report(comp):
                        "Q": term.counts.Q},
             "L": _ratfun_doc(term.L),
             "S": _ratfun_doc(term.S),
-            "S_factored": [{"terms": [list(t) for t in piece.terms],
+            "S_factored": [{"terms": [[1, a, b] for a, b in piece.terms],
                             "factors": [list(f) for f in piece.factors]}
                            for piece in term.pieces],
         })

@@ -132,16 +132,18 @@ class NewtonPolyhedron:
         of the facets closed under intersection with each facet, dropping
         pairs that touch no support point: the face lattice from facet
         incidences (Kaibel and Pfetsch 2002), at a cost of #faces x
-        #facets set intersections. A proper face of dimension k is the
-        intersection of n - k facets, which bounds #faces before the
-        closure starts.
+        #facets set intersections. Each face also costs an n x n rank for
+        its dimension, here and again for its cone's in
+        `cones.partition_single`, so the guard weighs a face as #facets +
+        n^2 steps. A proper face of dimension k is the intersection of
+        n - k facets, which bounds #faces before the closure starts.
         """
         if self._faces is not None:
             return list(self._faces)
         facets = [(face.touching, face.recession) for _, _, face in self.facets()]
         bound = 1 + sum(comb(len(facets), i)
                         for i in range(1, min(self.n, len(facets)) + 1))
-        guard(bound * len(facets), "face enumeration")
+        guard(bound * (len(facets) + self.n**2), "face enumeration")
         found = set(facets)
         todo = list(facets)
         while todo:

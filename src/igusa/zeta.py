@@ -12,9 +12,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 from math import gcd
-from operator import mul
 
 from . import cones
 from .cones import ConePartition, RationalCone, simplicial_decompose
@@ -24,20 +22,20 @@ from .ratfun import Poly, RationalFunction, binomial_product, sum_over
 
 @dataclass(frozen=True)
 class FactoredPiece:
-    """sum of coeff * p^(a*s+b) terms over a product of p^(a*s+b) - 1."""
+    """A sum of terms p^(a*s+b) over a product of factors p^(a*s+b) - 1."""
 
-    terms: tuple  # of (coeff, a, b)
-    factors: tuple  # of (a, b), a the coefficient of s
+    terms: tuple  # of (a, b), a the coefficient of s
+    factors: tuple  # of (a, b)
 
     def expand(self, p):
         """(numerator, denominator) Polys of the piece, unreduced."""
         a_total = sum(a for a, _ in self.factors)
         coeffs = [0] * (a_total + 1)
-        for coeff, a, b in self.terms:
+        for a, b in self.terms:
             if a > a_total:
                 raise InternalConsistencyError(
                     "numerator exponent escapes the denominator t-power")
-            coeffs[a_total - a] += coeff * p**b
+            coeffs[a_total - a] += p**b
         return Poly(coeffs), binomial_product(self.factors, p)
 
 
@@ -68,13 +66,13 @@ def s_delta(cone: RationalCone, partition: ConePartition, p):
     contributes 1.
     """
     if cone.dim == 0:
-        return RationalFunction.const(1), (FactoredPiece(((1, 0, 0),), ()),)
+        return RationalFunction.const(1), (FactoredPiece(((0, 0),), ()),)
     pieces = []
     for rays in simplicial_decompose(cone, partition):
         factors = tuple(_exponents(partition, k) for k in rays)
         _check_linear(partition, rays, factors)
         # looked up on the module, where perfbench/tracing.py wraps it
-        terms = tuple(sorted((1, *_exponents(partition, h))
+        terms = tuple(sorted(_exponents(partition, h)
                              for h in cones.parallelepiped_points(rays)))
         pieces.append(FactoredPiece(terms, factors))
     binomials = _largest_multiplicities(pieces)
@@ -114,41 +112,35 @@ def coset_value(fzero, gzero, p, n, t_count) -> RationalFunction:
 
     `l_delta` sums it over the torus; the oracle brackets it per coset.
     """
-    num, den = Poly([1]), Poly([p**n * (p + 1 if gzero else 1)])
-    if fzero:
-        ptc = p**t_count
-        num, den = Poly([0, ptc - 1]), den * Poly([ptc, -1])
-    return RationalFunction(num, den)
+    sizes = [0, 0, 0, 0]
+    sizes[fzero + 2 * gzero] = 1
+    return _class_sum(sizes, p, n, t_count)
 
 
-@lru_cache(maxsize=64)
-def _class_numerators(p, n, t_count):
-    """The shared denominator p^n (p+1) (p^tc - t) of the four coset
-    values, classes ordered (neither vanishes, the f side only, g only,
-    both), and their numerators over it as columns: column i holds the
-    four coefficients of t^i. The same for every cone of a problem."""
-    den = Poly([p**t_count, -1]) * (p**n * (p + 1))
-    values = (coset_value(fzero, gzero, p, n, t_count)
-              for gzero in (False, True) for fzero in (False, True))
-    return den, tuple(zip(*((value.num * den.exact_div(value.den)).coeffs
-                            for value in values)))
+def _class_sum(sizes, p, n, t_count) -> RationalFunction:
+    """The coset values of the four classes (neither vanishes, the f side
+    only, g only, both), weighted by `sizes` and added over their shared
+    denominator p^n (p+1) (p^tc - t), reduced. Over it a class has the
+    numerator p^tc - t where the f side does not vanish and t (p^tc - 1)
+    where it does, either times p + 1 where g does not vanish."""
+    neither, f_only, g_only, both = sizes
+    ptc = p**t_count
+    fixed, vanishing = (p + 1) * neither + g_only, (p + 1) * f_only + both
+    return RationalFunction(Poly([fixed * ptc, vanishing * (ptc - 1) - fixed]),
+                            Poly([ptc, -1]) * (p**n * (p + 1)))
 
 
 def l_delta(counts, p, n, t_count) -> RationalFunction:
     """The local factor L of a cone: the sum of `coset_value` over the
     (p-1)^n torus residues, whose classes count (p-1)^n - N - P - Q
-    (neither vanishes), N (the f side only), P (g only) and Q (both),
-    added over their shared denominator and reduced once.
+    (neither vanishes), N (the f side only), P (g only) and Q (both).
 
     One formula serves every f side: a single polynomial is t_count = 1,
     and a monomial ideal, whose f side never vanishes on the torus, has
     N = Q = 0 and a constant L.
     """
-    den, columns = _class_numerators(p, n, t_count)
-    sizes = ((p - 1)**n - counts.N - counts.P - counts.Q, counts.N,
-             counts.P, counts.Q)
-    return RationalFunction(
-        Poly([sum(map(mul, column, sizes)) for column in columns]), den)
+    return _class_sum(((p - 1)**n - counts.N - counts.P - counts.Q, counts.N,
+                       counts.P, counts.Q), p, n, t_count)
 
 
 # -- assembly -----------------------------------------------------------

@@ -56,18 +56,18 @@ def test_criterion_1_ray_table_and_poles():
 
 
 # per-cone expectations: ray tuple, then the S data (denominator factors
-# as (a, b) pairs of p^(a*s+b)-1, numerator terms as (coeff, a, b))
+# as (a, b) pairs of p^(a*s+b)-1, numerator terms p^(a*s+b) as (a, b) pairs)
 CONE_TABLE = [
-    ((), (), [(1, 0, 0)]),
-    (((1, 0),), ((2, 2),), [(1, 0, 0)]),
-    (((1, 0), (3, 1)), ((2, 2), (11, 12)), [(1, 0, 0)]),
-    (((3, 1),), ((11, 12),), [(1, 0, 0)]),
-    (((1, 1), (3, 1)), ((5, 8), (11, 12)), [(1, 0, 0), (1, 8, 10)]),
-    (((1, 1),), ((5, 8),), [(1, 0, 0)]),
-    (((1, 1), (1, 2)), ((5, 8), (7, 11)), [(1, 0, 0)]),
-    (((1, 2),), ((7, 11),), [(1, 0, 0)]),
-    (((0, 1), (1, 2)), ((1, 3), (7, 11)), [(1, 0, 0)]),
-    (((0, 1),), ((1, 3),), [(1, 0, 0)]),
+    ((), (), [(0, 0)]),
+    (((1, 0),), ((2, 2),), [(0, 0)]),
+    (((1, 0), (3, 1)), ((2, 2), (11, 12)), [(0, 0)]),
+    (((3, 1),), ((11, 12),), [(0, 0)]),
+    (((1, 1), (3, 1)), ((5, 8), (11, 12)), [(0, 0), (8, 10)]),
+    (((1, 1),), ((5, 8),), [(0, 0)]),
+    (((1, 1), (1, 2)), ((5, 8), (7, 11)), [(0, 0)]),
+    (((1, 2),), ((7, 11),), [(0, 0)]),
+    (((0, 1), (1, 2)), ((1, 3), (7, 11)), [(0, 0)]),
+    (((0, 1),), ((1, 3),), [(0, 0)]),
 ]
 
 

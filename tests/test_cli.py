@@ -195,6 +195,25 @@ g=x + y + z + x*y*z
         assert capsys.readouterr().err.startswith(
             "size guard: face enumeration")
 
+    def test_face_guard_weighs_each_face(self, tmp_path, capsys):
+        # x1 in n = 20 has 2^20 faces and 20 facets; each face costs its
+        # 20 intersections and a 20 x 20 rank, 2^20 * 420 steps in all
+        path = write(tmp_path, "mode=single\nn=20\np=2\nf=x1\n")
+        started = time.perf_counter()
+        code, out = run(["poles", path])
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_SIZE == 3
+        assert out == ""
+        assert capsys.readouterr().err == ("size guard: face enumeration "
+                                           "needs 440401920 steps, over the "
+                                           "limit 100000000\n")
+        # its 2^10 faces in n = 10 are still enumerated
+        path = write(tmp_path, "mode=single\nn=10\np=2\nf=x1\n")
+        code, out = run(["poles", path])
+        assert code == cli.EXIT_OK
+        assert out == ("candidate poles (real parts):\n  -1       from ray "
+                       f"{(1,) + (0,) * 9}; L-factor\n")
+
     def test_facet_search_size_guard(self, tmp_path, capsys):
         # the 286 monomials of degree 10 in n = 4 and the 4 axes are the
         # rays of the cone over Gamma: C(290, 4) subsets of 4 of them

@@ -8,7 +8,9 @@ in size, so p divides some of them. Each goes through `cli.main` with
 --json as compute, check --sweep 2,3,5, poles, and, where p^(2n) <=
 20,000, oracle --level 2 at s0 = 1 and 2. No exit may be other than
 0 (ok), 2 (degenerate) or 3 (size guard): exit 1 would refuse a valid
-file, 4 is a bracket violation and 5 an escaped exception.
+file, 4 is a bracket violation and 5 an escaped exception. Every
+exponent p^(a*s+b) of a computed report other than the term 1 has
+b >= 1, the only form the renderer prints for a > 0.
 """
 
 import contextlib
@@ -87,6 +89,20 @@ def _every_exit_is_documented_and_brackets_hold(problem):
             assert code in ACCEPTED_EXITS, (text, command, code, err)
             if command[0] == "oracle" and code == cli.EXIT_OK:
                 assert json.loads(out)["contained"] is True, (text, command)
+            if command[0] == "compute" and code == cli.EXIT_OK:
+                assert all(b >= 1 for _, b in _exponents(json.loads(out))), \
+                    text
+
+
+def _exponents(doc):
+    """The (a, b) of every S term other than 1, S factor and Z factor of
+    a compute report."""
+    for row in doc["cones"]:
+        for piece in row["S_factored"]:
+            yield from ((a, b) for _, a, b in piece["terms"]
+                        if (a, b) != (0, 0))
+            yield from piece["factors"]
+    yield from doc.get("zeta_factored", {}).get("factors", [])
 
 
 def test_no_accepted_input_ends_in_a_traceback():

@@ -236,12 +236,12 @@ class TestAgainstReferences:
 
     def test_face_guard_bound(self, monkeypatch):
         # n = 4 and 5 facets: at most 1 + 5 + 10 + 10 + 5 faces, each
-        # intersected with the 5 facets
+        # intersected with the 5 facets and weighed by a 4 x 4 rank
         f = parse_polynomial("x1 + x2", 4)
-        monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 31 * 5 - 1)
+        monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 31 * 21 - 1)
         with pytest.raises(SizeGuardError):
             NewtonPolyhedron.of(f).enumerate_faces()
-        monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 31 * 5)
+        monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 31 * 21)
         assert len(NewtonPolyhedron.of(f).enumerate_faces()) == 3 * 2**3
 
     def test_facet_guard_bound(self, monkeypatch):

@@ -1,5 +1,7 @@
 """Parser, printer and ring arithmetic of sparse integer polynomials."""
 
+import re
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -25,6 +27,7 @@ class TestParser:
     def test_unary_minus_and_parens(self):
         assert poly("-(x - y)") == poly("y - x")
         assert poly("--x") == poly("x")
+        assert poly("x*-y") == poly("-x*y")
 
     def test_power_binds_tighter_than_product(self):
         assert poly("x*y^2") == poly("x*(y^2)")
@@ -43,9 +46,14 @@ class TestParser:
         assert poly(" x +\t y ") == poly("x+y")
 
     def test_error_position(self):
-        with pytest.raises(PolynomialParseError) as err:
-            poly("x + @")
-        assert err.value.position == 4
+        for text, message, position in [
+                ("x + @", "expected a number, variable or '('", 4),
+                ("(x+y", "expected ')'", 4),
+                ("x^", "exponent expected after '^'", 2)]:
+            with pytest.raises(PolynomialParseError,
+                               match=re.escape(message)) as err:
+                poly(text)
+            assert err.value.position == position
 
     def test_unknown_variable(self):
         with pytest.raises(PolynomialParseError):

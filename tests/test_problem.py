@@ -75,6 +75,8 @@ class TestParsing:
         ("mode=single\nn=2\np=5\nf=x + 1\n", "f(0)"),
         ("mode=single\nn=2\np=5\nf=x\ng=x*y + 1\n", "g(0)"),
         ("mode=single\nn=2\np=5\nf=x + %\n", "" ),
+        ("mode=single\nn=2\np=5\nf=x - x\n", "f is zero"),
+        ("mode=single\nn=2\np=5\nf=x\ng=x - x\n", "g is zero"),
     ])
     def test_rejects(self, text, fragment):
         with pytest.raises(PolynomialParseError) as exc:
