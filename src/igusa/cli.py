@@ -135,16 +135,16 @@ def compute_report(comp):
     doc["zeta"] = _ratfun_doc(comp.zeta)
     if comp.notes:
         doc["zeta"]["notes"] = list(comp.notes)
-    factors = sorted(comp.binomials)
-    common = zeta.common_denominator_form(comp.zeta, factors, spec.p)
-    if common is not None:
-        numerator, const = common
-        _fraction_str(const)  # refused here, not half-way through the output
-        doc["zeta_factored"] = {
-            "numerator": [_fraction_str(c) for c in numerator.coeffs],
-            "constant_divisor": const,
-            "factors": [list(f) for f in factors],
-        }
+    # a pole at its multiplicity; a constant (a = 0) only scales, so once
+    factors = sorted(f for f, m in comp.binomials.items()
+                     for _ in range(m if f[0] else 1))
+    numerator, const = zeta.common_denominator_form(comp.zeta, factors, spec.p)
+    _fraction_str(const)  # refused here, not half-way through the output
+    doc["zeta_factored"] = {
+        "numerator": [_fraction_str(c) for c in numerator.coeffs],
+        "constant_divisor": const,
+        "factors": [list(f) for f in factors],
+    }
     doc["poles"] = _pole_rows(comp)
     return doc
 
@@ -170,12 +170,11 @@ def render_compute(doc):
     for note in doc["zeta"].get("notes", []):
         lines.append(f"note: {note}")
     lines.append(f"Z(s) = {_ratfun_str(doc['zeta'])}")
-    if "zeta_factored" in doc:
-        zf = doc["zeta_factored"]
-        den = f"{zf['constant_divisor']}" + "".join(
-            f"({_exp_str(p, a, b)}-1)" for a, b in zf["factors"])
-        lines.append(f"     = ({_poly_str(zf['numerator'])})")
-        lines.append(f"       / ({den})")
+    zf = doc["zeta_factored"]
+    den = f"{zf['constant_divisor']}" + "".join(
+        f"({_exp_str(p, a, b)}-1)" for a, b in zf["factors"])
+    lines.append(f"     = ({_poly_str(zf['numerator'])})")
+    lines.append(f"       / ({den})")
     lines.append("")
     return "\n".join(lines) + "\n" + render_poles(doc)
 
@@ -216,7 +215,7 @@ def oracle_report(comp, s0, M):
     t_value = _fraction_str(tval)  # refused before anything is evaluated
     value = comp.zeta.evaluate(tval)
     bracket = oracle.truncated_integral(spec.fside, spec.g, spec.p, s0, M)
-    return {
+    doc = {
         "command": "oracle", "spec": _spec_doc(spec),
         "s0": s0, "level": M, "t_value": t_value,
         "formula_value": _fraction_str(value),
@@ -224,12 +223,16 @@ def oracle_report(comp, s0, M):
                     "hi": _fraction_str(bracket.hi)},
         "contained": bracket.contains(value),
     }
+    if comp.notes:
+        doc["notes"] = list(comp.notes)
+    return doc
 
 
 def render_oracle(doc):
-    lines = [f"s0={doc['s0']} level={doc['level']} t={doc['t_value']}",
-             f"formula value: {doc['formula_value']}",
-             f"bracket: [{doc['bracket']['lo']}, {doc['bracket']['hi']}]"]
+    lines = [f"s0={doc['s0']} level={doc['level']} t={doc['t_value']}"]
+    lines += [f"note: {note}" for note in doc.get("notes", [])]
+    lines += [f"formula value: {doc['formula_value']}",
+              f"bracket: [{doc['bracket']['lo']}, {doc['bracket']['hi']}]"]
     lines.append("contained" if doc["contained"] else "bracket violation")
     return "\n".join(lines) + "\n"
 

@@ -84,9 +84,11 @@ def _angular_sort(cones, n):
 
 def partition_single(gamma: NewtonPolyhedron) -> ConePartition:
     """The partition D of R_+^n: one relatively open cone per face."""
+    facets = gamma.facets()
     cones = []
     for face in gamma.enumerate_faces():
-        normals = [normal for normal, _, _ in gamma.facets_containing(face)]
+        normals = [normal for normal, _, facet in facets
+                   if facet.contains_face(face)]
         dim = linalg.rank(normals)
         if dim != gamma.n - face.dim:
             raise InternalConsistencyError(

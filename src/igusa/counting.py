@@ -22,7 +22,7 @@ from math import prod
 from .cones import partition_single
 from .errors import guard
 from .linalg import smith_form, vec_dot, vec_sub
-from .newton import NewtonPolyhedron, face_restriction
+from .newton import Face, NewtonPolyhedron, face_restriction
 from .polynomials import IntegerPolynomial, PolynomialMapping
 
 @dataclass(frozen=True)
@@ -195,12 +195,12 @@ def _report(named_zeros, condition) -> DegeneracyReport:
     return DegeneracyReport(not witnesses, witnesses)
 
 
-def _face_report(gamma, labels, zeros, condition) -> DegeneracyReport:
-    """The report over every face of gamma in enumerate_faces order, with
-    the zeros listed for the first of `labels` equal to the face."""
+def _face_report(labels, zeros, condition) -> DegeneracyReport:
+    """The report over the distinct faces among the cones' `labels`, in
+    face order, each with the zeros of the first cone that carries it."""
     first = dict(zip(reversed(labels), reversed(zeros)))  # the first wins
     return _report(((face_name(face), first[face])
-                   for face in gamma.enumerate_faces()), condition)
+                   for face in sorted(first, key=Face.order)), condition)
 
 
 SINGULAR = "face polynomial has a singular torus zero"
@@ -233,9 +233,11 @@ def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
 
 def cone_checks(fside, g, partition, p):
     """The (N, P, Q) of every cone and the reports that apply, from one
-    sweep per distinct pair of restrictions: f over the faces of the
-    partition's first polyhedron, g over its second, each face with the
-    witnesses of the first cone that carries it, and pair over the cones.
+    sweep per distinct pair of restrictions: f over the cones' f faces, g
+    over their g faces, each face with the witnesses of the first cone
+    that carries it, and pair over the cones. The fan's labels are the
+    faces that the weights k >= 0 meet first, so they are every face the
+    checks need.
     fside is None for a side that never vanishes (monomial ideal), g for
     the trivial measure."""
     fcomps = None if fside is None else components(fside)
@@ -251,13 +253,11 @@ def cone_checks(fside, g, partition, p):
     if fcomps is not None:
         t = len(fcomps)
         reports["f"] = _face_report(
-            partition.polyhedra[0], [c.labels[0] for c in cones], fzeros,
-            f"Jacobian rank below {t}"
+            [c.labels[0] for c in cones], fzeros, f"Jacobian rank below {t}"
             if isinstance(fside, PolynomialMapping) else SINGULAR)
     if g is not None:
-        reports["g"] = _face_report(
-            partition.polyhedra[1], [c.labels[1] for c in cones], gzeros,
-            SINGULAR)
+        reports["g"] = _face_report([c.labels[1] for c in cones], gzeros,
+                                    SINGULAR)
         if fcomps is not None:
             reports["pair"] = _report(zip(map(cone_name, cones), pairzeros),
                                      f"stacked Jacobian rank below {t + 1}")

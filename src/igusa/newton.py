@@ -26,6 +26,10 @@ class Face:
         return (other.touching <= self.touching
                 and other.recession <= self.recession)
 
+    def order(self):
+        """The key that lists faces largest first, then by their points."""
+        return (-self.dim, sorted(self.touching), sorted(self.recession))
+
 
 def _unit(n, i):
     e = [0] * n
@@ -51,7 +55,6 @@ class NewtonPolyhedron:
         self.n = n
         self._support_list = sorted(support)
         self._facets = None
-        self._faces = None
 
     @classmethod
     def of(cls, obj):
@@ -138,8 +141,6 @@ class NewtonPolyhedron:
         n^2 steps. A proper face of dimension k is the intersection of
         n - k facets, which bounds #faces before the closure starts.
         """
-        if self._faces is not None:
-            return list(self._faces)
         facets = [(face.touching, face.recession) for _, _, face in self.facets()]
         bound = 1 + sum(comb(len(facets), i)
                         for i in range(1, min(self.n, len(facets)) + 1))
@@ -156,13 +157,7 @@ class NewtonPolyhedron:
         faces = [Face(touching, recession, self._face_dim(touching, recession))
                  for touching, recession in found]
         faces.append(self.first_meet_locus(tuple([0] * self.n)))
-        self._faces = sorted(
-            faces, key=lambda f: (-f.dim, sorted(f.touching), sorted(f.recession)))
-        return list(self._faces)
-
-    def facets_containing(self, face):
-        return [(normal, offset, ffac) for normal, offset, ffac in self.facets()
-                if ffac.contains_face(face)]
+        return sorted(faces, key=Face.order)
 
 
 def face_restriction(poly, face):

@@ -197,16 +197,15 @@ def _check_no_pole_at_origin(rf: RationalFunction):
 def common_denominator_form(z: RationalFunction, factors, p):
     """(numerator Poly with integer coefficients, constant_divisor) with
     z = numerator / (constant_divisor * prod factors), each (a, b) in
-    `factors` standing for p^(a*s+b) - 1, or None when the reduced
-    denominator does not divide that product.
+    `factors` standing for p^(a*s+b) - 1. The reduced denominator must
+    divide that product, as it does when `factors` holds each binomial
+    of Z's denominator with a > 0 at its multiplicity.
 
     The constant divisor is p + 1 times the lcm of the denominators the
     numerator would otherwise have."""
     den = binomial_product(factors, p) * (p + 1)
     content = z.den.content()
-    cof = den.quotient(z.den.primitive())
-    if cof is None:
-        return None
+    cof = den.exact_div(z.den.primitive())
     # z = num * cof / (content * den); cancel what content shares with
     # the numerator's content
     numerator = z.num * cof

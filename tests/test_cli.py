@@ -106,6 +106,21 @@ g=x + y + z + x*y*z
         comp = compute(parse_problem_file(path))
         assert RationalFunction(Poly([int(c) for c in zf["numerator"]]), den) == comp.zeta
 
+    def test_repeated_pole_keeps_the_factored_view(self, tmp_path):
+        # Z = 1 / (2 - t)^2: the double pole is listed twice
+        path = write(tmp_path, "mode=ideal\nn=2\np=2\ngenerators=x*y\n")
+        code, payload = run(["compute", path, "--json"])
+        assert code == 0
+        zf = json.loads(payload)["zeta_factored"]
+        assert zf["factors"] == [[1, 1], [1, 1]]
+        den = Poly.const(zf["constant_divisor"])
+        for a, b in zf["factors"]:
+            den = den * binomial(a, b, 2)
+        assert RationalFunction(Poly([int(c) for c in zf["numerator"]]),
+                                den) == RationalFunction(Poly([1]),
+                                                         Poly([4, -4, 1]))
+        assert "(2^(s+1)-1)(2^(s+1)-1)" in run(["compute", path])[1]
+
     def test_internal_error_has_its_own_exit_code(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
             raise InternalConsistencyError("weight is not linear on the piece")
@@ -216,7 +231,8 @@ g=x + y + z + x*y*z
 
     def test_facet_search_size_guard(self, tmp_path, capsys):
         # the 286 monomials of degree 10 in n = 4 and the 4 axes are the
-        # rays of the cone over Gamma: C(290, 4) subsets of 4 of them
+        # rays of the cone over Gamma: C(290, 4) subsets of 4 of them,
+        # each a 4 x 5 elimination weighed as 5^3 steps
         terms = ("*".join(f"x{i}" for i in m) for m in
                  itertools.combinations_with_replacement(range(1, 5), 10))
         path = write(tmp_path, "mode=single\nn=4\np=2\nf="
@@ -227,7 +243,20 @@ g=x + y + z + x*y*z
         assert code == cli.EXIT_SIZE == 3
         assert out == ""
         assert capsys.readouterr().err == ("size guard: facet search needs "
-                                           "288641640 steps, over the limit "
+                                           "36080205000 steps, over the limit "
+                                           "100000000\n")
+
+    def test_facet_guard_weighs_each_elimination(self, tmp_path, capsys):
+        # x1 in n = 160: the cone over Gamma has 161 rays in R^161, so
+        # C(161, 160) subsets, each a 160 x 161 elimination of 161^3 steps
+        path = write(tmp_path, "mode=single\nn=160\np=2\nf=x1\n")
+        started = time.perf_counter()
+        code, out = run(["poles", path])
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_SIZE == 3
+        assert out == ""
+        assert capsys.readouterr().err == ("size guard: facet search needs "
+                                           "671898241 steps, over the limit "
                                            "100000000\n")
 
     def test_parallelepiped_size_guard(self, tmp_path, capsys):
@@ -411,6 +440,20 @@ class TestOracle:
         assert capsys.readouterr().err == (
             "size guard: printing the report needs an integer of more than "
             f"{limit} digits\n")
+
+    def test_override_watermarks(self, tmp_path):
+        # x^3 + y^3 is degenerate at p = 3: its formula value is uncertified
+        path = write(tmp_path, "mode=single\nn=2\np=3\nf=x^3 + y^3\n")
+        argv = ["oracle", path, "--level", "1", "--override-degenerate"]
+        code, text = run(argv)
+        json_code, payload = run(argv + ["--json"])
+        assert code == json_code == 0
+        doc = json.loads(payload)
+        assert doc["notes"] == [problem.DEGENERACY_NOTE]
+        assert f"note: {problem.DEGENERACY_NOTE}\nformula value:" in text
+        assert cli.render_oracle(doc) == text
+        assert "notes" not in json.loads(run(["oracle", FIXTURE, "--level",
+                                              "1", "--json"])[1])
 
     def test_json_round_trip(self, tmp_path):
         path = write(tmp_path, SINGLE)

@@ -9,8 +9,9 @@ in size, so p divides some of them. Each goes through `cli.main` with
 20,000, oracle --level 2 at s0 = 1 and 2. No exit may be other than
 0 (ok), 2 (degenerate) or 3 (size guard): exit 1 would refuse a valid
 file, 4 is a bracket violation and 5 an escaped exception. Every
-exponent p^(a*s+b) of a computed report other than the term 1 has
-b >= 1, the only form the renderer prints for a > 0.
+computed report has its common-denominator view, and every exponent
+p^(a*s+b) in it other than the term 1 has b >= 1, the only form the
+renderer prints for a > 0.
 """
 
 import contextlib
@@ -90,8 +91,9 @@ def _every_exit_is_documented_and_brackets_hold(problem):
             if command[0] == "oracle" and code == cli.EXIT_OK:
                 assert json.loads(out)["contained"] is True, (text, command)
             if command[0] == "compute" and code == cli.EXIT_OK:
-                assert all(b >= 1 for _, b in _exponents(json.loads(out))), \
-                    text
+                doc = json.loads(out)
+                assert "zeta_factored" in doc, text
+                assert all(b >= 1 for _, b in _exponents(doc)), text
 
 
 def _exponents(doc):
@@ -102,7 +104,7 @@ def _exponents(doc):
             yield from ((a, b) for _, a, b in piece["terms"]
                         if (a, b) != (0, 0))
             yield from piece["factors"]
-    yield from doc.get("zeta_factored", {}).get("factors", [])
+    yield from doc["zeta_factored"]["factors"]
 
 
 def test_no_accepted_input_ends_in_a_traceback():

@@ -188,7 +188,8 @@ class TestFacets:
     def test_facets_containing_vertex(self):
         g = gamma_I()
         vertex = g.first_meet_locus((2, 1))
-        normals = [n for n, _, _ in g.facets_containing(vertex)]
+        normals = [n for n, _, facet in g.facets()
+                   if facet.contains_face(vertex)]
         assert sorted(normals) == [(1, 2), (3, 1)]
 
 
@@ -236,22 +237,25 @@ class TestAgainstReferences:
 
     def test_face_guard_bound(self, monkeypatch):
         # n = 4 and 5 facets: at most 1 + 5 + 10 + 10 + 5 faces, each
-        # intersected with the 5 facets and weighed by a 4 x 4 rank
-        f = parse_polynomial("x1 + x2", 4)
+        # intersected with the 5 facets and weighed by a 4 x 4 rank; the
+        # facets are found first, under the facet search's own bound
+        gamma = NewtonPolyhedron.of(parse_polynomial("x1 + x2", 4))
+        gamma.facets()
         monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 31 * 21 - 1)
-        with pytest.raises(SizeGuardError):
-            NewtonPolyhedron.of(f).enumerate_faces()
+        with pytest.raises(SizeGuardError, match="face enumeration"):
+            gamma.enumerate_faces()
         monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 31 * 21)
-        assert len(NewtonPolyhedron.of(f).enumerate_faces()) == 3 * 2**3
+        assert len(gamma.enumerate_faces()) == 3 * 2**3
 
     def test_facet_guard_bound(self, monkeypatch):
         # the cone over Gamma has 2 support points and 4 axes as rays in
-        # R^5, so the facet search eliminates C(6, 4) = 15 subsets
+        # R^5, so the facet search eliminates C(6, 4) = 15 subsets, each
+        # a 4 x 5 elimination weighed as 5^3 steps
         f = parse_polynomial("x1 + x2", 4)
-        monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 14)
-        with pytest.raises(SizeGuardError, match="facet search needs 15 "):
+        monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 1874)
+        with pytest.raises(SizeGuardError, match="facet search needs 1875 "):
             NewtonPolyhedron.of(f).facets()
-        monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 15)
+        monkeypatch.setattr(errors, "ENUMERATION_LIMIT", 1875)
         assert len(NewtonPolyhedron.of(f).facets()) == 5
 
 

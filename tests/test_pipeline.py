@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import pathlib
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -54,18 +55,15 @@ def test_cone_terms_once_per_compute(monkeypatch, spec):
 
 @pytest.mark.parametrize("spec", SPECS, ids=IDS)
 def test_no_face_lattice_enumerated_twice(monkeypatch, spec):
-    enumerated = []
-    original = NewtonPolyhedron.enumerate_faces
-
-    def wrapper(self):
-        if self._faces is None:  # a fresh enumeration, not the cached list
-            enumerated.append(self.support)
-        return original(self)
-
-    monkeypatch.setattr(NewtonPolyhedron, "enumerate_faces", wrapper)
-    compute(spec)
-    assert enumerated
-    assert len(enumerated) == len(set(enumerated))
+    # one face lattice and one facet search, of the polyhedron whose fan
+    # the formula sums over: in a pair, the sum polyhedron alone
+    enumerated = count_calls(monkeypatch, NewtonPolyhedron, "enumerate_faces")
+    searched = count_calls(monkeypatch, NewtonPolyhedron, "_compute_facets")
+    polyhedra = compute(spec).partition.polyhedra
+    fan = {tuple(map(sum, zip(*pts)))
+           for pts in product(*(g.support for g in polyhedra))}
+    assert [g.support for g, in enumerated] == [fan]
+    assert [g.support for g, in searched] == [fan]
 
 
 def test_check_sweep_builds_geometry_once(monkeypatch):

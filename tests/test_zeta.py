@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from igusa import zeta
 from igusa.counting import CountTriple
-from igusa.errors import DegeneracyError
+from igusa.errors import DegeneracyError, InternalConsistencyError
 from igusa.polynomials import PolynomialMapping, parse_polynomial
 from igusa.problem import ProblemSpec, build_geometry, compute
 from igusa.ratfun import Poly, RationalFunction
@@ -357,9 +357,11 @@ class TestCommonDenominatorForm:
         z = RationalFunction(Poly([1]), Poly([2 * content, -content]))
         assert zeta.common_denominator_form(z, [(1, 1)], 2) == form
 
-    def test_none_when_the_denominator_does_not_divide(self):
+    def test_refused_when_the_denominator_does_not_divide(self):
+        # 1 + t is no factor of (p + 1)(p^(s+1) - 1): a broken invariant
         z = RationalFunction(Poly([1]), Poly([1, 1]))
-        assert zeta.common_denominator_form(z, [(1, 1)], 2) is None
+        with pytest.raises(InternalConsistencyError, match="not exact"):
+            zeta.common_denominator_form(z, [(1, 1)], 2)
 
 
 class TestCandidatePoles:
