@@ -21,7 +21,7 @@ import sys
 from fractions import Fraction
 from math import log10
 
-from . import oracle, problem, zeta
+from . import oracle, problem
 from .errors import (DegeneracyError, InternalConsistencyError,
                      PolynomialParseError, SizeGuardError)
 from .ratfun import Poly
@@ -50,6 +50,10 @@ def _exp_str(p, a, b):
     if a == 0:
         return f"{p}^{b}"
     return f"{p}^({a if a != 1 else ''}s+{b})"
+
+
+def _t_power(a):
+    return "1" if a == 0 else "t" if a == 1 else f"t^{a}"
 
 
 def _factored_str(p, pieces):
@@ -112,8 +116,7 @@ def _report_doc(rep):
 
 
 def compute_report(comp):
-    spec = comp.spec
-    doc = {"command": "compute", "spec": _spec_doc(spec)}
+    doc = {"command": "compute", "spec": _spec_doc(comp.spec)}
     doc["reports"] = {name: _report_doc(rep)
                       for name, rep in comp.reports.items()}
     rows = []
@@ -135,10 +138,7 @@ def compute_report(comp):
     doc["zeta"] = _ratfun_doc(comp.zeta)
     if comp.notes:
         doc["zeta"]["notes"] = list(comp.notes)
-    # a pole at its multiplicity; a constant (a = 0) only scales, so once
-    factors = sorted(f for f, m in comp.binomials.items()
-                     for _ in range(m if f[0] else 1))
-    numerator, const = zeta.common_denominator_form(comp.zeta, factors, spec.p)
+    numerator, const, factors = comp.factored()
     _fraction_str(const)  # refused here, not half-way through the output
     doc["zeta_factored"] = {
         "numerator": [_fraction_str(c) for c in numerator.coeffs],
@@ -172,7 +172,7 @@ def render_compute(doc):
     lines.append(f"Z(s) = {_ratfun_str(doc['zeta'])}")
     zf = doc["zeta_factored"]
     den = f"{zf['constant_divisor']}" + "".join(
-        f"({_exp_str(p, a, b)}-1)" for a, b in zf["factors"])
+        f"({p}^{b}-{_t_power(a)})" for a, b in zf["factors"])
     lines.append(f"     = ({_poly_str(zf['numerator'])})")
     lines.append(f"       / ({den})")
     lines.append("")
@@ -297,18 +297,14 @@ def main(argv=None, out=None):
             return EXIT_OK
         if args.command == "check":
             try:  # each swept prime must make a valid problem
-                pspecs = [problem.ProblemSpec(spec.mode, spec.n, int(x),
-                                              spec.fside, spec.g)
+                pspecs = [dataclasses.replace(spec, p=int(x))
                           for x in args.sweep.split(",") if x] or [spec]
             except ValueError as exc:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
             comp = problem.build_geometry(spec)  # the same for every p
-            results = {}
-            for pspec in pspecs:
-                results[pspec.p] = problem.run_checks(
-                    dataclasses.replace(comp, spec=pspec))
-            doc = check_report(results)
+            doc = check_report({pspec.p: problem.run_checks(
+                dataclasses.replace(comp, spec=pspec)) for pspec in pspecs})
             _emit(doc, render_check, args.json, out)
             ok = all(result["ok"] for result in doc["results"])
             return EXIT_OK if ok else EXIT_DEGENERATE

@@ -15,6 +15,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 
 from . import linalg
 from .errors import InternalConsistencyError, guard
@@ -74,10 +75,8 @@ def _angular_sort(cones, n):
         if cone.dim == 0:
             return (0,)
         w = cone.witness()
-        if n == 2:
-            from fractions import Fraction
-            slope = Fraction(w[1], w[0]) if w[0] else Fraction(10**9)
-            return (1, slope, cone.dim)
+        if n == 2:  # the second axis, of no finite slope, comes last
+            return (1, w[0] == 0, Fraction(w[1], w[0] or 1), cone.dim)
         return (1, cone.rays)
     return sorted(cones, key=key)
 

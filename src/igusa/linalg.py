@@ -150,6 +150,13 @@ def smith_form(rows):
     return v, diag
 
 
+def guard_facet_search(count, d):
+    """Refuse, before it starts, a facet search over `count` rays in R^d:
+    C(count, d - 1) ray subsets, each weighed as the d^3 steps of its
+    elimination."""
+    guard(comb(count, d - 1) * d**3, "facet search")
+
+
 def cone_facets(rays):
     """Inward facet normals of a full-dimensional closed cone: the sorted
     primitive h with h . r >= 0 for every ray and d-1 independent rays
@@ -165,7 +172,7 @@ def cone_facets(rays):
     hyperplane, and each hyperplane is tested once.
     """
     d = len(rays[0])
-    guard(comb(len(rays), d - 1) * d**3, "facet search")
+    guard_facet_search(len(rays), d)
     interior = [sum(col) for col in zip(*rays)]
     supporting = {}
     for sub in itertools.combinations(rays, d - 1):

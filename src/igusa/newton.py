@@ -70,8 +70,7 @@ class NewtonPolyhedron:
 
     def first_meet_locus(self, k):
         """The face of Gamma on which k attains its minimum."""
-        self._check_weight(k)
-        m = self.m_value(k)
+        m = self.m_value(k)  # checks k first
         touching = frozenset(pt for pt in self.support
                              if linalg.vec_dot(k, pt) == m)
         recession = frozenset(i + 1 for i in range(self.n) if k[i] == 0)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from . import counting, zeta
 from .cones import partition_pair, partition_single
 from .errors import DegeneracyError, PolynomialParseError, SizeGuardError
+from .linalg import guard_facet_search
 from .newton import NewtonPolyhedron
 from .polynomials import (MonomialIdealSpec, PolynomialMapping,
                           parse_monomial_generator, parse_polynomial)
@@ -121,16 +122,15 @@ def parse_problem_text(text) -> ProblemSpec:
         p = int(entries.pop("p"))
     except ValueError as exc:
         raise PolynomialParseError(f"n and p must be integers: {exc}", 0)
+    if n >= 1:  # the cone over Gamma has at least n + 1 rays in R^(n+1)
+        guard_facet_search(n + 1, n + 1)
     gtext = entries.pop("g", "trivial")
-    try:
+    try:  # a bad n, an ideal or mapping refused, or a refused problem
         g = None if gtext == "trivial" else parse_polynomial(gtext, n)
         fside = _parse_fside(mode, n, entries)
-    except ValueError as exc:  # a bad n, or an ideal or mapping refused
-        raise PolynomialParseError(str(exc), 0)
-    if entries:
-        raise PolynomialParseError(
-            f"unknown keys: {', '.join(sorted(entries))}", 0)
-    try:
+        if entries:
+            raise PolynomialParseError(
+                f"unknown keys: {', '.join(sorted(entries))}", 0)
         return ProblemSpec(mode, n, p, fside, g)
     except ValueError as exc:
         raise PolynomialParseError(str(exc), 0)
@@ -179,6 +179,11 @@ class Computation:
     zeta: object = None  # the reduced RationalFunction Z(t)
     notes: tuple = ()  # the degeneracy watermark, under an override
     poles: list = field(default_factory=list)
+
+    def factored(self):
+        """Z's common-denominator view, over the binomials Z was summed on."""
+        return zeta.common_denominator_form(self.zeta, self.binomials,
+                                            self.spec.p)
 
 
 def build_geometry(spec: ProblemSpec) -> Computation:

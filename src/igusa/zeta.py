@@ -194,15 +194,17 @@ def _check_no_pole_at_origin(rf: RationalFunction):
             "residual negative power of t survived reduction")
 
 
-def common_denominator_form(z: RationalFunction, factors, p):
-    """(numerator Poly with integer coefficients, constant_divisor) with
-    z = numerator / (constant_divisor * prod factors), each (a, b) in
-    `factors` standing for p^(a*s+b) - 1. The reduced denominator must
-    divide that product, as it does when `factors` holds each binomial
-    of Z's denominator with a > 0 at its multiplicity.
+def common_denominator_form(z: RationalFunction, binomials, p):
+    """(numerator Poly with integer coefficients, constant_divisor,
+    factors) with z = numerator / (constant_divisor * prod factors).
 
-    The constant divisor is p + 1 times the lcm of the denominators the
-    numerator would otherwise have."""
+    `binomials` is Z's {(a, b): multiplicity} denominator multiset, each
+    (a, b) standing for p^b - t^a as `binomial_product` multiplies it;
+    the factors are its poles (a > 0) at their multiplicity and each
+    constant once. The constant divisor is p + 1 times the lcm of the
+    denominators the numerator would otherwise have."""
+    factors = sorted(f for f, m in binomials.items()
+                     for _ in range(m if f[0] else 1))
     den = binomial_product(factors, p) * (p + 1)
     content = z.den.content()
     cof = den.exact_div(z.den.primitive())
@@ -211,7 +213,8 @@ def common_denominator_form(z: RationalFunction, factors, p):
     numerator = z.num * cof
     common = gcd(numerator.content(), content)
     scale = content // common
-    return Poly([c // common for c in numerator.coeffs]), (p + 1) * scale
+    return (Poly([c // common for c in numerator.coeffs]), (p + 1) * scale,
+            factors)
 
 
 # -- candidate poles ----------------------------------------------------

@@ -119,7 +119,7 @@ g=x + y + z + x*y*z
         assert RationalFunction(Poly([int(c) for c in zf["numerator"]]),
                                 den) == RationalFunction(Poly([1]),
                                                          Poly([4, -4, 1]))
-        assert "(2^(s+1)-1)(2^(s+1)-1)" in run(["compute", path])[1]
+        assert "       / (3(2^1-t)(2^1-t))\n" in run(["compute", path])[1]
 
     def test_internal_error_has_its_own_exit_code(self, monkeypatch, capsys):
         def broken(*args, **kwargs):
@@ -258,6 +258,21 @@ g=x + y + z + x*y*z
         assert capsys.readouterr().err == ("size guard: facet search needs "
                                            "671898241 steps, over the limit "
                                            "100000000\n")
+
+    def test_wide_problem_is_refused_before_it_is_parsed(self, tmp_path,
+                                                         capsys):
+        # every facet search in n variables weighs at least C(n+1, n)
+        # eliminations of (n+1)^3 steps, refused before f is parsed into
+        # exponent tuples of length 10^6
+        path = write(tmp_path, "mode=single\nn=1000000\np=2\nf=x1\n")
+        started = time.perf_counter()
+        code, out = run(["poles", path])
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_SIZE == 3
+        assert out == ""
+        assert capsys.readouterr().err == (
+            "size guard: facet search needs 1000004000006000004000001 "
+            "steps, over the limit 100000000\n")
 
     def test_parallelepiped_size_guard(self, tmp_path, capsys):
         # a simplicial piece of multiplicity 100460333 > ENUMERATION_LIMIT

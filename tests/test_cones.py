@@ -39,6 +39,15 @@ class TestPartitionStructure:
             ((1, 1),), ((1, 1), (1, 2)), ((1, 2),), ((0, 1), (1, 2)),
             ((0, 1),)]
 
+    def test_steep_rays_sweep_counterclockwise(self):
+        # the ray (1, 2*10^9 + 1) is steeper than any finite stand-in for
+        # the slope of the second axis; its cones still come before (0, 1)
+        gamma = NewtonPolyhedron({(0, 2), (2 * 10**9 + 1, 1)}, 2)
+        steep = (1, 2 * 10**9 + 1)
+        assert [cone.rays for cone in partition_single(gamma).cones] == [
+            (), ((1, 0),), ((1, 0), steep), (steep,), ((0, 1), steep),
+            ((0, 1),)]
+
     def test_dim_law(self):
         # exact complementarity in a single fan; the pair refinement only
         # refines, so its cones can be smaller than the labeled faces demand

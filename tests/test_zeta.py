@@ -329,8 +329,10 @@ class TestLargeDiagonalCurves:
         zeros = sum(1 for x in range(p) for y in range(p)
                     if (x**a + y**b) % p == 0)
         assert z.evaluate(0) == 1 - Fraction(zeros, p**2)  # mu(ord f = 0)
-        assert zeta.common_denominator_form(
-            z, sorted(comp.binomials), p) is not None
+        numerator, const, factors = comp.factored()
+        for t in (0, 1):  # the view is Z
+            assert Fraction(numerator.evaluate(t), const * prod(
+                p**b - t**a for a, b in factors)) == z.evaluate(t)
         report_budget(f"x^{a}+y^{b} at p = 7", started, self.BUDGETS[a, b])
 
 
@@ -355,13 +357,22 @@ class TestCommonDenominatorForm:
     def test_denominator_content_is_carried(self, content, form):
         # z = 1 / (content * (2 - t)) over (p + 1)(2^(s+1) - 1) at p = 2
         z = RationalFunction(Poly([1]), Poly([2 * content, -content]))
-        assert zeta.common_denominator_form(z, [(1, 1)], 2) == form
+        assert zeta.common_denominator_form(z, {(1, 1): 1}, 2) == \
+            form + ([(1, 1)],)
+
+    def test_pole_at_its_multiplicity_and_a_constant_once(self):
+        # z = 1 / (2 - t)^2 over 3 (2^1 - 1)(2 - t)^2, whatever the
+        # multiplicity of the constant 2^1 - 1 in Z's denominator
+        z = RationalFunction(Poly([1]), Poly([4, -4, 1]))
+        assert zeta.common_denominator_form(
+            z, {(1, 1): 2, (0, 1): 2}, 2) == (Poly([3]), 3,
+                                              [(0, 1), (1, 1), (1, 1)])
 
     def test_refused_when_the_denominator_does_not_divide(self):
         # 1 + t is no factor of (p + 1)(p^(s+1) - 1): a broken invariant
         z = RationalFunction(Poly([1]), Poly([1, 1]))
         with pytest.raises(InternalConsistencyError, match="not exact"):
-            zeta.common_denominator_form(z, [(1, 1)], 2)
+            zeta.common_denominator_form(z, {(1, 1): 1}, 2)
 
 
 class TestCandidatePoles:
