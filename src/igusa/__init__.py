@@ -8,9 +8,9 @@ brute-force truncated p-adic integration.
 
 from .cones import ConePartition, RationalCone, partition_pair, partition_single
 from .counting import CountTriple, DegeneracyReport, count_triple
-from .errors import (DegeneracyError, HypothesisError, IgusaError,
-                     InternalConsistencyError, PoleEvaluationError,
-                     PolynomialParseError, SizeGuardError)
+from .errors import (DegeneracyError, IgusaError, InternalConsistencyError,
+                     PoleEvaluationError, PolynomialParseError,
+                     SizeGuardError)
 from .newton import Face, NewtonPolyhedron, face_restriction
 from .oracle import Bracket, truncated_integral
 from .polynomials import (IntegerPolynomial, MonomialIdealSpec,
@@ -23,10 +23,9 @@ __version__ = "0.1.0"
 
 __all__ = [
     "Bracket", "CandidatePole", "ConePartition", "CountTriple",
-    "DegeneracyError", "DegeneracyReport", "Face",
-    "HypothesisError", "IgusaError", "IntegerPolynomial",
-    "InternalConsistencyError", "MonomialIdealSpec", "NewtonPolyhedron",
-    "PoleEvaluationError", "Poly", "PolynomialMapping",
+    "DegeneracyError", "DegeneracyReport", "Face", "IgusaError",
+    "IntegerPolynomial", "InternalConsistencyError", "MonomialIdealSpec",
+    "NewtonPolyhedron", "PoleEvaluationError", "Poly", "PolynomialMapping",
     "PolynomialParseError", "ProblemSpec", "RationalCone",
     "RationalFunction", "SizeGuardError", "candidate_poles", "compute",
     "count_triple", "face_restriction", "parse_polynomial",

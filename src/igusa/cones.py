@@ -42,20 +42,6 @@ class ConePartition:
         self.n = n
         self.polyhedra = tuple(polyhedra)
 
-    def labels_at(self, k):
-        return tuple(poly.first_meet_locus(k) for poly in self.polyhedra)
-
-    def classify(self, k):
-        """The unique cone whose relatively open set contains k."""
-        if any(x < 0 for x in k):
-            raise ValueError("classification is defined on R_+^n only")
-        labels = self.labels_at(k)
-        for cone in self.cones:
-            if cone.labels == labels:
-                return cone
-        raise InternalConsistencyError(
-            f"no cone matches the labels of {k}; the partition is incomplete")
-
     def facets_of(self, cone):
         """The facets of a cone of the fan: the cones one dimension lower
         whose rays are all rays of it (in a fan, such a cone is a face)."""

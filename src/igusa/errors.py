@@ -46,10 +46,6 @@ class DegeneracyError(IgusaError):
         self.report = report
 
 
-class HypothesisError(IgusaError):
-    """A closed-form hypothesis does not hold at the given point."""
-
-
 class PoleEvaluationError(IgusaError):
     """Exact evaluation was requested at a root of the denominator."""
 

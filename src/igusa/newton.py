@@ -8,8 +8,10 @@ face down exactly because the recession cone is the full orthant.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from math import comb
+from operator import le
 
 from . import linalg
 from .errors import guard
@@ -29,6 +31,22 @@ class Face:
     def order(self):
         """The key that lists faces largest first, then by their points."""
         return (-self.dim, sorted(self.touching), sorted(self.recession))
+
+
+def minimal_points(points):
+    """The points that no other one lies coordinatewise below, sorted.
+
+    A point below another has the smaller total degree, and a dominated
+    point lies above some minimal one, so the points are visited by
+    degree and each is compared only with the minimal points of smaller
+    degree. A homogeneous support needs no comparison.
+    """
+    minimal = []
+    for _, same_degree in itertools.groupby(sorted(points, key=sum), key=sum):
+        kept = [pt for pt in same_degree
+                if not any(all(map(le, q, pt)) for q in minimal)]
+        minimal += kept
+    return sorted(minimal)
 
 
 def _unit(n, i):
@@ -118,9 +136,7 @@ class NewtonPolyhedron:
         k . v = m. The facets come sorted by k, as the normals h are.
         """
         n = self.n
-        minimal = [pt for pt in self._support_list
-                   if not any(q != pt and all(a <= b for a, b in zip(q, pt))
-                              for q in self._support_list)]
+        minimal = minimal_points(self._support_list)
         rays = [pt + (1,) for pt in minimal] + [_unit(n + 1, i) for i in range(n)]
         return [(h[:n], -h[n], self.first_meet_locus(h[:n]))
                 for h in linalg.cone_facets(rays) if any(h[:n])]

@@ -1,8 +1,6 @@
-"""Brute-force verification: truncated p-adic integrals with rigorous
-two-sided brackets and exact coset measures. The closed values they
-must bracket at t = p^(-s0) are the formula's own: a coset integral
-brackets `zeta.coset_value` of its class, and the torus integral its
-sum over the torus, the L factor `zeta.l_delta`.
+"""Brute-force verification: the truncated p-adic integral over Z_p^n
+with a rigorous two-sided bracket, which `oracle` compares with Z at
+t = p^(-s0).
 
 All integrals are evaluated at a positive integer s = s0, which makes
 the integrand a simple function with exact rational values. Truncation
@@ -11,17 +9,17 @@ which the order of a factor is still not determined contributes 0 to
 the lower bound and a worst-case value to the upper bound, so the true
 integral always lies inside the bracket.
 
-Every quantity reads one census, `_census`: the residues mod p^M of
-the starting cosets mod p, counted by the orders of the f side and of
-g. The truncated, coset and torus integrals differ only in the cosets
-they start from, and each is a guard plus one call of `_bracket`, which
-weighs the census; `measure_A_kl` counts the entries that reach (k, l).
+The integral reads one census, `_census`: the residues mod p^M of the
+starting cosets mod p, counted by the orders of the f side and of g.
+`_bracket` weighs it; both take the cosets to start from, so the tests
+bracket one coset or the torus, and count the measure of A_{k,l}, from
+the same census.
 
 The census lifts one level at a time by an exact first-order Taylor
 identity (see `_census`), which assumes no smoothness: a coset mod p^j
 is split only into the sub-cosets mod p^(j+1) on which the f side or g
-stays open, and each of those evaluates its open parts once. The guards
-still refuse by the worst case, p^(Mn) residues, however few of them
+stays open, and each of those evaluates its open parts once. The guard
+still refuses by the worst case, p^(Mn) residues, however few of them
 the census visits.
 """
 
@@ -33,9 +31,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from . import counting
-from .counting import components, point_test
-from .errors import HypothesisError, guard
+from .counting import components
+from .errors import guard
 from .polynomials import IntegerPolynomial, MonomialIdealSpec
 
 
@@ -47,10 +44,6 @@ class Bracket:
     def __post_init__(self):
         if self.lo > self.hi:
             raise ValueError("empty bracket")
-
-    @property
-    def width(self):
-        return self.hi - self.lo
 
     def contains(self, value):
         return self.lo <= value <= self.hi
@@ -223,102 +216,3 @@ def truncated_integral(fside, g, p, s0, M) -> Bracket:
     guard(p, "truncated integration", M * fside.n)
     return _bracket(itertools.product(range(p), repeat=fside.n),
                     fside, g, p, s0, M)
-
-
-# -- hypothesis checking ------------------------------------------------
-
-
-def _hypotheses(fside, g, p):
-    """The conditions a coset base point must satisfy, compiled once:
-    wherever a factor vanishes mod p, the corresponding Jacobian has
-    maximal rank mod p.
-
-    The returned check takes a point with coordinates in range(p),
-    returns (fzero, gzero) and raises HypothesisError naming the failing
-    condition. A monomial ideal never vanishes on the torus and is read
-    so, as `problem.run_checks` does; a point off the torus is refused.
-    """
-    ideal = isinstance(fside, MonomialIdealSpec)
-    comps = components(fside)
-    test = point_test(None if ideal else comps, None if g is None else [g],
-                      p)[2]
-    conditions = ("the f side's Jacobian is rank-deficient",
-                  "the measure polynomial is singular",
-                  f"the stacked Jacobian has rank below {len(comps) + 1}")
-
-    def check(a):
-        if ideal and 0 in a:
-            raise HypothesisError(f"{a} mod {p} is off the torus, where a "
-                                  "monomial ideal is not read")
-        fzero, gzero, failed = test(a)
-        for bad, condition in zip(failed, conditions):
-            if bad:
-                raise HypothesisError(f"{condition} at {a} mod {p}")
-        return fzero, gzero
-
-    return check
-
-
-def find_base_point(fside, g, p, want_fzero=True, want_gzero=True):
-    """Search {1..p-1}^n for a base point with the requested vanishing
-    pattern and valid hypotheses; None when the pattern is vacuous."""
-    points = counting._torus(p, fside.n)  # the size guard comes first
-    check = _hypotheses(fside, g, p)
-    for a in points:
-        try:
-            if check(a) == (want_fzero, want_gzero):
-                return a
-        except HypothesisError:
-            continue
-    return None
-
-
-# -- exact measures and coset/torus brackets ----------------------------
-
-
-def measure_A_kl(fside, g, a, p, k, l) -> Fraction:
-    """Exact measure of {x in a + (pZ_p)^n : fside(x) = 0 mod p^k and
-    g(x) = 0 mod p^l}, from the census of the coset at level max(k, l).
-
-    The base point must satisfy the common-vanishing hypothesis with a
-    full-rank stacked Jacobian.
-    """
-    t = len(components(fside))
-    n = fside.n
-    if k < 1 or l < 1:
-        raise ValueError("need k, l >= 1")
-    if n < t + 1:
-        raise HypothesisError(f"need n >= {t + 1} variables, got {n}")
-    base = tuple(x % p for x in a)
-    fzero, gzero = _hypotheses(fside, g, p)(base)
-    if not (fzero and gzero):
-        raise HypothesisError(
-            "the base point must annihilate both factors mod p")
-    depth = max(k, l)
-    guard(p, "measure counting", (depth - 1) * n)
-    census = _census([base], fside, g, p, depth)
-    # an order still open at level depth is at least depth >= k, l
-    count = sum(c for (vf, vg, _), c in census.items() if vf >= k and vg >= l)
-    return Fraction(count, p**(depth * n))
-
-
-def coset_integral(a, fside, g, p, s0, M) -> Bracket:
-    """Bracket of the integral of |fside|^s0 |g| over a + (pZ_p)^n."""
-    base = tuple(x % p for x in a)
-    _hypotheses(fside, g, p)(base)
-    guard(p, "coset integration", (M - 1) * fside.n)
-    return _bracket([base], fside, g, p, s0, M)
-
-
-def torus_integral(fside, g, p, s0, M) -> Bracket:
-    """Bracket of the integral of |fside|^s0 |g| over (Z_p^x)^n, after
-    checking the coset hypotheses at every torus residue. The exact work
-    ((p-1) p^(M-1))^n is built only once the smaller bound p^((M-1)n) of
-    its cosets has passed the guard."""
-    guard(p, "torus integration", (M - 1) * fside.n)
-    guard((p - 1) * p**(M - 1), "torus integration", fside.n)
-    check = _hypotheses(fside, g, p)
-    points = list(counting._torus(p, fside.n))
-    for a in points:
-        check(a)
-    return _bracket(points, fside, g, p, s0, M)

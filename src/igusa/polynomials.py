@@ -12,8 +12,9 @@ must have coordinates in range(m), and power tables exist only for n >= 2.
 from __future__ import annotations
 
 import string
+from math import comb
 
-from .errors import PolynomialParseError
+from .errors import PolynomialParseError, guard
 
 EXPONENT_LIMIT = 10**6
 # each level of parentheses costs the parser four stack frames
@@ -180,17 +181,6 @@ class IntegerPolynomial:
 
         return evaluate
 
-    def evaluate(self, point):
-        """Exact integer (or Fraction) evaluation."""
-        total = 0
-        for exp, c in self.terms.items():
-            v = c
-            for a, e in zip(point, exp):
-                if e:
-                    v *= a**e
-            total += v
-        return total
-
     # -- printing -------------------------------------------------------
 
     def __str__(self):
@@ -338,6 +328,8 @@ class _Parser:
             if e > EXPONENT_LIMIT:
                 raise PolynomialParseError(
                     f"exponent {e} exceeds the limit {EXPONENT_LIMIT}", self.pos)
+            if len(base.terms) > 1:  # a monomial's chain is under 40 n steps
+                guard(_power_steps(base, e), "power expansion")
             result = IntegerPolynomial.constant(self.n, 1)
             power = base
             while e:
@@ -390,6 +382,30 @@ class _Parser:
         if self.pos == start:
             raise PolynomialParseError(message, start)
         return int(self.text[start:self.pos])
+
+
+def _power_steps(base, e):
+    """The work of expanding base^e by square and multiply, as `_factor`
+    does: a product of a and b weighs terms(a) terms(b) n steps, and
+    base^j, for k >= 1 terms of degree at most deg, has at most
+    min(C(j+k-1, k-1), C(j deg + n, n)) terms: the monomials of degree j
+    in its k terms, and those of degree at most j deg in n variables."""
+    k, n = len(base.terms), base.n
+    deg = max(map(sum, base.terms))
+
+    def terms(j):
+        return min(comb(j + k - 1, k - 1), comb(j * deg + n, n))
+
+    steps, have, j = 0, 0, 1  # the result is base^have, the power base^j
+    while e:
+        if e & 1:
+            steps += terms(have) * terms(j) * n
+            have += j
+        e >>= 1
+        if e:
+            steps += terms(j)**2 * n
+            j *= 2
+    return steps
 
 
 def parse_polynomial(text, n):

@@ -88,9 +88,6 @@ class Poly:
     def __neg__(self):
         return Poly._of([-c for c in self.coeffs])
 
-    def __sub__(self, other):
-        return self + (-other)
-
     def __mul__(self, other):
         if isinstance(other, int):
             return Poly._of([c * other for c in self.coeffs] if other else [])

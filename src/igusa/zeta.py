@@ -102,27 +102,21 @@ def _check_linear(partition, rays, exps):
 # -- the L factors ------------------------------------------------------
 
 
-def coset_value(fzero, gzero, p, n, t_count) -> RationalFunction:
-    """The integral of |f side|^s |g| |dx| over a coset a + (pZ_p)^n of a
-    torus residue a, in t: under non-degeneracy it depends only on whether
-    the f side (tc = t_count components) and g vanish at a mod p,
+def _class_sum(sizes, p, n, t_count) -> RationalFunction:
+    """The coset values of the four classes (neither vanishes, the f side
+    only, g only, both), weighted by `sizes` and added over their shared
+    denominator p^n (p+1) (p^tc - t), reduced.
+
+    The integral of |f side|^s |g| |dx| over a coset a + (pZ_p)^n of a
+    torus residue a depends, under non-degeneracy, only on whether the f
+    side (tc = t_count components) and g vanish at a mod p:
 
         1/p^n,  times t (p^tc - 1)/(p^tc - t) when the f side does,
                 times 1/(p + 1) when g does.
 
-    `l_delta` sums it over the torus; the oracle brackets it per coset.
-    """
-    sizes = [0, 0, 0, 0]
-    sizes[fzero + 2 * gzero] = 1
-    return _class_sum(sizes, p, n, t_count)
-
-
-def _class_sum(sizes, p, n, t_count) -> RationalFunction:
-    """The coset values of the four classes (neither vanishes, the f side
-    only, g only, both), weighted by `sizes` and added over their shared
-    denominator p^n (p+1) (p^tc - t), reduced. Over it a class has the
-    numerator p^tc - t where the f side does not vanish and t (p^tc - 1)
-    where it does, either times p + 1 where g does not vanish."""
+    Over the shared denominator a class has the numerator p^tc - t where
+    the f side does not vanish and t (p^tc - 1) where it does, either
+    times p + 1 where g does not vanish."""
     neither, f_only, g_only, both = sizes
     ptc = p**t_count
     fixed, vanishing = (p + 1) * neither + g_only, (p + 1) * f_only + both
@@ -131,7 +125,7 @@ def _class_sum(sizes, p, n, t_count) -> RationalFunction:
 
 
 def l_delta(counts, p, n, t_count) -> RationalFunction:
-    """The local factor L of a cone: the sum of `coset_value` over the
+    """The local factor L of a cone: the sum of the coset values over the
     (p-1)^n torus residues, whose classes count (p-1)^n - N - P - Q
     (neither vanishes), N (the f side only), P (g only) and Q (both).
 

@@ -1,8 +1,15 @@
-"""Shared fixtures: the running two-variable example used throughout.
+"""Shared fixtures and references.
 
-The example pairs the monomial ideal (x^5y, x^3y^2, x^2y^5) with the
-measure polynomial g = x^4y^2 + xy^5. Its fan, counts and zeta function
-are known in closed form, which makes it the anchor for golden tests.
+The running two-variable example pairs the monomial ideal (x^5y, x^3y^2,
+x^2y^5) with the measure polynomial g = x^4y^2 + xy^5. Its fan, counts
+and zeta function are known in closed form, which makes it the anchor
+for golden tests.
+
+The references are what the tests check the program against and the CLI
+never runs: the closed values of a coset's integral and of the measure
+of A_{k,l}, the hypotheses under which they hold, the oracle's brackets
+over one coset or over the torus, the cone that holds a weight, and
+exact evaluation.
 """
 
 import itertools
@@ -12,6 +19,8 @@ from fractions import Fraction
 
 import pytest
 
+from igusa import oracle, zeta
+from igusa.counting import components, point_test
 from igusa.polynomials import MonomialIdealSpec, parse_polynomial
 from igusa.problem import ProblemSpec
 
@@ -52,6 +61,125 @@ def closed_measure_value(p, n, k, l, t=1):
     (t = 1) and p^(-n-(k-1)t-l+1) for a t-component mapping; the former
     is the t = 1 instance of the latter."""
     return Fraction(1, p**(n + (k - 1) * t + l - 1))
+
+
+def reference_coset_value(fzero, gzero, p, n, s0, t=1) -> Fraction:
+    """The four-case closed value of the coset integral at s = s0."""
+    base = Fraction(1, p**n)
+    if not fzero and not gzero:
+        return base
+    if fzero and not gzero:
+        return base * Fraction(p**t - 1, p**(s0 + t) - 1)
+    if not fzero and gzero:
+        return base * Fraction(1, p + 1)
+    return base * Fraction(p**t - 1, (p**(s0 + t) - 1) * (p + 1))
+
+
+def class_value(fzero, gzero, p, n, s0, t=1) -> Fraction:
+    """The formula's own integral over one coset of the class (fzero,
+    gzero) at s = s0: `zeta._class_sum` weighing that class alone."""
+    sizes = [0, 0, 0, 0]
+    sizes[fzero + 2 * gzero] = 1
+    return zeta._class_sum(sizes, p, n, t).evaluate(Fraction(1, p**s0))
+
+
+# -- the closed values' hypotheses, and what the oracle brackets under them
+
+
+class HypothesisFailure(Exception):
+    """A closed value's hypothesis does not hold at the given point."""
+
+
+def hypothesis_check(fside, g, p):
+    """The conditions a coset base point must satisfy, compiled once:
+    wherever a factor vanishes mod p, the corresponding Jacobian has
+    maximal rank mod p.
+
+    The returned check takes a point with coordinates in range(p),
+    returns (fzero, gzero) and raises HypothesisFailure naming the
+    failing condition. A monomial ideal never vanishes on the torus and
+    is read so, as the checks do; a point off the torus is refused.
+    """
+    ideal = isinstance(fside, MonomialIdealSpec)
+    comps = components(fside)
+    test = point_test(None if ideal else comps, None if g is None else [g],
+                      p)[2]
+    conditions = ("the f side's Jacobian is rank-deficient",
+                  "the measure polynomial is singular",
+                  f"the stacked Jacobian has rank below {len(comps) + 1}")
+
+    def check(a):
+        if ideal and 0 in a:
+            raise HypothesisFailure(f"{a} mod {p} is off the torus, where a "
+                                    "monomial ideal is not read")
+        fzero, gzero, failed = test(a)
+        for bad, condition in zip(failed, conditions):
+            if bad:
+                raise HypothesisFailure(f"{condition} at {a} mod {p}")
+        return fzero, gzero
+
+    return check
+
+
+def find_base_point(fside, g, p, want_fzero=True, want_gzero=True):
+    """A point of {1..p-1}^n with the requested vanishing pattern at which
+    the hypotheses hold; None when there is none."""
+    check = hypothesis_check(fside, g, p)
+    for a in itertools.product(range(1, p), repeat=fside.n):
+        try:
+            if check(a) == (want_fzero, want_gzero):
+                return a
+        except HypothesisFailure:
+            continue
+    return None
+
+
+def measure_A_kl(fside, g, a, p, k, l) -> Fraction:
+    """Exact measure of {x in a + (pZ_p)^n : fside(x) = 0 mod p^k and
+    g(x) = 0 mod p^l}, counted from the census of the coset at level
+    max(k, l), where an order still open is at least k and l. The base
+    point must annihilate both factors, with the hypotheses holding."""
+    if hypothesis_check(fside, g, p)(a) != (True, True):
+        raise HypothesisFailure(
+            "the base point must annihilate both factors mod p")
+    depth = max(k, l)
+    census = oracle._census([a], fside, g, p, depth)
+    count = sum(c for (vf, vg, _), c in census.items() if vf >= k and vg >= l)
+    return Fraction(count, p**(depth * fside.n))
+
+
+def coset_bracket(a, fside, g, p, s0, M):
+    """The oracle's bracket of the integral of |fside|^s0 |g| over the
+    coset a + (pZ_p)^n, once the hypotheses hold at a."""
+    hypothesis_check(fside, g, p)(a)
+    return oracle._bracket([a], fside, g, p, s0, M)
+
+
+def torus_bracket(fside, g, p, s0, M):
+    """The oracle's bracket of the integral of |fside|^s0 |g| over the
+    torus (Z_p^x)^n, once the hypotheses hold at every residue."""
+    check = hypothesis_check(fside, g, p)
+    torus = list(itertools.product(range(1, p), repeat=fside.n))
+    for a in torus:
+        check(a)
+    return oracle._bracket(torus, fside, g, p, s0, M)
+
+
+def classify(partition, k):
+    """The unique cone of the partition whose relatively open set holds
+    k >= 0: the one labeled with the faces that each polyhedron meets
+    first at k."""
+    labels = tuple(gamma.first_meet_locus(k) for gamma in partition.polyhedra)
+    matches = [cone for cone in partition.cones if cone.labels == labels]
+    assert len(matches) == 1, f"{len(matches)} cones carry the labels of {k}"
+    return matches[0]
+
+
+def evaluate(poly, point):
+    """Exact integer value of an IntegerPolynomial, apart from
+    `mod_evaluator`."""
+    return sum(c * math.prod(a**e for a, e in zip(point, exp))
+               for exp, c in poly.terms.items())
 
 
 def laplace_det(m):

@@ -17,10 +17,12 @@ from igusa.polynomials import (MonomialIdealSpec, PolynomialMapping,
                                parse_polynomial)
 from igusa.problem import ProblemSpec, build_geometry, compute
 from igusa.ratfun import Poly, RationalFunction
-from igusa.zeta import coset_value, l_delta
+from igusa.zeta import l_delta
 
-from conftest import (closed_measure_value, example_ideal, example_measure,
-                      example_spec, minor_gcd, report_budget)
+from conftest import (class_value, classify, closed_measure_value,
+                      coset_bracket, example_ideal, example_measure,
+                      example_spec, find_base_point, measure_A_kl, minor_gcd,
+                      report_budget, torus_bracket)
 
 
 def _report(number, label, started, limit):
@@ -152,7 +154,7 @@ def test_criterion_5_oracle_containment():
     comp = compute(spec)
     for s0 in (1, 2):
         bracket = oracle.truncated_integral(spec.fside, spec.g, 2, s0, 10)
-        assert bracket.width <= Fraction(1, 2**10)
+        assert bracket.hi - bracket.lo <= Fraction(1, 2**10)
         assert bracket.contains(comp.zeta.evaluate(Fraction(1, 2**s0)))
     _report(5, "truncated-integral brackets at p = 2", started, 30.0)
 
@@ -171,19 +173,19 @@ def test_criterion_6_measure_closed_values():
     checked = 0
     for p, n, k, l in grid:
         f, g = single[n]
-        a = oracle.find_base_point(f, g, p)
+        a = find_base_point(f, g, p)
         if a is None:
             continue
-        assert oracle.measure_A_kl(f, g, a, p, k, l) == \
+        assert measure_A_kl(f, g, a, p, k, l) == \
             closed_measure_value(p, n, k, l)
         checked += 1
     ff = PolynomialMapping([parse_polynomial("x + z", 3),
                             parse_polynomial("y - z", 3)])
     g = parse_polynomial("x + y + z + x*y*z", 3)
     for p in (3, 5):
-        a = oracle.find_base_point(ff, g, p)
+        a = find_base_point(ff, g, p)
         for k, l in itertools.product((1, 2), (1, 2)):
-            assert oracle.measure_A_kl(ff, g, a, p, k, l) == \
+            assert measure_A_kl(ff, g, a, p, k, l) == \
                 closed_measure_value(p, 3, k, l, t=2)
             checked += 1
     assert checked >= 18
@@ -198,15 +200,14 @@ def test_criterion_7_coset_and_torus_closed_values():
     cases = 0
     for p, s0 in itertools.product((2, 3, 5), (1, 2)):
         for fz, gz in itertools.product((False, True), repeat=2):
-            a = oracle.find_base_point(f, g, p, want_fzero=fz, want_gzero=gz)
+            a = find_base_point(f, g, p, want_fzero=fz, want_gzero=gz)
             if a is None:
                 continue
-            bracket = oracle.coset_integral(a, f, g, p, s0, 4)
-            assert bracket.contains(coset_value(fz, gz, p, 2, 1).evaluate(
-                Fraction(1, p**s0)))
+            bracket = coset_bracket(a, f, g, p, s0, 4)
+            assert bracket.contains(class_value(fz, gz, p, 2, s0))
             cases += 1
         c = count_triple(f, g, p)
-        bracket = oracle.torus_integral(f, g, p, s0, 3)
+        bracket = torus_bracket(f, g, p, s0, 3)
         assert bracket.contains(
             l_delta(c, p, 2, 1).evaluate(Fraction(1, p**s0)))
     assert cases >= 16
@@ -217,9 +218,7 @@ def _check_partition_properties():
     d = partition_pair(NewtonPolyhedron.of(example_ideal()),
                        NewtonPolyhedron.of(example_measure()))
     for k in itertools.product(range(11), repeat=2):
-        matches = [cone for cone in d.cones
-                   if cone.labels == d.labels_at(k)]
-        assert len(matches) == 1 and d.classify(k) is matches[0]
+        classify(d, k)  # exactly one cone carries the labels of k
     for gamma in (NewtonPolyhedron.of(example_ideal()),
                   NewtonPolyhedron.of(example_measure())):
         for cone in partition_single(gamma).cones:
@@ -258,7 +257,7 @@ def _check_series_agreement():
     for term in comp.terms:
         partial = Fraction(0)
         for k in itertools.product(range(B + 1), repeat=2):
-            if sum(k) > B or comp.partition.classify(k) is not term.cone:
+            if sum(k) > B or classify(comp.partition, k) is not term.cone:
                 continue
             e = s0 * gamma_f.m_value(k) + gamma_g.m_value(k) + sum(k)
             partial += Fraction(1, p**e)

@@ -11,7 +11,7 @@ from fractions import Fraction
 import pytest
 
 from igusa import cli, problem, zeta
-from igusa.errors import HypothesisError, InternalConsistencyError
+from igusa.errors import InternalConsistencyError, PoleEvaluationError
 from igusa.problem import PSI_13, compute, parse_problem_file
 from igusa.ratfun import Poly, RationalFunction, binomial
 
@@ -149,14 +149,14 @@ g=x + y + z + x*y*z
     def test_other_package_error_is_internal(self, monkeypatch, capsys):
         # exit 1 is for parse and I/O errors only
         def broken(*args, **kwargs):
-            raise HypothesisError("the measure polynomial is singular")
+            raise PoleEvaluationError("evaluation at pole t = 1/5")
 
         monkeypatch.setattr(problem, "compute", broken)
         code, text = run(["compute", FIXTURE])
         assert code == cli.EXIT_INTERNAL == 5
         assert text == ""
         err = capsys.readouterr().err
-        assert err.startswith("internal error: HypothesisError")
+        assert err.startswith("internal error: PoleEvaluationError")
         assert err.count("\n") == 1
 
     def test_malformed_file(self, tmp_path):
@@ -273,6 +273,19 @@ g=x + y + z + x*y*z
         assert capsys.readouterr().err == (
             "size guard: facet search needs 1000004000006000004000001 "
             "steps, over the limit 100000000\n")
+
+    def test_power_expansion_size_guard(self, tmp_path, capsys):
+        # the square-and-multiply chain of (x+y+z)^240 weighs 184,988,538
+        # steps, refused before its first product; the expansion took 42 s
+        path = write(tmp_path, "mode=single\nn=3\np=5\nf=(x+y+z)^240\n")
+        started = time.perf_counter()
+        code, out = run(["poles", path])
+        assert time.perf_counter() - started < 1.0
+        assert code == cli.EXIT_SIZE == 3
+        assert out == ""
+        assert capsys.readouterr().err == ("size guard: power expansion "
+                                           "needs 184988538 steps, over the "
+                                           "limit 100000000\n")
 
     def test_parallelepiped_size_guard(self, tmp_path, capsys):
         # a simplicial piece of multiplicity 100460333 > ENUMERATION_LIMIT

@@ -8,13 +8,13 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from igusa import errors, linalg
-from igusa.cones import (ConePartition, RationalCone, parallelepiped_points,
-                         partition_pair, partition_single, simplicial_decompose)
+from igusa.cones import (parallelepiped_points, partition_pair,
+                         partition_single, simplicial_decompose)
 from igusa.errors import SizeGuardError
 from igusa.newton import NewtonPolyhedron
 from igusa.polynomials import parse_polynomial
 
-from conftest import example_ideal, example_measure, minor_gcd
+from conftest import classify, example_ideal, example_measure, minor_gcd
 from test_linalg import reference_kernel, reference_solve
 from test_newton import PROPERTY, reference_faces, reference_facets, supports
 
@@ -64,20 +64,17 @@ class TestPartitionStructure:
     def test_totality_and_disjointness_on_grid(self):
         d = pair_partition()
         for k in itertools.product(range(11), repeat=2):
-            matches = [cone for cone in d.cones
-                       if cone.labels == d.labels_at(k)]
-            assert len(matches) == 1
-            assert d.classify(k) is matches[0]
+            classify(d, k)  # exactly one cone carries the labels of k
 
     def test_classify_known_points(self):
         d = pair_partition()
-        assert d.classify((2, 1)).rays == ((1, 1), (3, 1))
-        assert d.classify((0, 0)).dim == 0
-        assert d.classify((1, 0)).rays == ((1, 0),)
+        assert classify(d, (2, 1)).rays == ((1, 1), (3, 1))
+        assert classify(d, (0, 0)).dim == 0
+        assert classify(d, (1, 0)).rays == ((1, 0),)
 
     def test_classify_rejects_negative(self):
         with pytest.raises(ValueError):
-            pair_partition().classify((-1, 0))
+            classify(pair_partition(), (-1, 0))
 
     def test_ray_list(self):
         assert pair_partition().rays() == [
@@ -199,7 +196,7 @@ def box_hits(pieces, pt):
 class TestSimplicialDecomposition:
     def test_simplicial_cone_is_identity(self):
         d = pair_partition()
-        cone = d.classify((2, 1))
+        cone = classify(d, (2, 1))
         pieces = simplicial_decompose(cone, d)
         assert pieces == [cone.rays]
         assert parallelepiped_points(pieces[0]) == [(0, 0), (2, 1)]
@@ -225,11 +222,11 @@ class TestSimplicialDecomposition:
         # the lattice points of each relatively open cone of a real
         # partition are the disjoint union of its pieces' points
         d = pair_partition()
-        cone = d.classify((2, 1))
+        cone = classify(d, (2, 1))
         assert cone.dim == 2
         pieces = simplicial_decompose(cone, d)
         for pt in itertools.product(range(12), repeat=2):
-            assert box_hits(pieces, pt) == (d.classify(pt) is cone), pt
+            assert box_hits(pieces, pt) == (classify(d, pt) is cone), pt
 
 
 # -- non-simplicial cones ------------------------------------------------
@@ -350,7 +347,7 @@ class TestNonSimplicialCones:
                                 for ranges in boxes))
             inside_any = 0
             for pt in sorted(box):
-                inside = partition.classify(pt) is cone
+                inside = classify(partition, pt) is cone
                 assert box_hits(pieces, pt) == inside, (cone.rays, pt)
                 inside_any += inside
             assert 0 < inside_any < len(box)

@@ -22,7 +22,7 @@ from igusa.polynomials import (IntegerPolynomial, PolynomialMapping,
                                parse_polynomial)
 from igusa.ratfun import Poly, RationalFunction
 
-from conftest import example_measure, report_budget
+from conftest import evaluate, example_measure, report_budget
 from test_acceptance import closed_form
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "example_ideal.txt"
@@ -33,8 +33,8 @@ def brute_counts(fparts, gpart, p, n):
     N = P = Q = 0
     for a in itertools.product(range(1, p), repeat=n):
         fzero = fparts is not None and all(
-            c.evaluate(a) % p == 0 for c in fparts)
-        gzero = gpart is not None and gpart.evaluate(a) % p == 0
+            evaluate(c, a) % p == 0 for c in fparts)
+        gzero = gpart is not None and evaluate(gpart, a) % p == 0
         N += fzero and not gzero
         P += gzero and not fzero
         Q += fzero and gzero
@@ -74,7 +74,7 @@ class TestCountTriple:
             c = count_triple(f, g, p)
             both_nonzero = sum(
                 1 for a in itertools.product(range(1, p), repeat=2)
-                if f.evaluate(a) % p and g.evaluate(a) % p)
+                if evaluate(f, a) % p and evaluate(g, a) % p)
             assert c.N + c.P + c.Q + both_nonzero == (p - 1)**2
 
     def test_unit_scaling_invariance(self):
@@ -125,7 +125,7 @@ class TestSingleCheck:
         g = example_measure()
         report = check_nondegenerate_single(g, NewtonPolyhedron.of(g), 3)
         _, point, _ = report.witnesses[0]
-        assert g.evaluate(point) % 3 == 0
+        assert evaluate(g, point) % 3 == 0
 
     def test_monomial_always_ok(self):
         mono = parse_polynomial("x^3*y", 2)
@@ -221,10 +221,10 @@ def exact_singular_zeros(parts, n, p, target):
     rank below target, from exact evaluation reduced mod p."""
     found = []
     for a in itertools.product(range(1, p), repeat=n):
-        if any(part.evaluate(a) % p for part in parts):
+        if any(evaluate(part, a) % p for part in parts):
             continue
-        rows = [[part.partial_derivative(i).evaluate(a) for i in range(1, n + 1)]
-                for part in parts]
+        rows = [[evaluate(part.partial_derivative(i), a)
+                 for i in range(1, n + 1)] for part in parts]
         if rank_mod_p(rows, p) < target:
             found.append(a)
     return found

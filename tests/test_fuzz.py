@@ -12,6 +12,12 @@ file, 4 is a bracket violation and 5 an escaped exception. Every
 computed report has its common-denominator view, and every exponent
 p^(a*s+b) in it other than the term 1 has b >= 1, the only form the
 renderer prints for a > 0.
+
+Two metamorphic relations fix Z exactly with no oracle, so they hold at
+any prime: f + x_(n+1), with x_(n+1) a variable f does not use, has
+Z = (p-1)/(p-t), since x_(n+1) -> f + x_(n+1) preserves the Haar
+measure; and a monomial ideal has the Z of the mapping of its
+generators, measure included.
 """
 
 import contextlib
@@ -21,10 +27,14 @@ import pathlib
 import tempfile
 import time
 
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from igusa import cli
-from igusa.polynomials import IntegerPolynomial, MonomialIdealSpec
+from igusa.errors import DegeneracyError
+from igusa.polynomials import (IntegerPolynomial, MonomialIdealSpec,
+                               PolynomialMapping)
+from igusa.problem import ProblemSpec, compute
+from igusa.ratfun import Poly, RationalFunction
 
 from conftest import report_budget
 
@@ -111,3 +121,76 @@ def test_no_accepted_input_ends_in_a_traceback():
     started = time.perf_counter()
     _every_exit_is_documented_and_brackets_hold()
     report_budget("whole-pipeline fuzz", started, 5.0)
+
+
+# -- metamorphic relations ----------------------------------------------
+
+
+def _polynomial(draw, n, p):
+    """1..3 terms in n variables, vanishing at the origin, with
+    coefficients prime to p."""
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    coefficients = st.integers(1, p - 1).flatmap(
+        lambda c: st.sampled_from([c, -c]))
+    return IntegerPolynomial(n, draw(st.dictionaries(
+        exponents, coefficients, min_size=1, max_size=3)))
+
+
+@st.composite
+def polynomials_and_primes(draw):
+    """(f, p): a polynomial in n <= 3 variables."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    return _polynomial(draw, draw(st.integers(1, 3)), p), p
+
+
+@st.composite
+def ideals_with_measures(draw):
+    """(n, p, generators, g): t <= n - 1 monic monomials in n <= 3
+    variables, so that their mapping with g is a valid pair."""
+    p = draw(st.sampled_from([2, 3, 5, 7]))
+    n = draw(st.integers(2, 3))
+    exponents = st.tuples(*[st.integers(0, 3)] * n).filter(any)
+    generators = draw(st.lists(exponents, min_size=1, max_size=n - 1))
+    return n, p, generators, _polynomial(draw, n, p)
+
+
+def _z(spec):
+    """Z of a problem, or None when the checks refuse it."""
+    try:
+        return compute(spec).zeta
+    except DegeneracyError:
+        return None
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(polynomials_and_primes())
+def _a_new_variable_gives_the_unit_integral(case):
+    f, p = case
+    n = f.n + 1
+    lifted = IntegerPolynomial(n, {e + (0,): c for e, c in f.terms.items()})
+    z = _z(ProblemSpec("single", n, p, lifted + IntegerPolynomial.monomial(
+        n, [0] * f.n + [1]), None))
+    assume(z is not None)
+    assert z == RationalFunction(Poly([p - 1]), Poly([p, -1])), (f, p)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(ideals_with_measures())
+def _an_ideal_is_the_mapping_of_its_generators(case):
+    n, p, generators, g = case
+    ideal = _z(ProblemSpec("ideal", n, p, MonomialIdealSpec(n, generators), g))
+    mapping = _z(ProblemSpec("mapping", n, p, PolynomialMapping(
+        [IntegerPolynomial.monomial(n, e) for e in generators]), g))
+    assert ideal == mapping, (generators, g, p)
+
+
+class TestMetamorphic:
+    def test_a_new_variable_gives_the_unit_integral(self):
+        started = time.perf_counter()
+        _a_new_variable_gives_the_unit_integral()
+        report_budget("metamorphic: f + x_(n+1)", started, 2.5)
+
+    def test_an_ideal_is_the_mapping_of_its_generators(self):
+        started = time.perf_counter()
+        _an_ideal_is_the_mapping_of_its_generators()
+        report_budget("metamorphic: an ideal and its mapping", started, 2.5)

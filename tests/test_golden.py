@@ -30,6 +30,8 @@ INPUTS = {
     "mapping": GOLDEN / "mapping.txt",
     "mapping_g": GOLDEN / "mapping_g.txt",
     "pair_witness": GOLDEN / "pair_witness.txt",  # check fails pair at p=3
+    "nonsimplicial": GOLDEN / "nonsimplicial.txt",  # 4-ray cones in n=3
+    "power": GOLDEN / "power.txt",  # f written with a power of a sum
     "example_ideal": FIXTURES / "example_ideal.txt",
 }
 COMMANDS = {

@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from igusa import errors, linalg
 from igusa.errors import SizeGuardError
-from igusa.newton import NewtonPolyhedron, face_restriction
+from igusa.newton import NewtonPolyhedron, face_restriction, minimal_points
 from igusa.polynomials import parse_polynomial
 
 from conftest import example_ideal, example_measure, report_budget
@@ -202,6 +202,30 @@ class TestAgainstReferences:
         facets = reference_facets(gamma)
         assert gamma.facets() == facets
         assert gamma.enumerate_faces() == reference_faces(gamma, facets)
+
+    @PROPERTY
+    @given(st.integers(1, 4).flatmap(lambda n: st.sets(
+        st.tuples(*[st.integers(0, 3)] * n), max_size=30)))
+    def test_minimal_points(self, points):
+        # every point compared with every other one
+        assert minimal_points(points) == sorted(
+            pt for pt in points
+            if not any(q != pt and all(a <= b for a, b in zip(q, pt))
+                       for q in points))
+
+    def test_homogeneous_support_meets_the_facet_guard_at_once(self):
+        # the 7,381 monomials of degree 120 in n = 3, the support of
+        # (x+y+z)^120: comparing each with every other one took 27 s
+        # before the facet guard refused C(7384, 3) eliminations
+        support = {(a, b, 120 - a - b) for a in range(121)
+                   for b in range(121 - a)}
+        started = time.perf_counter()
+        assert minimal_points(support) == sorted(support)
+        with pytest.raises(SizeGuardError, match="facet search needs "
+                                                 "4292668197376 steps"):
+            NewtonPolyhedron(support, 3).facets()
+        report_budget("the facet guard on a 7,381-point homogeneous support",
+                      started, 0.5)
 
     def test_staircase_faces_budget(self):
         gamma = staircase(16)

@@ -12,14 +12,16 @@ from hypothesis import assume, example, given, settings, strategies as st
 
 from igusa import oracle
 from igusa.counting import CountTriple, components
-from igusa.errors import HypothesisError, SizeGuardError
+from igusa.errors import SizeGuardError
 from igusa.polynomials import (IntegerPolynomial, MonomialIdealSpec,
                                PolynomialMapping, parse_polynomial)
 from igusa.problem import ProblemSpec, compute
-from igusa.zeta import coset_value, l_delta
+from igusa.zeta import l_delta
 
-from conftest import (closed_measure_value, example_ideal, example_measure,
-                      report_budget)
+from conftest import (HypothesisFailure, class_value, closed_measure_value,
+                      coset_bracket, example_ideal, example_measure,
+                      find_base_point, measure_A_kl, report_budget,
+                      torus_bracket)
 
 
 def poly(text, n=2):
@@ -291,16 +293,16 @@ class TestMeasureAgainstReference:
     @given(measured_pairs())
     def test_census_equals_residue_walk(self, case):
         fside, g, p, k, l = case
-        a = oracle.find_base_point(fside, g, p)
+        a = find_base_point(fside, g, p)
         assume(a is not None)
-        assert oracle.measure_A_kl(fside, g, a, p, k, l) == \
+        assert measure_A_kl(fside, g, a, p, k, l) == \
             reference_measure(fside, g, a, p, k, l)
 
 
 class TestBracket:
     def test_invariants(self):
         b = oracle.Bracket(Fraction(1, 3), Fraction(1, 2))
-        assert b.width == Fraction(1, 6)
+        assert b.hi - b.lo == Fraction(1, 6)
         assert b.contains(Fraction(2, 5))
         assert not b.contains(Fraction(9, 10))
         with pytest.raises(ValueError):
@@ -313,7 +315,7 @@ class TestTruncatedIntegral:
         f = parse_polynomial("x", 1)
         b = oracle.truncated_integral(f, None, 3, 1, 6)
         assert b.contains(Fraction(3, 4))
-        assert b.width < Fraction(1, 3**5)
+        assert b.hi - b.lo < Fraction(1, 3**5)
 
     def test_nested_brackets(self):
         f = poly("x^2 + y^3")
@@ -368,14 +370,14 @@ class TestMeasureClosedValue:
         found = 0
         for p in (2, 3, 5):
             for n, (fp, gp) in ((2, (f, g)), (3, (f3, g3))):
-                a = oracle.find_base_point(fp, gp, p)
+                a = find_base_point(fp, gp, p)
                 if a is None:
                     continue
                 for k in (1, 2, 3):
                     for l in (1, 2):
                         if k < l:
                             continue
-                        got = oracle.measure_A_kl(fp, gp, a, p, k, l)
+                        got = measure_A_kl(fp, gp, a, p, k, l)
                         assert got == closed_measure_value(p, n, k, l)
                         found += 1
         assert found > 10
@@ -386,12 +388,12 @@ class TestMeasureClosedValue:
         g = parse_polynomial("x + y + z + x*y*z", 3)
         found = 0
         for p in (3, 5):
-            a = oracle.find_base_point(ff, g, p)
+            a = find_base_point(ff, g, p)
             if a is None:
                 continue
             for k in (1, 2):
                 for l in (1, 2):
-                    got = oracle.measure_A_kl(ff, g, a, p, k, l)
+                    got = measure_A_kl(ff, g, a, p, k, l)
                     assert got == closed_measure_value(p, 3, k, l, t=2)
                     found += 1
         assert found
@@ -400,9 +402,9 @@ class TestMeasureClosedValue:
     def test_invalid_base_point_rejected(self):
         f = poly("x + y + x*y")
         g = poly("x - y")
-        with pytest.raises(HypothesisError):
+        with pytest.raises(HypothesisFailure):
             # (1, 2) annihilates neither factor mod 3
-            oracle.measure_A_kl(f, g, (1, 2), 3, 1, 1)
+            measure_A_kl(f, g, (1, 2), 3, 1, 1)
 
     def test_k_below_l(self):
         # the closed value p^(-n-(k-1)t-l+1) holds for k < l as well
@@ -411,11 +413,11 @@ class TestMeasureClosedValue:
                      parse_polynomial("x - y + z^2", 3))}
         found = 0
         for p, (n, (f, g)) in itertools.product((2, 3, 5), pairs.items()):
-            a = oracle.find_base_point(f, g, p)
+            a = find_base_point(f, g, p)
             if a is None:
                 continue
             for k, l in ((1, 2), (1, 3), (2, 3)):
-                assert oracle.measure_A_kl(f, g, a, p, k, l) == \
+                assert measure_A_kl(f, g, a, p, k, l) == \
                     closed_measure_value(p, n, k, l)
                 found += 1
         assert found >= 9
@@ -427,14 +429,12 @@ class TestCosetIntegral:
         g = poly("x - y")
         for p in (2, 3, 5):
             for fz, gz in itertools.product((False, True), repeat=2):
-                a = oracle.find_base_point(f, g, p, want_fzero=fz,
-                                           want_gzero=gz)
+                a = find_base_point(f, g, p, want_fzero=fz, want_gzero=gz)
                 if a is None:
                     continue
                 for s0 in (1, 2):
-                    b = oracle.coset_integral(a, f, g, p, s0, 4)
-                    value = coset_value(fz, gz, p, 2, 1).evaluate(
-                        Fraction(1, p**s0))
+                    b = coset_bracket(a, f, g, p, s0, 4)
+                    value = class_value(fz, gz, p, 2, s0)
                     assert b.contains(value), (p, fz, gz, s0)
 
     def test_four_cases_mapping(self):
@@ -444,14 +444,12 @@ class TestCosetIntegral:
         found = 0
         for p in (2, 3, 5):
             for fz, gz in itertools.product((False, True), repeat=2):
-                a = oracle.find_base_point(ff, g, p, want_fzero=fz,
-                                           want_gzero=gz)
+                a = find_base_point(ff, g, p, want_fzero=fz, want_gzero=gz)
                 if a is None:
                     continue
                 for s0 in (1, 2):
-                    b = oracle.coset_integral(a, ff, g, p, s0, 3)
-                    value = coset_value(fz, gz, p, 3, 2).evaluate(
-                        Fraction(1, p**s0))
+                    b = coset_bracket(a, ff, g, p, s0, 3)
+                    value = class_value(fz, gz, p, 3, s0, t=2)
                     assert b.contains(value), (p, fz, gz, s0)
                     found += 1
         assert found
@@ -460,27 +458,27 @@ class TestCosetIntegral:
         # both factors are units on the whole coset: bracket is degenerate
         f = poly("x + y")
         g = poly("x*y")
-        b = oracle.coset_integral((1, 1), f, g, 3, 1, 3)
+        b = coset_bracket((1, 1), f, g, 3, 1, 3)
         assert b.lo == b.hi == Fraction(1, 9)
 
     def test_hypothesis_checked(self):
         g = poly("x^4*y^2 + x*y^5")
         f = poly("x + y")
         # (1, 2) is a singular zero of g mod 3
-        with pytest.raises(HypothesisError):
-            oracle.coset_integral((1, 2), f, g, 3, 1, 3)
+        with pytest.raises(HypothesisFailure):
+            coset_bracket((1, 2), f, g, 3, 1, 3)
 
     def test_ideal_off_the_torus_refused(self):
         # the ideal is read as a unit, which holds on the torus only
-        with pytest.raises(HypothesisError, match="off the torus"):
-            oracle.coset_integral((0, 1), example_ideal(), example_measure(),
-                                  13, 1, 2)
+        with pytest.raises(HypothesisFailure, match="off the torus"):
+            coset_bracket((0, 1), example_ideal(), example_measure(), 13, 1,
+                          2)
 
 
 class TestTorusIntegral:
     def test_constant_integrand(self):
         f = poly("x + y + 1")  # unit on the torus mod 2
-        b = oracle.torus_integral(f, None, 2, 1, 1)
+        b = torus_bracket(f, None, 2, 1, 1)
         assert b.lo == b.hi == Fraction(1, 4)
 
     def test_matches_npq_closed_form(self):
@@ -490,7 +488,7 @@ class TestTorusIntegral:
         for p in (2, 3, 5):
             c = count_triple(f, g, p)
             for s0 in (1, 2):
-                b = oracle.torus_integral(f, g, p, s0, 3)
+                b = torus_bracket(f, g, p, s0, 3)
                 assert b.contains(torus_value(c, p, 2, s0)), (p, s0)
 
     def test_measure_only(self):
@@ -499,7 +497,7 @@ class TestTorusIntegral:
         f = poly("x*y")
         value = torus_value(CountTriple(0, 36, 0), 13, 2, 1)
         assert value == Fraction(144 - Fraction(36 * 13, 14), 13**2)
-        b = oracle.torus_integral(f, g, 13, 1, 2)
+        b = torus_bracket(f, g, 13, 1, 2)
         assert b.contains(value)
 
     def test_monomial_ideal(self):
@@ -507,27 +505,18 @@ class TestTorusIntegral:
         # zeros of g, as for the monomial f side above
         p = 13
         value = torus_value(CountTriple(0, 36, 0), p, 2, 1)
-        b = oracle.torus_integral(example_ideal(), example_measure(), p, 1, 2)
+        b = torus_bracket(example_ideal(), example_measure(), p, 1, 2)
         assert b.contains(value)
-        a = oracle.find_base_point(example_ideal(), example_measure(), p,
-                                   want_fzero=False)
-        assert oracle.coset_integral(a, example_ideal(), example_measure(),
-                                     p, 1, 2).contains(
-            coset_value(False, True, p, 2, 1).evaluate(Fraction(1, p)))
+        a = find_base_point(example_ideal(), example_measure(), p,
+                            want_fzero=False)
+        b = coset_bracket(a, example_ideal(), example_measure(), p, 1, 2)
+        assert b.contains(class_value(False, True, p, 2, 1))
 
     def test_degenerate_point_rejected(self):
         g = poly("x^4*y^2 + x*y^5")
         f = poly("x + y")
-        with pytest.raises(HypothesisError):
-            oracle.torus_integral(f, g, 3, 1, 2)
-
-    def test_huge_level_is_refused_at_once(self):
-        # the coset bound 13^(2(M-1)) is guarded before the exact figure
-        # (12 * 13^(M-1))^2 is built, which took seconds at M = 4 * 10^6
-        started = time.perf_counter()
-        with pytest.raises(SizeGuardError, match="torus integration"):
-            oracle.torus_integral(poly("x + y"), None, 13, 1, 4 * 10**6)
-        assert time.perf_counter() - started < 1.0
+        with pytest.raises(HypothesisFailure):
+            torus_bracket(f, g, 3, 1, 2)
 
 
 class TestLiftBudgets:
@@ -544,19 +533,18 @@ class TestLiftBudgets:
         # 23^4 = 279,841 sub-cosets per split; listing them peaked at 25 MB
         f = parse_polynomial("x1*x2 + x3*x4 + x1^3", 4)
         g = parse_polynomial("x1 + x2 + x3 + x4 + 1", 4)
-        a = oracle.find_base_point(f, g, 23, True, False)
+        a = find_base_point(f, g, 23, True, False)
         tracemalloc.start()
         try:
             started = time.perf_counter()
-            b = oracle.coset_integral(a, f, g, 23, 1, 2)
+            b = coset_bracket(a, f, g, 23, 1, 2)
             report_budget("n = 4 coset integral at p = 23, M = 2", started,
                           1.0)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert peak < 8 * 2**20, f"peak {peak} bytes"
-        assert b.contains(coset_value(True, False, 23, 4, 1).evaluate(
-            Fraction(1, 23)))
+        assert b.contains(class_value(True, False, 23, 4, 1))
 
 
 class TestPinnedBrackets:
@@ -587,12 +575,12 @@ class TestPinnedBrackets:
                                 Fraction(398581, 531441))
 
     def test_coset(self):
-        b = oracle.coset_integral((1, 1), poly("x + y + x*y"), poly("x - y"),
-                                  3, 1, 4)
+        b = coset_bracket((1, 1), poly("x + y + x*y"), poly("x - y"), 3, 1,
+                          4)
         assert (b.lo, b.hi) == (Fraction(33124, 4782969),
                                 Fraction(299209, 43046721))
 
     def test_torus(self):
-        b = oracle.torus_integral(poly("x + y + x*y"), poly("x - y"), 3, 2, 3)
+        b = torus_bracket(poly("x + y + x*y"), poly("x - y"), 3, 2, 3)
         assert (b.lo, b.hi) == (Fraction(133798, 531441),
                                 Fraction(3619672, 14348907))

@@ -3,12 +3,15 @@
 import re
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from igusa.errors import PolynomialParseError
 from igusa.polynomials import (NESTING_LIMIT, IntegerPolynomial,
                                MonomialIdealSpec, PolynomialMapping,
-                               parse_monomial_generator, parse_polynomial)
+                               _power_steps, parse_monomial_generator,
+                               parse_polynomial)
+
+from conftest import evaluate
 
 
 def poly(text, n=2):
@@ -93,6 +96,31 @@ polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=6).map(
     lambda terms: IntegerPolynomial(2, terms))
 
 
+class TestPowerGuard:
+    """The work of a power's square-and-multiply chain is weighed before
+    its first product."""
+
+    def test_trinomial_figures(self):
+        base = parse_polynomial("x + y + z", 3)
+        assert _power_steps(base, 160) == 28937988  # admitted, about 6 s
+        assert _power_steps(base, 240) == 184988538  # took 42 s
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(polys.filter(lambda a: a.terms), st.integers(0, 7))
+    def test_estimate_bounds_the_chain(self, base, e):
+        # the chain replayed, each product weighed by its actual terms
+        steps, result, power, left = 0, poly("1"), base, e
+        while left:
+            if left & 1:
+                steps += len(result.terms) * len(power.terms) * 2
+                result = result * power
+            left >>= 1
+            if left:
+                steps += len(power.terms)**2 * 2
+                power = power * power
+        assert steps <= _power_steps(base, e)
+
+
 class TestRingLaws:
     @given(polys, polys, polys)
     def test_add_associative_commutative(self, a, b, c):
@@ -114,14 +142,15 @@ class TestRingLaws:
     @given(polys, st.tuples(st.integers(-9, 9), st.integers(-9, 9)))
     def test_evaluate_respects_product(self, a, point):
         b = parse_polynomial("x + 2*y", 2)
-        assert (a * b).evaluate(point) == a.evaluate(point) * b.evaluate(point)
+        assert evaluate(a * b, point) == \
+            evaluate(a, point) * evaluate(b, point)
 
     @given(polys, st.sampled_from([2, 3, 5, 7, 13]),
            st.tuples(st.integers(0, 30), st.integers(0, 30)))
     def test_evaluate_mod_matches_exact(self, a, p, point):
         modulus = p**3
         residue = tuple(v % modulus for v in point)
-        assert a.mod_evaluator(modulus)(residue) == a.evaluate(point) % modulus
+        assert a.mod_evaluator(modulus)(residue) == evaluate(a, point) % modulus
 
     @given(polys)
     def test_print_parse_fixpoint(self, a):

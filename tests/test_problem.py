@@ -5,8 +5,7 @@ import math
 import pytest
 
 from igusa.errors import PolynomialParseError, SizeGuardError
-from igusa.polynomials import (MonomialIdealSpec, PolynomialMapping,
-                               parse_polynomial)
+from igusa.polynomials import PolynomialMapping, parse_polynomial
 from igusa.problem import (PRIME_BASES, PSI_13, ProblemSpec, is_prime,
                            parse_problem_file, parse_problem_text,
                            strong_probable_prime)

@@ -16,8 +16,8 @@ from igusa.problem import ProblemSpec, build_geometry, compute
 from igusa.ratfun import Poly, RationalFunction
 from igusa.zeta import FactoredPiece
 
-from conftest import (example_ideal, example_measure, example_spec,
-                      report_budget)
+from conftest import (class_value, classify, example_ideal, example_measure,
+                      example_spec, reference_coset_value, report_budget)
 
 
 def example_computation(p=13):
@@ -63,7 +63,7 @@ class TestSDelta:
             cone = term.cone
             partial = Fraction(0)
             for k in itertools.product(range(B + 1), repeat=2):
-                if sum(k) > B or comp.partition.classify(k) is not cone:
+                if sum(k) > B or classify(comp.partition, k) is not cone:
                     continue
                 e = s0 * gamma_f.m_value(k) + gamma_g.m_value(k) + sum(k)
                 partial += Fraction(1, p**e)
@@ -74,7 +74,7 @@ class TestSDelta:
             assert abs(value - partial) <= tail, index
 
 
-# -- references: the four-term L and the four-case coset value at s0 ---
+# -- reference: the four-term L ---------------------------------------
 
 
 def reference_l_delta(counts, p, n, t_count) -> RationalFunction:
@@ -92,21 +92,9 @@ def reference_l_delta(counts, p, n, t_count) -> RationalFunction:
     q, ptc = p**(t_count - 1), p**t_count
     ptc_minus_t = Poly({0: ptc, 1: -1})
     num = (ptc_minus_t * ((p - 1)**n * (p + 1) - p * counts.P)
-           - Poly([1, -1]) * (ptc * (p + 1) * counts.N)
-           - Poly([q * (p + 1), -(q + 1)]) * (p * counts.Q))
+           + Poly([-1, 1]) * (ptc * (p + 1) * counts.N)
+           + Poly([-q * (p + 1), q + 1]) * (p * counts.Q))
     return RationalFunction(num, ptc_minus_t * (p**n * (p + 1)))
-
-
-def reference_coset_value(fzero, gzero, p, n, s0, t=1) -> Fraction:
-    """The four-case closed value of the coset integral at s = s0."""
-    base = Fraction(1, p**n)
-    if not fzero and not gzero:
-        return base
-    if fzero and not gzero:
-        return base * Fraction(p**t - 1, p**(s0 + t) - 1)
-    if not fzero and gzero:
-        return base * Fraction(1, p + 1)
-    return base * Fraction(p**t - 1, (p**(s0 + t) - 1) * (p + 1))
 
 
 PRIMES = [q for q in range(2, 1010) if all(q % d for d in range(2, q))]
@@ -136,8 +124,7 @@ class TestCosetValue:
            st.integers(1, 4))
     def test_coset_value_equals_four_cases(self, p, n, t_count, s0):
         for fzero, gzero in itertools.product((False, True), repeat=2):
-            value = zeta.coset_value(fzero, gzero, p, n, t_count)
-            assert value.evaluate(Fraction(1, p**s0)) == \
+            assert class_value(fzero, gzero, p, n, s0, t_count) == \
                 reference_coset_value(fzero, gzero, p, n, s0, t_count)
 
 
