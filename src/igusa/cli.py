@@ -303,8 +303,10 @@ def main(argv=None, out=None):
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
             comp = problem.build_geometry(spec)  # the same for every p
-            doc = check_report({pspec.p: problem.run_checks(
-                dataclasses.replace(comp, spec=pspec)) for pspec in pspecs})
+            primes = {pspec.p: pspec for pspec in pspecs}  # each one once
+            doc = check_report({p: problem.run_checks(
+                dataclasses.replace(comp, spec=pspec))
+                for p, pspec in primes.items()})
             _emit(doc, render_check, args.json, out)
             ok = all(result["ok"] for result in doc["results"])
             return EXIT_OK if ok else EXIT_DEGENERATE

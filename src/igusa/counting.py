@@ -2,11 +2,12 @@
 
 Every count is exact. A face restriction depends on only r <= n monomial
 coordinates, so `sweep` changes variables by a unimodular monomial map
-and enumerates the (p-1)^r points of the restriction's own torus; the
-size guard still refuses by the (p-1)^n points of the whole torus,
-beyond 10^8. All non-degeneracy conditions are congruences mod p, so
-checking residues on the torus is equivalent to checking units of the
-p-adic integers.
+and walks the restriction's own torus (F_p^x)^r fibre by fibre: the
+(p-1)^(r-1) fibres fix all coordinates but the last, and each gives its
+p-1 values at once. The size guard still refuses by the (p-1)^n points
+of the whole torus, beyond 10^8. All non-degeneracy conditions are
+congruences mod p, so checking residues on the torus is equivalent to
+checking units of the p-adic integers.
 
 Counts and checks share one pass per distinct pair of restrictions,
 `sweep`; its guard comes before any algebra or evaluator. A side with a
@@ -53,20 +54,6 @@ def components(obj):
     return [obj]
 
 
-def _zero_test(polys, p):
-    """point -> whether every one of polys vanishes at point mod p."""
-    evaluators = [poly.mod_evaluator(p) for poly in polys]
-
-    def vanishes(point):
-        # a plain loop: any() over a generator at every point made the
-        # torus benchmark 1.8 times slower
-        for evaluate in evaluators:
-            if evaluate(point):
-                return False
-        return True
-    return vanishes
-
-
 def rank_mod_p(rows, p):
     """Rank of an integer matrix over F_p by row reduction."""
     rows = [[x % p for x in row] for row in rows]
@@ -85,33 +72,13 @@ def rank_mod_p(rows, p):
     return rank
 
 
-def point_test(fparts, gparts, p):
-    """Compiled once for both sides (None never vanishes): their zero
-    tests and point -> (f vanishes, g vanishes, failures), the failures
-    being an f-side Jacobian of rank below t for t parts, a zero gradient
-    of g and a stacked Jacobian of rank below t + 1."""
-    fzero, gzero = ((lambda point: False) if parts is None
-                    else _zero_test(parts, p) for parts in (fparts, gparts))
-    fgrad, ggrad = ([[poly.partial_derivative(i).mod_evaluator(p)
-                      for i in range(1, poly.n + 1)] for poly in parts or ()]
-                    for parts in (fparts, gparts))
-    t = len(fgrad)
-
-    def test(a):
-        fz, gz = fzero(a), gzero(a)
-        frows = [[d(a) for d in row] for row in fgrad] if fz else []
-        grows = [[d(a) for d in row] for row in ggrad] if gz else []
-        return fz, gz, (fz and rank_mod_p(frows, p) < t,
-                        gz and rank_mod_p(grows, p) < 1,
-                        fz and gz and rank_mod_p(frows + grows, p) < t + 1)
-    return fzero, gzero, test
-
-
 def sweep(fparts, gpart, p):
     """(N, P, Q) and, in itertools.product order, the torus zeros where
-    each condition of `point_test` fails, from one pass: fparts are the f
-    side's components on a cone's f face, gpart is g on its g face, and
-    None is a side that never vanishes (monomial ideal, trivial measure).
+    the f side's t parts have a Jacobian of rank below t, where g has a
+    zero gradient, and where the stacked Jacobian has rank below t + 1,
+    from one pass: fparts are the f side's components on a cone's f face,
+    gpart is g on its g face, and None is a side that never vanishes
+    (monomial ideal, trivial measure).
 
     The pass walks the restrictions' own torus. Let A have as rows each
     part's exponents less that part's first one, and U A V = D be its
@@ -124,6 +91,13 @@ def sweep(fparts, gpart, p):
     diag(1/x), with W the transpose of V^-1, which is unimodular and so
     invertible mod p. Witnesses are lifted back through x = y^V and
     sorted.
+
+    The pass goes fibre by fibre: each fixes y_1..y_(r-1) and runs over
+    y_r (r = 0, monomials that p divides, is read as r = 1). Each reduced
+    part's terms are grouped by their exponent of y_r; on a fibre each
+    group's coefficient is evaluated once, and the p-1 values come from
+    power tables of y_r. A mapping's parts vanish where their zero sets
+    meet, and the Jacobians are read only at the zeros.
     """
     # one monomial with a unit coefficient has no torus zero: drop its side
     fparts, gparts = (None if parts is None or any(
@@ -138,7 +112,7 @@ def sweep(fparts, gpart, p):
     v, diag = smith_form([vec_sub(e, next(iter(poly.terms)))
                           for poly in polys for e in poly.terms]
                          or [[0] * n])
-    r = sum(1 for d in diag if d)
+    r = max(sum(1 for d in diag if d), 1)
     columns = list(zip(*v))[:r]
 
     def reduced(poly):
@@ -150,22 +124,57 @@ def sweep(fparts, gpart, p):
 
     fparts, gparts = (None if parts is None else list(map(reduced, parts))
                       for parts in (fparts, gparts))
-    fzero, gzero, test = point_test(fparts, gparts, p)
+    ys = range(1, p)  # a fibre: y_1..y_(r-1) fixed, y_r in ys
+    whole = frozenset(ys)
+    tables = {}  # e -> y^e mod p for y in ys
+
+    def grouped(poly):  # [(powers of y_r, its coefficient on a fibre)]
+        groups = {}
+        for e, c in poly.terms.items():
+            groups.setdefault(e[-1], {})[e[:-1]] = c
+        return [(tables.setdefault(e, [pow(y, e, p) for y in ys]),
+                 IntegerPolynomial(r - 1, terms).mod_evaluator(p))
+                for e, terms in groups.items()]
+
+    def vanishing(parts, prefix):  # the y_r where every part vanishes
+        common = whole if parts else frozenset()
+        for groups in parts:
+            terms = [(c, powers) for powers, coefficient in groups
+                     if (c := coefficient(prefix))]
+            if len(terms) == 1:  # one term is a unit on the torus
+                return frozenset()
+            if terms:  # the values over the first coefficient: same zeros
+                (c, values), *rest = terms
+                inverse = pow(c, -1, p)
+                for c, powers in rest:
+                    c = c * inverse % p
+                    values = [u + c * v for u, v in zip(values, powers)]
+                common = common.intersection(
+                    y for y, u in zip(ys, values) if not u % p)
+        return common
+
+    fgroups, ggroups = ([] if parts is None else list(map(grouped, parts))
+                        for parts in (fparts, gparts))
+    fgrad, ggrad = ([[poly.partial_derivative(i).mod_evaluator(p)
+                      for i in range(1, r + 1)] for poly in parts or ()]
+                    for parts in (fparts, gparts))
+    t = len(fgrad)
     N = P = Q = 0
     found = ([], [], [])
-    for a in _torus(p, r):
-        if fzero(a):
-            if gzero(a):
-                Q += 1
-            else:
-                N += 1
-        elif gzero(a):
-            P += 1
-        else:
-            continue
-        for zeros, failed in zip(found, test(a)[2]):
-            if failed:
-                zeros.append(a)
+    for prefix in _torus(p, r - 1):
+        fz, gz = vanishing(fgroups, prefix), vanishing(ggroups, prefix)
+        N, P, Q = N + len(fz - gz), P + len(gz - fz), Q + len(fz & gz)
+        for y in sorted(fz | gz):  # the Jacobians only at the zeros
+            a = prefix + (y,)
+            frows = [[d(a) for d in row] for row in fgrad] if y in fz else []
+            grows = [[d(a) for d in row] for row in ggrad] if y in gz else []
+            failed = (frows and (rank_mod_p(frows, p) < t if t > 1
+                                 else not any(frows[0])),
+                      grows and not any(grows[0]),
+                      frows and grows and rank_mod_p(frows + grows, p) < t + 1)
+            for witnesses, bad in zip(found, failed):
+                if bad:
+                    witnesses.append(a)
 
     def lift(zeros):  # x_j = prod_i y_i^V[j][i] for y = z + w, w free
         return tuple(sorted(

@@ -6,8 +6,9 @@ and zeta function are known in closed form, which makes it the anchor
 for golden tests.
 
 The references are what the tests check the program against and the CLI
-never runs: the closed values of a coset's integral and of the measure
-of A_{k,l}, the hypotheses under which they hold, the oracle's brackets
+never runs: the per-point torus test that `counting.sweep`'s fibres
+replace, the closed values of a coset's integral and of the measure of
+A_{k,l}, the hypotheses under which they hold, the oracle's brackets
 over one coset or over the torus, the cone that holds a weight, and
 exact evaluation.
 """
@@ -20,7 +21,7 @@ from fractions import Fraction
 import pytest
 
 from igusa import oracle, zeta
-from igusa.counting import components, point_test
+from igusa.counting import components, rank_mod_p
 from igusa.polynomials import MonomialIdealSpec, parse_polynomial
 from igusa.problem import ProblemSpec
 
@@ -81,6 +82,40 @@ def class_value(fzero, gzero, p, n, s0, t=1) -> Fraction:
     sizes = [0, 0, 0, 0]
     sizes[fzero + 2 * gzero] = 1
     return zeta._class_sum(sizes, p, n, t).evaluate(Fraction(1, p**s0))
+
+
+# -- the torus test point by point, apart from `counting.sweep`'s fibres
+
+
+def _zero_test(polys, p):
+    """point -> whether every one of polys vanishes at point mod p."""
+    evaluators = [poly.mod_evaluator(p) for poly in polys]
+
+    def vanishes(point):
+        return not any(value(point) for value in evaluators)
+    return vanishes
+
+
+def point_test(fparts, gparts, p):
+    """Compiled once for both sides (None never vanishes): their zero
+    tests and point -> (f vanishes, g vanishes, failures), the failures
+    being an f-side Jacobian of rank below t for t parts, a zero gradient
+    of g and a stacked Jacobian of rank below t + 1."""
+    fzero, gzero = ((lambda point: False) if parts is None
+                    else _zero_test(parts, p) for parts in (fparts, gparts))
+    fgrad, ggrad = ([[poly.partial_derivative(i).mod_evaluator(p)
+                      for i in range(1, poly.n + 1)] for poly in parts or ()]
+                    for parts in (fparts, gparts))
+    t = len(fgrad)
+
+    def test(a):
+        fz, gz = fzero(a), gzero(a)
+        frows = [[d(a) for d in row] for row in fgrad] if fz else []
+        grows = [[d(a) for d in row] for row in ggrad] if gz else []
+        return fz, gz, (fz and rank_mod_p(frows, p) < t,
+                        gz and rank_mod_p(grows, p) < 1,
+                        fz and gz and rank_mod_p(frows + grows, p) < t + 1)
+    return fzero, gzero, test
 
 
 # -- the closed values' hypotheses, and what the oracle brackets under them

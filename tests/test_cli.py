@@ -10,10 +10,12 @@ from fractions import Fraction
 
 import pytest
 
-from igusa import cli, problem, zeta
+from igusa import cli, counting, problem, zeta
 from igusa.errors import InternalConsistencyError, PoleEvaluationError
 from igusa.problem import PSI_13, compute, parse_problem_file
 from igusa.ratfun import Poly, RationalFunction, binomial
+
+from test_pipeline import count_calls
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "example_ideal.txt")
 
@@ -354,6 +356,15 @@ class TestCheck:
         assert "p=3: DEGENERATE" in text
         assert "p=5: ok" in text
         assert "witness" in text
+
+    def test_repeated_prime_is_checked_once(self, monkeypatch):
+        calls = count_calls(monkeypatch, counting, "_torus")
+        once = run(["check", FIXTURE, "--sweep", "5", "--json"])
+        sweeps = len(calls)
+        calls.clear()
+        assert run(["check", FIXTURE, "--sweep", "5,5", "--json"]) == once
+        assert len(calls) == sweeps > 0
+        assert [r["p"] for r in json.loads(once[1])["results"]] == [5]
 
     @pytest.mark.parametrize("sweep, message", [
         ("abc", "invalid literal for int() with base 10: 'abc'"),

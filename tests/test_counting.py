@@ -13,8 +13,7 @@ from igusa import cli
 from igusa.counting import (CountTriple, check_nondegenerate_single,
                             check_pair_nondegenerate,
                             check_strong_nondegenerate, cone_name,
-                            count_triple, face_name, point_test, rank_mod_p,
-                            sweep)
+                            count_triple, face_name, rank_mod_p, sweep)
 from igusa.cones import partition_pair
 from igusa.errors import SizeGuardError
 from igusa.newton import NewtonPolyhedron, face_restriction
@@ -22,7 +21,7 @@ from igusa.polynomials import (IntegerPolynomial, PolynomialMapping,
                                parse_polynomial)
 from igusa.ratfun import Poly, RationalFunction
 
-from conftest import evaluate, example_measure, report_budget
+from conftest import evaluate, example_measure, point_test, report_budget
 from test_acceptance import closed_form
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "example_ideal.txt"
@@ -358,10 +357,46 @@ def restrictions(draw):
     return p, fparts, g
 
 
+@st.composite
+def fibred_restrictions(draw):
+    """(p, f parts or None, g or None): polynomials in n <= 2 variables at
+    primes near 100 and 200. A part may carry the factors x - a and y - b,
+    so that it vanishes on whole lines, which the sweep's fibres may be,
+    and all its coefficients may be multiples of p, so that every fibre
+    is a zero."""
+    n = draw(st.sampled_from([1, 2, 2, 2]))
+    p = draw(st.sampled_from([101, 103, 197, 199]))
+
+    def polynomial():
+        part = IntegerPolynomial(n, draw(st.dictionaries(
+            st.tuples(*[st.integers(0, 3)] * n),
+            st.integers(-6, 6).filter(bool), min_size=2, max_size=4)))
+        for i in draw(st.sets(st.integers(0, n - 1))):  # times x_i - a
+            part = part * IntegerPolynomial(n, {
+                tuple(int(j == i) for j in range(n)): 1,
+                (0,) * n: -draw(st.integers(1, p - 1))})
+        multiple = draw(st.integers(0, 7)) == 0
+        scale = p * draw(st.integers(1, 2)) if multiple else 1
+        return IntegerPolynomial(n, {e: scale * c
+                                     for e, c in part.terms.items()})
+
+    t = draw(st.sampled_from([None, 1, 2]))
+    fparts = None if t is None else [polynomial() for _ in range(t)]
+    g = polynomial() if fparts is None or draw(st.booleans()) else None
+    return p, fparts, g
+
+
 class TestReducedSweep:
     @settings(derandomize=True, max_examples=300, deadline=None)
     @given(restrictions())
     def test_matches_the_whole_torus(self, case):
+        p, fparts, g = case
+        assert sweep(fparts, g, p) == reference_sweep(
+            fparts, None if g is None else [g], p)
+
+    @settings(derandomize=True, max_examples=40, deadline=None)
+    @given(fibred_restrictions())
+    def test_matches_the_whole_torus_at_large_primes(self, case):
         p, fparts, g = case
         assert sweep(fparts, g, p) == reference_sweep(
             fparts, None if g is None else [g], p)
@@ -397,4 +432,17 @@ class TestTorusBudgets:
         code, z = compute_zeta(path)
         report_budget("compute on x^3+y^3+z^3 at p = 101", started, 2.0)
         assert code == cli.EXIT_OK
+        assert z.evaluate(1) == 1
+
+    def test_full_rank_face_at_101(self, tmp_path):
+        # the whole Newton polyhedron's face has rank 3: its sweep walks
+        # 100^2 fibres of 100 points
+        path = tmp_path / "full_rank.txt"
+        path.write_text("mode=single\nn=3\np=101\nf=x + y + z + x*y*z\n")
+        started = time.perf_counter()
+        code, z = compute_zeta(path)
+        report_budget("compute on x+y+z+xyz at p = 101", started, 0.3)
+        assert code == cli.EXIT_OK
+        assert z == RationalFunction(Poly([1019998, 102]),
+                                     Poly([1030301, -10201]))
         assert z.evaluate(1) == 1
