@@ -22,7 +22,7 @@ from math import prod
 
 from .cones import partition_single
 from .errors import guard
-from .linalg import echelon, vec_dot, vec_sub
+from .linalg import echelon, rank_mod, vec_dot, vec_sub
 from .newton import Face, NewtonPolyhedron, face_restriction
 from .polynomials import IntegerPolynomial, PolynomialMapping
 
@@ -47,38 +47,13 @@ def _torus(p, n):
     return itertools.product(range(1, p), repeat=n)
 
 
-def components(obj):
-    """The polynomials of a mapping, or [obj] for a single polynomial."""
-    if isinstance(obj, PolynomialMapping):
-        return list(obj.components)
-    return [obj]
-
-
-def rank_mod_p(rows, p):
-    """Rank of an integer matrix over F_p by row reduction."""
-    rows = [[x % p for x in row] for row in rows]
-    rank = 0
-    for col in range(len(rows[0]) if rows else 0):
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
-                     None)
-        if pivot is None:
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        for r in range(rank + 1, len(rows)):
-            f = rows[r][col] * inv % p
-            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
-        rank += 1
-    return rank
-
-
 def sweep(fparts, gpart, p):
     """(N, P, Q) and, in itertools.product order, the torus zeros where
-    the f side's t parts have a Jacobian of rank below t, where g has a
-    zero gradient, and where the stacked Jacobian has rank below t + 1,
-    from one pass: fparts are the f side's components on a cone's f face,
-    gpart is g on its g face, and None is a side that never vanishes
-    (monomial ideal, trivial measure).
+    a Jacobian over F_p has rank below its row count: the f side's (t
+    rows), g's (one) and the two stacked (t + 1), all from one pass:
+    fparts are the f side's components on a cone's f face, gpart is g on
+    its g face, and None is a side that never vanishes (monomial ideal,
+    trivial measure).
 
     The pass walks the restrictions' own torus. Let A have as rows each
     part's exponents less that part's first one, and U A^T = H be the
@@ -98,7 +73,8 @@ def sweep(fparts, gpart, p):
     part's terms are grouped by their exponent of y_r; on a fibre each
     group's coefficient is evaluated once, and the p-1 values come from
     power tables of y_r. A mapping's parts vanish where their zero sets
-    meet, and the Jacobians are read only at the zeros.
+    meet, and the Jacobians are read only at the zeros, each by one rule,
+    `rank_mod(rows, p) < len(rows)`.
     """
     # one monomial with a unit coefficient has no torus zero: drop its side
     fparts, gparts = (None if parts is None or any(
@@ -127,13 +103,12 @@ def sweep(fparts, gpart, p):
                       for parts in (fparts, gparts))
     ys = range(1, p)  # a fibre: y_1..y_(r-1) fixed, y_r in ys
     whole = frozenset(ys)
-    tables = {}  # e -> y^e mod p for y in ys
 
     def grouped(poly):  # [(powers of y_r, its coefficient on a fibre)]
         groups = {}
         for e, c in poly.terms.items():
             groups.setdefault(e[-1], {})[e[:-1]] = c
-        return [(tables.setdefault(e, [pow(y, e, p) for y in ys]),
+        return [([pow(y, e, p) for y in ys],
                  IntegerPolynomial(r - 1, terms).mod_evaluator(p))
                 for e, terms in groups.items()]
 
@@ -159,7 +134,6 @@ def sweep(fparts, gpart, p):
     fgrad, ggrad = ([[poly.partial_derivative(i).mod_evaluator(p)
                       for i in range(1, r + 1)] for poly in parts or ()]
                     for parts in (fparts, gparts))
-    t = len(fgrad)
     N = P = Q = 0
     found = ([], [], [])
     for prefix in _torus(p, r - 1):
@@ -169,12 +143,9 @@ def sweep(fparts, gpart, p):
             a = prefix + (y,)
             frows = [[d(a) for d in row] for row in fgrad] if y in fz else []
             grows = [[d(a) for d in row] for row in ggrad] if y in gz else []
-            failed = (frows and (rank_mod_p(frows, p) < t if t > 1
-                                 else not any(frows[0])),
-                      grows and not any(grows[0]),
-                      frows and grows and rank_mod_p(frows + grows, p) < t + 1)
-            for witnesses, bad in zip(found, failed):
-                if bad:
+            for witnesses, rows in zip(found, (frows, grows, frows and grows
+                                               and frows + grows)):
+                if rows and rank_mod(rows, p) < len(rows):
                     witnesses.append(a)
 
     def lift(zeros):  # x_j = prod_i y_i^U[i][j] for y = z + w, w free
@@ -195,7 +166,7 @@ def count_triple(fpart, gpart, p) -> CountTriple:
     monomial ideals); likewise gpart (trivial measure). A mapping
     vanishes when every component does.
     """
-    return sweep(None if fpart is None else components(fpart), gpart, p)[0]
+    return sweep(None if fpart is None else fpart.components, gpart, p)[0]
 
 
 def _report(named_zeros, condition) -> DegeneracyReport:
@@ -235,7 +206,7 @@ def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
     """At every common torus zero of the two face restrictions on a cone
     of the pair partition, the stacked Jacobian of (fside components, g)
     has full rank (2 for a polynomial side, t+1 for a mapping) mod p."""
-    t = len(components(fside))
+    t = len(fside.components)
     if g.n < t + 1:
         raise ValueError(f"need n >= {t + 1} variables, got {g.n}")
     return cone_checks(fside, g, partition, p)[1]["pair"]
@@ -250,7 +221,7 @@ def cone_checks(fside, g, partition, p):
     checks need.
     fside is None for a side that never vanishes (monomial ideal), g for
     the trivial measure."""
-    fcomps = None if fside is None else components(fside)
+    fcomps = None if fside is None else fside.components
     cones = partition.cones
     keys = [(None if fcomps is None else
              tuple(face_restriction(c, cone.labels[0]) for c in fcomps),

@@ -8,7 +8,8 @@ Number Theory, 2.4). The pivots give the rank. The rows of U past the
 rank are a basis of the integer vectors orthogonal to A's columns, so
 `cone_facets` reads each candidate facet normal off the last row of U,
 `counting.sweep` its monomial change of variables off U, and
-`cones.parallelepiped_points` the lattice of a cone's rays off H.
+`cones.parallelepiped_points` the lattice of a cone's rays off H. And
+`rank` and `rank_mod` count its pivots, over Q and over F_p.
 """
 
 import itertools
@@ -65,7 +66,25 @@ def echelon(rows):
 
 
 def rank(rows):
+    """Rank over Q, from the side with fewer rows: U carries one identity
+    row per row of A."""
+    if rows and len(rows) > len(rows[0]):
+        rows = list(zip(*rows))
     return len(echelon(rows)[1])
+
+
+def rank_mod(rows, p):
+    """Rank over F_p of an integer matrix A of r columns: the number of
+    pivots equal to 1 in the echelon form of A stacked on p I_r. The
+    lattice of those rows has index p^(r - rank) and holds every p e_i,
+    so each of its r pivots is 1 or p. One row has rank 1 unless p
+    divides it, and no row has rank 0."""
+    if len(rows) < 2:
+        return int(any(x % p for x in rows[0])) if rows else 0
+    width = len(rows[0])
+    m, pivots = echelon([*rows, *([p * (i == j) for j in range(width)]
+                                  for i in range(width))])
+    return sum(row[c] == 1 for row, c in zip(m, pivots))
 
 
 def guard_facet_search(count, d):

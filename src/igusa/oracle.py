@@ -31,7 +31,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
 
-from .counting import components
 from .errors import guard
 from .polynomials import IntegerPolynomial, MonomialIdealSpec
 
@@ -88,7 +87,7 @@ def _census(cosets, fside, g, p, M) -> Counter:
                  for k in range(n)]
         monomials = fside.generators
     else:  # each component is a generator: a unit vector, cut after its 1
-        atoms = components(fside)
+        atoms = list(fside.components)
         monomials = [[0] * k + [1] for k in range(len(atoms))]
     # A generator's order is the weighted sum of its atoms' orders, open
     # if an atom is. With an order o keyed width*o + (open), a generator's

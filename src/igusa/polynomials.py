@@ -86,6 +86,10 @@ class IntegerPolynomial:
     def support(self):
         return frozenset(self.terms)
 
+    @property
+    def components(self):  # a polynomial is a mapping of one component
+        return (self,)
+
     def is_zero(self):
         return not self.terms
 

@@ -6,11 +6,11 @@ and zeta function are known in closed form, which makes it the anchor
 for golden tests.
 
 The references are what the tests check the program against and the CLI
-never runs: the per-point torus test that `counting.sweep`'s fibres
-replace, the closed values of a coset's integral and of the measure of
-A_{k,l}, the hypotheses under which they hold, the oracle's brackets
-over one coset or over the torus, the cone that holds a weight, and
-exact evaluation.
+never runs: the rank over F_p by Gaussian elimination, the per-point
+torus test that `counting.sweep`'s fibres replace, the closed values of
+a coset's integral and of the measure of A_{k,l}, the hypotheses under
+which they hold, the oracle's brackets over one coset or over the
+torus, the cone that holds a weight, and exact evaluation.
 """
 
 import itertools
@@ -21,9 +21,27 @@ from fractions import Fraction
 import pytest
 
 from igusa import oracle, zeta
-from igusa.counting import components, rank_mod_p
 from igusa.polynomials import MonomialIdealSpec, parse_polynomial
 from igusa.problem import ProblemSpec
+
+
+def rank_mod_p(rows, p):
+    """Rank of an integer matrix over F_p by Gaussian elimination with
+    inverses mod p, apart from `linalg.rank_mod`'s echelon form."""
+    rows = [[x % p for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]),
+                     None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        inv = pow(rows[rank][col], p - 2, p)
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * inv % p
+            rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
 
 
 def report_budget(label, started, limit):
@@ -136,7 +154,7 @@ def hypothesis_check(fside, g, p):
     is read so, as the checks do; a point off the torus is refused.
     """
     ideal = isinstance(fside, MonomialIdealSpec)
-    comps = components(fside)
+    comps = (fside,) if ideal else fside.components
     test = point_test(None if ideal else comps, None if g is None else [g],
                       p)[2]
     conditions = ("the f side's Jacobian is rank-deficient",

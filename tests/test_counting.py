@@ -13,15 +13,17 @@ from igusa import cli
 from igusa.counting import (CountTriple, check_nondegenerate_single,
                             check_pair_nondegenerate,
                             check_strong_nondegenerate, cone_name,
-                            count_triple, face_name, rank_mod_p, sweep)
+                            count_triple, face_name, sweep)
 from igusa.cones import partition_pair
 from igusa.errors import SizeGuardError
+from igusa.linalg import rank_mod
 from igusa.newton import NewtonPolyhedron, face_restriction
 from igusa.polynomials import (IntegerPolynomial, PolynomialMapping,
                                parse_polynomial)
 from igusa.ratfun import Poly, RationalFunction
 
-from conftest import evaluate, example_measure, point_test, report_budget
+from conftest import (evaluate, example_measure, point_test, rank_mod_p,
+                      report_budget)
 from test_acceptance import closed_form
 
 FIXTURE = pathlib.Path(__file__).parent / "fixtures" / "example_ideal.txt"
@@ -90,9 +92,9 @@ class TestCountTriple:
 
 class TestRankModP:
     def test_known(self):
-        assert rank_mod_p([[1, 0], [0, 1]], 5) == 2
-        assert rank_mod_p([[2, 4], [1, 2]], 5) == 1
-        assert rank_mod_p([[5, 10], [3, 1]], 5) == 1
+        assert rank_mod([[1, 0], [0, 1]], 5) == 2
+        assert rank_mod([[2, 4], [1, 2]], 5) == 1
+        assert rank_mod([[5, 10], [3, 1]], 5) == 1
 
     def test_matches_rational_rank_when_no_p_division(self):
         import random
@@ -102,7 +104,7 @@ class TestRankModP:
             p = rng.choice([3, 5, 7])
             rows = [[rng.randint(0, p - 1) for _ in range(3)]
                     for _ in range(3)]
-            rp = rank_mod_p(rows, p)
+            rp = rank_mod(rows, p)
             rq = linalg.rank(rows)
             assert rp <= rq
             if all(x in (0, 1) for row in rows for x in row) and p > 3:

@@ -13,12 +13,14 @@ computed report has its common-denominator view, and every exponent
 p^(a*s+b) in it other than the term 1 has b >= 1, the only form the
 renderer prints for a > 0.
 
-Three metamorphic relations fix Z exactly with no oracle, so they hold
+Four metamorphic relations fix Z exactly with no oracle, so they hold
 at any prime: f + x_(n+1), with x_(n+1) a variable f does not use, has
 Z = (p-1)/(p-t), since x_(n+1) -> f + x_(n+1) preserves the Haar
 measure; a monomial ideal has the Z of the mapping of its generators,
-measure included; and a variable that neither side uses, added at any
-position, leaves Z unchanged in every mode, since its Z_p has measure 1.
+measure included; a variable that neither side uses, added at any
+position, leaves Z unchanged in every mode, since its Z_p has measure 1;
+and a measure factor z^a in a new variable z multiplies Z by the
+integral of |z|^a over Z_p, (1 - 1/p)/(1 - p^-(a+1)), by Fubini.
 """
 
 import contextlib
@@ -27,13 +29,14 @@ import json
 import pathlib
 import tempfile
 import time
+from fractions import Fraction
 
 from hypothesis import assume, example, given, settings, strategies as st
 
 from igusa import cli
 from igusa.errors import DegeneracyError
 from igusa.polynomials import (IntegerPolynomial, MonomialIdealSpec,
-                               PolynomialMapping)
+                               PolynomialMapping, parse_polynomial)
 from igusa.problem import ProblemSpec, compute
 from igusa.ratfun import Poly, RationalFunction
 
@@ -237,6 +240,40 @@ def _an_unused_variable_leaves_z_unchanged(case):
     assert _z(_with_new_variable(spec, i)) == z, (spec, i)
 
 
+def _with_measure_factor(spec, a):
+    """The problem in n + 1 variables whose measure is g z^a, or z^a for
+    the trivial measure, with z = x_(n+1) new."""
+    lifted = _with_new_variable(spec, spec.n)
+    z = IntegerPolynomial.monomial(spec.n + 1, [0] * spec.n + [a])
+    return ProblemSpec(lifted.mode, lifted.n, lifted.p, lifted.fside,
+                       z if lifted.g is None else lifted.g * z)
+
+
+@st.composite
+def problems_and_powers(draw):
+    """(spec, (a,)): a problem drawn as by `problems_and_positions`, and
+    the power 1 <= a <= 3 of a new variable in its measure."""
+    spec, _ = draw(problems_and_positions())
+    return spec, (draw(st.integers(1, 3)),)
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(problems_and_powers())
+# g = x3*x4^2 beside f = x1^2 + x2^3 at p = 7: Z times p/(p+1) and then
+# times p^2(p-1)/(p^3-1)
+@example((ProblemSpec("single", 2, 7, parse_polynomial("x^2 + y^3", 2),
+                      None), (1, 2)))
+def _a_measure_factor_in_new_variables_scales_z(case):
+    spec, powers = case
+    z = _z(spec)
+    assume(z is not None)
+    p = spec.p
+    for a in powers:
+        spec = _with_measure_factor(spec, a)
+        z = z * Fraction((p - 1) * p**a, p**(a + 1) - 1)
+    assert _z(spec) == z, (spec, powers)
+
+
 class TestMetamorphic:
     def test_a_new_variable_gives_the_unit_integral(self):
         started = time.perf_counter()
@@ -252,3 +289,8 @@ class TestMetamorphic:
         started = time.perf_counter()
         _an_unused_variable_leaves_z_unchanged()
         report_budget("metamorphic: an unused variable", started, 2.5)
+
+    def test_a_measure_factor_in_new_variables_scales_z(self):
+        started = time.perf_counter()
+        _a_measure_factor_in_new_variables_scales_z()
+        report_budget("metamorphic: a measure factor z^a", started, 2.5)

@@ -1,5 +1,5 @@
-"""Exact integer linear algebra: the echelon form and the facet search,
-against references over Q."""
+"""Exact integer linear algebra: the echelon form, the ranks and the
+facet search, against references over Q and over F_p."""
 
 import itertools
 import math
@@ -7,11 +7,11 @@ from fractions import Fraction
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from igusa import linalg
 
-from conftest import laplace_det, primitive
+from conftest import laplace_det, primitive, rank_mod_p
 
 
 def matmul(a, b):
@@ -180,6 +180,28 @@ class TestAgainstReference:
         else:
             assert [sum(lam * col[i] for lam, col in zip(got, columns))
                     for i in range(len(target))] == list(target)
+
+
+@st.composite
+def matrices_mod_p(draw):
+    """(rows, p): a deficient matrix, tall, wide or of one row, with each
+    entry moved by a multiple of p in -2p..2p. So entries are negative or
+    past p, and rows dependent over F_p often are not over Q."""
+    p = draw(st.sampled_from([2, 3, 5, 7, 101]))
+    rows = [[x + p * draw(st.integers(-2, 2)) for x in row]
+            for row in draw(deficient_matrices())]
+    return rows, p
+
+
+class TestRankMod:
+    @PROPERTY
+    @given(matrices_mod_p())
+    @example(([[4, -2, 6]], 2))  # one row that p divides
+    @example(([[1, 2], [3, 4], [5, 6]], 2))  # tall, of rank 1 mod 2
+    @example(([], 5))  # no rows
+    def test_against_gaussian_elimination(self, case):
+        rows, p = case
+        assert linalg.rank_mod(rows, p) == rank_mod_p(rows, p)
 
 
 @st.composite

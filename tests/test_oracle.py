@@ -11,7 +11,7 @@ import pytest
 from hypothesis import assume, example, given, settings, strategies as st
 
 from igusa import oracle
-from igusa.counting import CountTriple, components
+from igusa.counting import CountTriple
 from igusa.errors import SizeGuardError
 from igusa.polynomials import (IntegerPolynomial, MonomialIdealSpec,
                                PolynomialMapping, parse_polynomial)
@@ -78,7 +78,7 @@ def reference_bracket(residues, fside, g, p, s0, M):
                     for w in gens])
             return memo[coords]
     else:
-        comps = [c.mod_evaluator(modulus) for c in components(fside)]
+        comps = [c.mod_evaluator(modulus) for c in fside.components]
 
         def fside_ord(a):
             return _min_ord([order(ev(a)) for ev in comps])
@@ -107,7 +107,7 @@ def reference_measure(fside, g, a, p, k, l):
     n = fside.n
     depth = max(k, l)
     pk, pl = p**k, p**l
-    fevs = [comp.mod_evaluator(pk) for comp in components(fside)]
+    fevs = [comp.mod_evaluator(pk) for comp in fside.components]
     gev = g.mod_evaluator(pl)
     count = 0
     for c in itertools.product(range(p**(depth - 1)), repeat=n):
@@ -130,7 +130,7 @@ def reference_census(cosets, fside, g, p, M):
         atoms = [itemgetter(i) for i in range(n)]
         monomials = fside.generators
     else:
-        atoms = [c.mod_evaluator(p**M) for c in components(fside)]
+        atoms = [c.mod_evaluator(p**M) for c in fside.components]
         monomials = [[0] * k + [1] for k in range(len(atoms))]
     width = 1 + max(map(sum, monomials))
     gev = None if g is None else g.mod_evaluator(p**M)

@@ -107,7 +107,7 @@ def pairs_to_sweep(comp):
     for cone in comp.partition.cones:
         fparts = None if spec.mode == "ideal" else tuple(
             face_restriction(c, cone.labels[0])
-            for c in counting.components(spec.fside))
+            for c in spec.fside.components)
         gpart = None if spec.g is None else face_restriction(
             spec.g, cone.labels[1])
         gparts = None if gpart is None else (gpart,)
@@ -231,7 +231,7 @@ def test_cone_sweeps_match_face_and_cone_functions(spec):
     assert comp.counts == [counting.count_triple(
         None if fside is None else PolynomialMapping(
             [face_restriction(c, cone.labels[0])
-             for c in counting.components(fside)]),
+             for c in fside.components]),
         None if spec.g is None else face_restriction(spec.g, cone.labels[1]),
         p) for cone in cones]
     if fside is not None:
