@@ -6,14 +6,13 @@ A to a row echelon form H = U A by unimodular row operations and keeps
 U (Hermite's reduction; Cohen, A Course in Computational Algebraic
 Number Theory, 2.4). The pivots give the rank. The rows of U past the
 rank are a basis of the integer vectors orthogonal to A's columns, so
-`cone_facets` reads each candidate facet normal off the last row of U,
-`counting.sweep` its monomial change of variables off U, and
+`cone_facets` reads the facet normals of its start simplex off the last
+row of U, `counting.sweep` its monomial change of variables off U, and
 `cones.parallelepiped_points` the lattice of a cone's rays off H. And
 `rank` and `rank_mod` count its pivots, over Q and over F_p.
 """
 
-import itertools
-from math import comb
+from math import comb, gcd
 from operator import mul
 
 from .errors import guard
@@ -88,9 +87,11 @@ def rank_mod(rows, p):
 
 
 def guard_facet_search(count, d):
-    """Refuse, before it starts, a facet search over `count` rays in R^d:
-    C(count, d - 1) ray subsets, each weighed as the d^3 steps of the
-    echelon form of its d x (d-1) transpose."""
+    """Refuse, before it starts, a facet search over `count` rays in R^d,
+    weighed as C(count, d - 1) eliminations of a d x (d-1) matrix of d^3
+    steps each. A facet is spanned by d-1 of the rays, so C(count, d - 1)
+    bounds the facets the double description holds at once; it does not
+    bound the pairs that it tests."""
     guard(comb(count, d - 1) * d**3, "facet search")
 
 
@@ -99,26 +100,45 @@ def cone_facets(rays):
     primitive h with h . r >= 0 for every ray and d-1 independent rays
     tight, d = the dimension of the space.
 
-    Each (d-1)-subset of the rays is eliminated once, after the size
-    guard has weighed it. One of rank d-1 leaves a single zero row of H,
-    and the last row of U, orthogonal to the d-1 rays, is the candidate;
-    as a row of a unimodular matrix it is primitive. A candidate that
-    supports the cone is a facet normal. The sum of the rays lies in the
-    interior, where every facet normal is positive, so it orients the
-    candidates; many ray subsets span the same hyperplane, and each
-    hyperplane is tested once.
+    Double description (Motzkin et al. 1953; Fukuda and Prodon 1996):
+    the facets of the cone over the rays seen so far, each with its zero
+    set, the bitmask of the rays tight on it. It starts from the simplex
+    of the first d independent rays, the pivot columns of the echelon
+    form of the rays' transpose; the normal of the facet that omits one
+    of them is the last row of U for the other d-1, primitive as a row
+    of a unimodular matrix. Each further ray r keeps the facets with
+    h . r >= 0 and joins each adjacent pair with h+ . r > 0 > h- . r in
+    the primitive s+ h- - s- h+, which is tight on r. The pair is
+    adjacent when its common zero set Z holds at least d-2 rays and no
+    third facet's zero set contains Z.
     """
     d = len(rays[0])
     guard_facet_search(len(rays), d)
-    interior = [sum(col) for col in zip(*rays)]
-    supporting = {}
-    for sub in itertools.combinations(rays, d - 1):
-        m, pivots = echelon(list(zip(*sub)))
-        if len(pivots) < d - 1:
+    rays = sorted(rays)
+    start = echelon(list(zip(*rays)))[1]
+    facets = []
+    for i in start:
+        others = [j for j in start if j != i]
+        h = echelon(list(zip(*(rays[j] for j in others))))[0][-1][d - 1:]
+        sign = 1 if vec_dot(h, rays[i]) > 0 else -1
+        facets.append((tuple(sign * x for x in h),
+                       sum(1 << j for j in others)))
+    for i, ray in enumerate(rays):
+        if i in start:
             continue
-        h = tuple(m[-1][d - 1:])
-        if vec_dot(h, interior) < 0:
-            h = tuple(-x for x in h)
-        if h not in supporting:
-            supporting[h] = all(vec_dot(h, r) >= 0 for r in rays)
-    return sorted(h for h, ok in supporting.items() if ok)
+        signs = [vec_dot(h, ray) for h, _ in facets]
+        kept = [(h, zero | (s == 0) << i)
+                for (h, zero), s in zip(facets, signs) if s >= 0]
+        for (hp, zp), sp in zip(facets, signs):
+            if sp <= 0:
+                continue
+            for (hn, zn), sn in zip(facets, signs):
+                common = zp & zn
+                if (sn >= 0 or common.bit_count() < d - 2
+                        or sum(common & z == common for _, z in facets) > 2):
+                    continue
+                h = [sp * a - sn * b for a, b in zip(hn, hp)]
+                g = gcd(*h)
+                kept.append((tuple(x // g for x in h), common | 1 << i))
+        facets = kept
+    return sorted(h for h, _ in facets)

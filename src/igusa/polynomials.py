@@ -332,7 +332,11 @@ class _Parser:
             if e > EXPONENT_LIMIT:
                 raise PolynomialParseError(
                     f"exponent {e} exceeds the limit {EXPONENT_LIMIT}", self.pos)
-            if len(base.terms) > 1:  # a monomial's chain is under 40 n steps
+            if len(base.terms) == 1:  # (c x^a)^e = c^e x^(a e)
+                (exp, c), = base.terms.items()
+                return sign * IntegerPolynomial.monomial(
+                    self.n, [a * e for a in exp], c**e)
+            if base.terms:
                 guard(_power_steps(base, e), "power expansion")
             result = IntegerPolynomial.constant(self.n, 1)
             power = base

@@ -6,7 +6,8 @@ and zeta function are known in closed form, which makes it the anchor
 for golden tests.
 
 The references are what the tests check the program against and the CLI
-never runs: the rank over F_p by Gaussian elimination, the per-point
+never runs: the rank over F_p by Gaussian elimination, the facets of a
+cone by the search over every (d-1)-subset of its rays, the per-point
 torus test that `counting.sweep`'s fibres replace, the closed values of
 a coset's integral and of the measure of A_{k,l}, the hypotheses under
 which they hold, the oracle's brackets over one coset or over the
@@ -20,7 +21,7 @@ from fractions import Fraction
 
 import pytest
 
-from igusa import oracle, zeta
+from igusa import linalg, oracle, zeta
 from igusa.polynomials import MonomialIdealSpec, parse_polynomial
 from igusa.problem import ProblemSpec
 
@@ -42,6 +43,31 @@ def rank_mod_p(rows, p):
             rows[r] = [(x - f * y) % p for x, y in zip(rows[r], rows[rank])]
         rank += 1
     return rank
+
+
+def subset_facets(rays):
+    """Inward facet normals of a full-dimensional cone by the search over
+    every (d-1)-subset of its rays, apart from `linalg.cone_facets`' double
+    description. A subset of rank d-1 leaves a single zero row of H in
+    the echelon form of its transpose, and the last row of U, orthogonal
+    to the d-1 rays, is the candidate; as a row of a unimodular matrix it
+    is primitive. A candidate that supports the cone is a facet normal.
+    The sum of the rays lies in the interior, where every facet normal is
+    positive, so it orients the candidates; many ray subsets span the same
+    hyperplane, and each hyperplane is tested once."""
+    d = len(rays[0])
+    interior = [sum(col) for col in zip(*rays)]
+    supporting = {}
+    for sub in itertools.combinations(rays, d - 1):
+        m, pivots = linalg.echelon(list(zip(*sub)))
+        if len(pivots) < d - 1:
+            continue
+        h = tuple(m[-1][d - 1:])
+        if linalg.vec_dot(h, interior) < 0:
+            h = tuple(-x for x in h)
+        if h not in supporting:
+            supporting[h] = all(linalg.vec_dot(h, r) >= 0 for r in rays)
+    return sorted(h for h, ok in supporting.items() if ok)
 
 
 def report_budget(label, started, limit):

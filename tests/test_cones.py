@@ -5,17 +5,17 @@ import math
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from igusa import errors, linalg
 from igusa.cones import (parallelepiped_points, partition_pair,
                          partition_single, simplicial_decompose)
 from igusa.errors import SizeGuardError
-from igusa.newton import NewtonPolyhedron
+from igusa.newton import NewtonPolyhedron, minimal_points
 from igusa.polynomials import parse_polynomial
 
 from conftest import (classify, example_ideal, example_measure, minor_gcd,
-                      primitive)
+                      primitive, subset_facets)
 from test_linalg import reference_kernel, reference_solve
 from test_newton import PROPERTY, reference_faces, reference_facets, supports
 
@@ -325,6 +325,48 @@ def fans(draw):
     if draw(st.booleans()):
         return partition_single(gamma)
     return partition_pair(gamma, NewtonPolyhedron(draw(small_support(n, top)), n))
+
+
+@st.composite
+def facet_search_cones(draw):
+    """Rays of the cones whose facets `linalg.cone_facets` is asked for,
+    n = 1..4: over every point of a support, dominated ones included; over
+    a homogeneous support, whose rays all lie in one facet, many of them
+    not extreme; over the minimal points of a Minkowski sum, as
+    `partition_pair` builds it; or the extreme rays of `full_cones`."""
+    kind = draw(st.sampled_from(["support", "homogeneous", "sum", "full"]))
+    if kind == "full":
+        return list(draw(full_cones()))
+    n, top = draw(st.sampled_from([(1, 9), (2, 6), (3, 4), (4, 5)]))
+    if kind == "homogeneous":
+        degree = draw(st.integers(1, top))
+        point = st.lists(st.integers(0, n - 1), min_size=degree,
+                         max_size=degree).map(
+            lambda xs: tuple(map(xs.count, range(n))))
+        support = draw(st.sets(point, min_size=1, max_size=10))
+    elif kind == "support":
+        point = st.tuples(*[st.integers(0, top)] * n).filter(any)
+        support = draw(st.sets(point, min_size=1, max_size=10))
+    else:
+        support, other = (draw(small_support(n, top // 2 + 1))
+                          for _ in range(2))
+        support = minimal_points({linalg.vec_add(a, b)
+                                  for a in support for b in other})
+    units = [tuple(int(i == j) for j in range(n + 1)) for i in range(n)]
+    return [pt + (1,) for pt in sorted(support)] + units
+
+
+class TestDoubleDescription:
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(facet_search_cones())
+    # three points on one edge: a pair of facets meeting in that edge
+    # shares d - 2 = 3 tight rays and is not adjacent
+    @example([(0, 0, 0, 5, 1), (0, 0, 1, 4, 1), (0, 0, 2, 3, 1),
+              (1, 2, 1, 1, 1), (1, 2, 2, 0, 1), (2, 2, 0, 1, 1),
+              (1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+              (0, 0, 0, 1, 0)])
+    def test_against_the_subset_search(self, rays):
+        assert linalg.cone_facets(rays) == subset_facets(rays)
 
 
 class TestNonSimplicialCones:

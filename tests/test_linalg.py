@@ -11,7 +11,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from igusa import linalg
 
-from conftest import laplace_det, primitive, rank_mod_p
+from conftest import laplace_det, primitive, rank_mod_p, subset_facets
 
 
 def matmul(a, b):
@@ -126,8 +126,9 @@ def split(rows):
 
 
 def kernel_vectors(rows):
-    """The vectors orthogonal to the rows that `cone_facets` reads: the
-    rows of U past the rank, for the echelon form of the transpose."""
+    """The vectors orthogonal to the rows that `cone_facets` reads for its
+    start simplex, and `subset_facets` for every candidate: the rows of U
+    past the rank, for the echelon form of the transpose."""
     _, u, r = split([list(col) for col in zip(*rows)])
     return [tuple(row) for row in u[r:]]
 
@@ -232,7 +233,8 @@ class TestConeFacets:
             return m, pivots
 
         with mock.patch.object(linalg, "echelon", record_echelon):
-            facets = linalg.cone_facets(rays)
+            facets = subset_facets(rays)
+        assert linalg.cone_facets(rays) == facets
         assert [tuple(zip(*rows)) for rows, _ in taken] == list(
             itertools.combinations(rays, n))
         for rows, h in taken:

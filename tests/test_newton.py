@@ -251,6 +251,22 @@ class TestAgainstReferences:
         # reference_facets finds the same 21, in about 30 s
         assert len(facets) == 21
 
+    def test_degree_five_facets_budget(self):
+        # the 56 monomials of degree 5 in n = 4: the facet guard admits
+        # C(60, 4) = 487,635 ray subsets, whose elimination took 5.6 s
+        f = parse_polynomial(" + ".join(
+            "*".join(f"x{i}" for i in m)
+            for m in itertools.combinations_with_replacement(range(1, 5), 5)),
+            4)
+        gamma = NewtonPolyhedron.of(f)
+        started = time.perf_counter()
+        facets = gamma.facets()
+        report_budget("facets of the 56 monomials of degree 5 in n = 4",
+                      started, 0.5)
+        assert [(normal, offset) for normal, offset, _ in facets] == [
+            ((0, 0, 0, 1), 0), ((0, 0, 1, 0), 0), ((0, 1, 0, 0), 0),
+            ((1, 0, 0, 0), 0), ((1, 1, 1, 1), 5)]
+
     def test_face_guard_comes_before_the_closure(self):
         # x1 + x2 in n = 30: 31 facets and 3 * 2^29 faces
         gamma = NewtonPolyhedron.of(parse_polynomial("x1 + x2", 30))

@@ -96,6 +96,26 @@ polys = st.dictionaries(exponents, st.integers(-9, 9), max_size=6).map(
     lambda terms: IntegerPolynomial(2, terms))
 
 
+class TestPowers:
+    """A power of one term is written down at once, any other one expanded
+    by square and multiply; both give the product of e copies."""
+
+    @settings(derandomize=True, max_examples=100, deadline=None)
+    @given(polys.filter(lambda a: len(a.terms) <= 3), st.integers(0, 7))
+    def test_power_is_the_repeated_product(self, base, e):
+        product = poly("1")
+        for _ in range(e):
+            product = product * base
+        assert poly(f"({base})^{e}") == product
+        assert poly(f"-({base})^{e}") == -1 * product
+
+    def test_one_term_figures(self):
+        assert poly("(-2*x*y^3)^3").terms == {(3, 9): -8}
+        assert poly("(-x)^0").terms == {(0, 0): 1}
+        assert poly("x^1000000*y").terms == {(1000000, 1): 1}
+        assert poly("0^3 + (x - x)^2").terms == {}
+
+
 class TestPowerGuard:
     """The work of a power's square-and-multiply chain is weighed before
     its first product."""
