@@ -3,9 +3,9 @@
 Subcommands: compute (full pipeline with per-cone table), check
 (non-degeneracy reports, optionally swept over primes), oracle
 (truncated-integral bracket vs formula value) and poles (candidate-pole
-table). Every report's JSON document is built here alone, and its text
-is a pure function of it, so JSON output round-trips to byte-identical
-text.
+table, read off the facet normals alone: no faces, no fan). Every
+report's JSON document is built here alone, and its text is a pure
+function of it, so JSON output round-trips to byte-identical text.
 
 Exit codes: 0 ok, 1 parse error, 2 degeneracy, 3 size guard, 4 oracle
 violation, 5 internal error (a broken invariant, or any other exception
@@ -98,9 +98,8 @@ def _spec_doc(spec):
     return doc
 
 
-def _pole_rows(comp):
-    return [{"value": str(cp.value), "source": cp.source}
-            for cp in comp.poles]
+def _pole_rows(poles):
+    return [{"value": str(cp.value), "source": cp.source} for cp in poles]
 
 
 def _ratfun_doc(rf):
@@ -145,7 +144,7 @@ def compute_report(comp):
         "constant_divisor": const,
         "factors": [list(f) for f in factors],
     }
-    doc["poles"] = _pole_rows(comp)
+    doc["poles"] = _pole_rows(comp.poles)
     return doc
 
 
@@ -237,9 +236,9 @@ def render_oracle(doc):
     return "\n".join(lines) + "\n"
 
 
-def poles_report(comp):
-    return {"command": "poles", "spec": _spec_doc(comp.spec),
-            "poles": _pole_rows(comp)}
+def poles_report(spec, poles):
+    return {"command": "poles", "spec": _spec_doc(spec),
+            "poles": _pole_rows(poles)}
 
 
 def render_poles(doc):
@@ -318,8 +317,8 @@ def main(argv=None, out=None):
                 print("bracket violation", file=sys.stderr)
                 return EXIT_ORACLE
             return EXIT_OK
-        comp = problem.build_geometry(spec)
-        _emit(poles_report(comp), render_poles, args.json, out)
+        _emit(poles_report(spec, problem.poles(spec)), render_poles,
+              args.json, out)
         return EXIT_OK
     except DegeneracyError as exc:
         print(f"degenerate input: {exc}", file=sys.stderr)

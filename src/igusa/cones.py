@@ -35,12 +35,13 @@ class RationalCone:
 
 
 class ConePartition:
-    """Finite list of relatively open cones partitioning R_+^n."""
+    """The fan of fan_polyhedron, relatively open cones partitioning R_+^n."""
 
-    def __init__(self, cones, n, polyhedra):
+    def __init__(self, cones, polyhedra, fan_polyhedron):
         self.cones = list(cones)
-        self.n = n
+        self.n = fan_polyhedron.n
         self.polyhedra = tuple(polyhedra)
+        self.fan_polyhedron = fan_polyhedron
 
     def facets_of(self, cone):
         """The facets of a cone of the fan: the cones one dimension lower
@@ -48,10 +49,6 @@ class ConePartition:
         rays = set(cone.rays)
         return [c for c in self.cones
                 if c.dim == cone.dim - 1 and rays.issuperset(c.rays)]
-
-    def rays(self):
-        """All distinct primitive ray generators appearing in the partition."""
-        return sorted({ray for cone in self.cones for ray in cone.rays})
 
 
 def _angular_sort(cones, n):
@@ -79,7 +76,7 @@ def partition_single(gamma: NewtonPolyhedron) -> ConePartition:
             raise InternalConsistencyError(
                 f"cone dimension {dim} != n - dim(face) = {gamma.n - face.dim}")
         cones.append(RationalCone(tuple(sorted(normals)), dim, (face,)))
-    return ConePartition(_angular_sort(cones, gamma.n), gamma.n, (gamma,))
+    return ConePartition(_angular_sort(cones, gamma.n), (gamma,), gamma)
 
 
 def partition_pair(gamma1: NewtonPolyhedron,
@@ -89,17 +86,13 @@ def partition_pair(gamma1: NewtonPolyhedron,
     The refinement is the fan of the Minkowski sum polyhedron, whose
     support is the set of pairwise sums of the two supports.
     """
-    if gamma1.n != gamma2.n:
-        raise ValueError("polyhedra live in different dimensions")
-    sums = {linalg.vec_add(a, b)
-            for a in gamma1.support for b in gamma2.support}
-    combined = NewtonPolyhedron(sums, gamma1.n)
+    combined = gamma1 + gamma2
     cones = []
     for cone in partition_single(combined).cones:
         w = cone.witness() or (0,) * gamma1.n
         labels = (gamma1.first_meet_locus(w), gamma2.first_meet_locus(w))
         cones.append(RationalCone(cone.rays, cone.dim, labels))
-    return ConePartition(cones, gamma1.n, (gamma1, gamma2))
+    return ConePartition(cones, (gamma1, gamma2), combined)
 
 
 # -- multiplicities and parallelepiped points ---------------------------

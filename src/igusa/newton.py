@@ -72,12 +72,20 @@ class NewtonPolyhedron:
         self.support = support
         self.n = n
         self._support_list = sorted(support)
+        self._normals = None
         self._facets = None
 
     @classmethod
     def of(cls, obj):
         """Polyhedron of a polynomial, mapping or monomial ideal spec."""
         return cls(obj.support, obj.n)
+
+    def __add__(self, other):
+        """The Minkowski sum, whose support is the pairwise sums."""
+        if self.n != other.n:
+            raise ValueError("polyhedra live in different dimensions")
+        return NewtonPolyhedron({linalg.vec_add(a, b) for a in self.support
+                                 for b in other.support}, self.n)
 
     # -- weight queries -------------------------------------------------
 
@@ -109,17 +117,17 @@ class NewtonPolyhedron:
     # -- facet structure ------------------------------------------------
 
     def facet_normals(self):
-        """Minimal inequality description: list of (primitive normal, offset).
-
-        Gamma = {x in R_+^n : k_j . x >= offset_j for all j}; each normal
-        is the unique primitive inward vector of one facet.
-        """
-        return [(normal, offset) for normal, offset, _ in self.facets()]
+        """(primitive normal k, offset m) of each facet k . x >= m of Gamma,
+        sorted by k: one double description, `_compute_facets`, cached."""
+        if self._normals is None:
+            self._normals = self._compute_facets()
+        return list(self._normals)
 
     def facets(self):
-        """Like facet_normals but also yields the facet Face objects."""
+        """The facet normals and offsets, each with its facet Face."""
         if self._facets is None:
-            self._facets = self._compute_facets()
+            self._facets = [(normal, offset, self.first_meet_locus(normal))
+                            for normal, offset in self.facet_normals()]
         return list(self._facets)
 
     def _compute_facets(self):
@@ -138,8 +146,7 @@ class NewtonPolyhedron:
         n = self.n
         minimal = minimal_points(self._support_list)
         rays = [pt + (1,) for pt in minimal] + [_unit(n + 1, i) for i in range(n)]
-        return [(h[:n], -h[n], self.first_meet_locus(h[:n]))
-                for h in linalg.cone_facets(rays) if any(h[:n])]
+        return [(h[:n], -h[n]) for h in linalg.cone_facets(rays) if any(h[:n])]
 
     def enumerate_faces(self):
         """Every face of Gamma met by some k >= 0, the whole polyhedron included.

@@ -305,7 +305,7 @@ class _Parser:
             if self._peek() == "-":
                 sign = -sign
             self.pos += 1
-        poly = sign * self._term()
+        poly = self._term() if sign > 0 else -self._term()
         while self._peek() in ("+", "-"):
             op = self._peek()
             self.pos += 1
@@ -334,8 +334,8 @@ class _Parser:
                     f"exponent {e} exceeds the limit {EXPONENT_LIMIT}", self.pos)
             if len(base.terms) == 1:  # (c x^a)^e = c^e x^(a e)
                 (exp, c), = base.terms.items()
-                return sign * IntegerPolynomial.monomial(
-                    self.n, [a * e for a in exp], c**e)
+                return IntegerPolynomial.monomial(
+                    self.n, [a * e for a in exp], sign * c**e)
             if base.terms:
                 guard(_power_steps(base, e), "power expansion")
             result = IntegerPolynomial.constant(self.n, 1)
@@ -347,7 +347,7 @@ class _Parser:
                 if e:
                     power = power * power
             base = result
-        return sign * base
+        return base if sign > 0 else -base
 
     def _base(self):
         ch = self._peek()

@@ -186,16 +186,28 @@ class Computation:
                                             self.spec.p)
 
 
-def build_geometry(spec: ProblemSpec) -> Computation:
+def _poles(spec, polyhedra, fan_polyhedron):
+    """Candidate poles over the facet normals of the fan's polyhedron."""
+    return zeta.candidate_poles(
+        polyhedra, [k for k, _ in fan_polyhedron.facet_normals()],
+        None if spec.mode == "ideal" else spec.t_count)
+
+
+def poles(spec: ProblemSpec):
+    """The candidate poles alone, with no face lattice and no fan."""
     gamma_f = NewtonPolyhedron.of(spec.fside)
     if spec.g is None:
-        partition = partition_single(gamma_f)
-    else:
-        partition = partition_pair(gamma_f, NewtonPolyhedron.of(spec.g))
-    comp = Computation(spec, partition)
-    comp.poles = zeta.candidate_poles(
-        partition, None if spec.mode == "ideal" else spec.t_count)
-    return comp
+        return _poles(spec, (gamma_f,), gamma_f)
+    gamma_g = NewtonPolyhedron.of(spec.g)
+    return _poles(spec, (gamma_f, gamma_g), gamma_f + gamma_g)
+
+
+def build_geometry(spec: ProblemSpec) -> Computation:
+    gamma_f = NewtonPolyhedron.of(spec.fside)
+    partition = (partition_single(gamma_f) if spec.g is None else
+                 partition_pair(gamma_f, NewtonPolyhedron.of(spec.g)))
+    return Computation(spec, partition, poles=_poles(
+        spec, partition.polyhedra, partition.fan_polyhedron))
 
 
 def run_checks(comp: Computation) -> dict:

@@ -48,11 +48,10 @@ class CandidatePole:
 # -- the S factor -------------------------------------------------------
 
 
-def _exponents(partition: ConePartition, k):
-    """(m_f(k), m_g(k) + sigma(k)) from the partition's polyhedra, Gamma_f
-    alone for the trivial measure (m_g = 0); sigma(k) is the sum of the
-    entries of k."""
-    gamma_f, *gamma_g = partition.polyhedra
+def _exponents(polyhedra, k):
+    """(m_f(k), m_g(k) + sigma(k)), sigma(k) the sum of k's entries, from
+    the polyhedra: Gamma_f alone for the trivial measure (m_g = 0)."""
+    gamma_f, *gamma_g = polyhedra
     return (gamma_f.m_value(k),
             sum(gamma.m_value(k) for gamma in gamma_g) + sum(k))
 
@@ -69,10 +68,10 @@ def s_delta(cone: RationalCone, partition: ConePartition, p):
         return RationalFunction.const(1), (FactoredPiece(((0, 0),), ()),)
     pieces = []
     for rays in simplicial_decompose(cone, partition):
-        factors = tuple(_exponents(partition, k) for k in rays)
-        _check_linear(partition, rays, factors)
+        factors = tuple(_exponents(partition.polyhedra, k) for k in rays)
+        _check_linear(partition.polyhedra, rays, factors)
         # looked up on the module, where perfbench/tracing.py wraps it
-        terms = tuple(sorted(_exponents(partition, h)
+        terms = tuple(sorted(_exponents(partition.polyhedra, h)
                              for h in cones.parallelepiped_points(rays)))
         pieces.append(FactoredPiece(terms, factors))
     binomials = _largest_multiplicities(pieces)
@@ -91,8 +90,8 @@ def _largest_multiplicities(pieces):
     return mult
 
 
-def _check_linear(partition, rays, exps):
-    weight, measure = _exponents(partition, tuple(map(sum, zip(*rays))))
+def _check_linear(polyhedra, rays, exps):
+    weight, measure = _exponents(polyhedra, tuple(map(sum, zip(*rays))))
     if weight != sum(a for a, _ in exps):
         raise InternalConsistencyError("weight is not linear on the piece")
     if measure != sum(b for _, b in exps):
@@ -214,18 +213,18 @@ def common_denominator_form(z: RationalFunction, binomials, p):
 # -- candidate poles ----------------------------------------------------
 
 
-def candidate_poles(partition: ConePartition, l_factor_t):
-    """Real parts -(m_g(k)+sigma(k))/m_f(k) over primitive ray generators,
+def candidate_poles(polyhedra, normals, l_factor_t):
+    """Real parts -(m_g(k)+sigma(k))/m_f(k), read from `polyhedra`, over
+    the facet normals k of the polyhedron whose fan the formula sums over,
     plus the candidate -l_factor_t of L's factor p^(s+l_factor_t) - 1
-    unless l_factor_t is None (an f side that never vanishes on the
-    torus)."""
+    unless l_factor_t is None (an f side that never vanishes on the torus)."""
     found = {}
-    for ray in partition.rays():
-        m, b = _exponents(partition, ray)
+    for normal in normals:
+        m, b = _exponents(polyhedra, normal)
         if m == 0:
             continue
         value = Fraction(-b, m)
-        found.setdefault(value, []).append(f"ray {ray}")
+        found.setdefault(value, []).append(f"ray {normal}")
     if l_factor_t is not None:
         found.setdefault(Fraction(-l_factor_t), []).append("L-factor")
     return [CandidatePole(v, "; ".join(found[v])) for v in sorted(found)]

@@ -254,6 +254,13 @@ def classify(partition, k):
     return matches[0]
 
 
+def partition_rays(partition):
+    """All distinct primitive ray generators of the partition's cones,
+    sorted: the source of the candidate poles before they were read off
+    the facet normals of the fan's polyhedron."""
+    return sorted({ray for cone in partition.cones for ray in cone.rays})
+
+
 def evaluate(poly, point):
     """Exact integer value of an IntegerPolynomial, apart from
     `mod_evaluator`."""

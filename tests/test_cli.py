@@ -204,9 +204,10 @@ g=x + y + z + x*y*z
             "parse error: parentheses nested deeper than 100 (at position 100)\n"
 
     def test_face_enumeration_size_guard(self, tmp_path, capsys):
-        # x1 + x2 in n = 30 has 3 * 2^29 faces
+        # x1 + x2 in n = 30 has 3 * 2^29 faces, which the fan of check
+        # needs
         path = write(tmp_path, "mode=single\nn=30\np=2\nf=x1 + x2\n")
-        code, out = run(["poles", path])
+        code, out = run(["check", path])
         assert code == cli.EXIT_SIZE == 3
         assert out == ""
         assert capsys.readouterr().err.startswith(
@@ -217,7 +218,7 @@ g=x + y + z + x*y*z
         # 20 intersections and a 20 x 20 rank, 2^20 * 420 steps in all
         path = write(tmp_path, "mode=single\nn=20\np=2\nf=x1\n")
         started = time.perf_counter()
-        code, out = run(["poles", path])
+        code, out = run(["check", path])
         assert time.perf_counter() - started < 1.0
         assert code == cli.EXIT_SIZE == 3
         assert out == ""
@@ -226,10 +227,29 @@ g=x + y + z + x*y*z
                                            "limit 100000000\n")
         # its 2^10 faces in n = 10 are still enumerated
         path = write(tmp_path, "mode=single\nn=10\np=2\nf=x1\n")
+        code, out = run(["check", path])
+        assert code == cli.EXIT_OK
         code, out = run(["poles", path])
         assert code == cli.EXIT_OK
         assert out == ("candidate poles (real parts):\n  -1       from ray "
                        f"{(1,) + (0,) * 9}; L-factor\n")
+
+    @pytest.mark.parametrize("n, f, rows", [
+        (20, "x1", [("-1", "ray {}; L-factor".format((1,) + (0,) * 19))]),
+        (30, "x1 + x2", [("-2", "ray {}".format((1, 1) + (0,) * 28)),
+                         ("-1", "L-factor")]),
+    ])
+    def test_poles_reads_no_faces(self, tmp_path, capsys, n, f, rows):
+        # the face guard refuses the fan of these inputs, but poles reads
+        # only the facet normals: one, beside the axes of offset 0
+        path = write(tmp_path, f"mode=single\nn={n}\np=2\nf={f}\n")
+        started = time.perf_counter()
+        code, out = run(["poles", path])
+        assert time.perf_counter() - started < 0.1
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().err == ""
+        assert out == "candidate poles (real parts):\n" + "".join(
+            f"  {value:<8} from {source}\n" for value, source in rows)
 
     def test_facet_search_size_guard(self, tmp_path, capsys):
         # the 286 monomials of degree 10 in n = 4 and the 4 axes are the

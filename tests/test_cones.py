@@ -15,7 +15,7 @@ from igusa.newton import NewtonPolyhedron, minimal_points
 from igusa.polynomials import parse_polynomial
 
 from conftest import (classify, example_ideal, example_measure, minor_gcd,
-                      primitive, subset_facets)
+                      partition_rays, primitive, subset_facets)
 from test_linalg import reference_kernel, reference_solve
 from test_newton import PROPERTY, reference_faces, reference_facets, supports
 
@@ -78,7 +78,7 @@ class TestPartitionStructure:
             classify(pair_partition(), (-1, 0))
 
     def test_ray_list(self):
-        assert pair_partition().rays() == [
+        assert partition_rays(pair_partition()) == [
             (0, 1), (1, 0), (1, 1), (1, 2), (3, 1)]
 
     def test_m_linear_on_closed_cones(self):

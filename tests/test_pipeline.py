@@ -66,6 +66,32 @@ def test_no_face_lattice_enumerated_twice(monkeypatch, spec):
     assert [g.support for g, in searched] == [fan]
 
 
+MAPPING = PolynomialMapping([parse_polynomial("x + z", 3),
+                             parse_polynomial("y - z", 3)])
+POLES_SPECS = SPECS + [
+    ProblemSpec("ideal", 2, 5, MonomialIdealSpec(2, [(2, 1), (1, 3)]), None),
+    ProblemSpec("mapping", 3, 3, MAPPING, None),
+    ProblemSpec("mapping", 3, 3, MAPPING,
+                parse_polynomial("x + y + z + x*y*z", 3)),
+]
+POLES_IDS = IDS + ["ideal", "mapping", "mapping-pair"]
+
+
+@pytest.mark.parametrize("spec", POLES_SPECS, ids=POLES_IDS)
+def test_poles_builds_no_face_lattice(monkeypatch, spec):
+    # poles reads the facet normals of the polyhedron whose fan the
+    # formula sums over, from one facet search, and builds no fan
+    enumerated = count_calls(monkeypatch, NewtonPolyhedron, "enumerate_faces")
+    searched = count_calls(monkeypatch, NewtonPolyhedron, "_compute_facets")
+    monkeypatch.setattr(problem, "parse_problem_file", lambda path: spec)
+    assert cli.main(["poles", "problem.txt"], out=io.StringIO()) == cli.EXIT_OK
+    sides = [spec.fside] + ([] if spec.g is None else [spec.g])
+    supports = [NewtonPolyhedron.of(side).support for side in sides]
+    fan = {tuple(map(sum, zip(*pts))) for pts in product(*supports)}
+    assert enumerated == []
+    assert [g.support for g, in searched] == [fan]
+
+
 def test_check_sweep_builds_geometry_once(monkeypatch):
     calls = count_calls(monkeypatch, problem, "build_geometry")
     code = cli.main(["check", FIXTURE, "--sweep", "3,5,7"], out=io.StringIO())

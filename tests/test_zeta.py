@@ -8,16 +8,20 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from igusa import zeta
+from igusa import problem, zeta
+from igusa.cones import partition_pair, partition_single
 from igusa.counting import CountTriple
 from igusa.errors import DegeneracyError, InternalConsistencyError
+from igusa.newton import NewtonPolyhedron
 from igusa.polynomials import PolynomialMapping, parse_polynomial
 from igusa.problem import ProblemSpec, build_geometry, compute
 from igusa.ratfun import Poly, RationalFunction
 from igusa.zeta import FactoredPiece
 
 from conftest import (class_value, classify, example_ideal, example_measure,
-                      example_spec, reference_coset_value, report_budget)
+                      example_spec, partition_rays, reference_coset_value,
+                      report_budget)
+from test_fuzz import problem_texts
 
 
 def example_computation(p=13):
@@ -397,3 +401,21 @@ class TestCandidatePoles:
         comp = build_geometry(ProblemSpec("single", 2, 5, f, None))
         by_value = {cp.value: cp.source for cp in comp.poles}
         assert "L-factor" in by_value[Fraction(-1)]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(problem_texts())
+def test_poles_from_facet_normals_match_the_fan_rays(drawn):
+    # the facet normals of Gamma_f, or of Gamma_f + Gamma_g for a pair,
+    # are the rays of the fan the formula sums over: the poles that
+    # `poles` and `build_geometry` read off them are the ones over the
+    # rays of the fan's cones
+    spec = problem.parse_problem_text(drawn[0])
+    gamma_f = NewtonPolyhedron.of(spec.fside)
+    partition = (partition_single(gamma_f) if spec.g is None else
+                 partition_pair(gamma_f, NewtonPolyhedron.of(spec.g)))
+    expected = zeta.candidate_poles(
+        partition.polyhedra, partition_rays(partition),
+        None if spec.mode == "ideal" else spec.t_count)
+    assert problem.poles(spec) == expected
+    assert build_geometry(spec).poles == expected
