@@ -144,7 +144,7 @@ def compute_report(comp):
         "constant_divisor": const,
         "factors": [list(f) for f in factors],
     }
-    doc["poles"] = _pole_rows(comp.poles)
+    doc["poles"] = _pole_rows(comp.poles())
     return doc
 
 
@@ -301,11 +301,10 @@ def main(argv=None, out=None):
             except ValueError as exc:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
-            comp = problem.build_geometry(spec)  # the same for every p
+            partition = problem.build_geometry(spec)  # the same for every p
             primes = {pspec.p: pspec for pspec in pspecs}  # each one once
-            doc = check_report({p: problem.run_checks(
-                dataclasses.replace(comp, spec=pspec))
-                for p, pspec in primes.items()})
+            doc = check_report({p: problem.run_checks(pspec, partition)[1]
+                                for p, pspec in primes.items()})
             _emit(doc, render_check, args.json, out)
             ok = all(result["ok"] for result in doc["results"])
             return EXIT_OK if ok else EXIT_DEGENERATE

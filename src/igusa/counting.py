@@ -43,7 +43,6 @@ class DegeneracyReport:
 
 
 def _torus(p, n):
-    guard(p - 1, f"the torus (F_{p}^x)^{n}", n)
     return itertools.product(range(1, p), repeat=n)
 
 

@@ -95,12 +95,15 @@ class NewtonPolyhedron:
         return min(linalg.vec_dot(k, pt) for pt in self._support_list)
 
     def first_meet_locus(self, k):
-        """The face of Gamma on which k attains its minimum."""
-        m = self.m_value(k)  # checks k first
-        touching = frozenset(pt for pt in self.support
-                             if linalg.vec_dot(k, pt) == m)
-        recession = frozenset(i + 1 for i in range(self.n) if k[i] == 0)
+        """The face on which k is least, ranked: a pair cone's label."""
+        touching, recession = self._locus(k, self.m_value(k))  # checks k
         return Face(touching, recession, self._face_dim(touching, recession))
+
+    def _locus(self, k, m):
+        """The support points with k . pt = m, and the axes where k is 0."""
+        return (frozenset(pt for pt in self.support
+                          if linalg.vec_dot(k, pt) == m),
+                frozenset(i + 1 for i in range(self.n) if k[i] == 0))
 
     def _check_weight(self, k):
         if len(k) != self.n:
@@ -124,10 +127,10 @@ class NewtonPolyhedron:
         return list(self._normals)
 
     def facets(self):
-        """The facet normals and offsets, each with its facet Face."""
+        """(normal, offset, Face) per facet, the Face read at DD's offset."""
         if self._facets is None:
-            self._facets = [(normal, offset, self.first_meet_locus(normal))
-                            for normal, offset in self.facet_normals()]
+            self._facets = [(k, m, Face(*self._locus(k, m), self.n - 1))
+                            for k, m in self.facet_normals()]
         return list(self._facets)
 
     def _compute_facets(self):
@@ -157,16 +160,17 @@ class NewtonPolyhedron:
         of the facets closed under intersection with each facet, dropping
         pairs that touch no support point: the face lattice from facet
         incidences (Kaibel and Pfetsch 2002), at a cost of #faces x
-        #facets set intersections. Each face also costs an n x n rank for
-        its dimension, here and again for its cone's in
+        #facets set intersections. A face that is neither a facet nor Gamma
+        costs an n x n rank for its dimension, and every cone another in
         `cones.partition_single`, so the guard weighs a face as #facets +
         n^2 steps. A proper face of dimension k is the intersection of
         n - k facets, which bounds #faces before the closure starts.
         """
-        facets = [(face.touching, face.recession) for _, _, face in self.facets()]
+        n, faces = self.n, [face for _, _, face in self.facets()]
+        facets = [(face.touching, face.recession) for face in faces]
         bound = 1 + sum(comb(len(facets), i)
-                        for i in range(1, min(self.n, len(facets)) + 1))
-        guard(bound * (len(facets) + self.n**2), "face enumeration")
+                        for i in range(1, min(n, len(facets)) + 1))
+        guard(bound * (len(facets) + n**2), "face enumeration")
         found = set(facets)
         todo = list(facets)
         while todo:
@@ -176,9 +180,8 @@ class NewtonPolyhedron:
                 if pair[0] and pair not in found:
                     found.add(pair)
                     todo.append(pair)
-        faces = [Face(touching, recession, self._face_dim(touching, recession))
-                 for touching, recession in found]
-        faces.append(self.first_meet_locus(tuple([0] * self.n)))
+                    faces.append(Face(*pair, self._face_dim(*pair)))
+        faces.append(Face(self.support, frozenset(range(1, n + 1)), n))
         return sorted(faces, key=Face.order)
 
 

@@ -9,7 +9,7 @@ for the plain Haar measure).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from . import counting, zeta
 from .cones import partition_pair, partition_single
@@ -168,22 +168,27 @@ def parse_problem_file(path) -> ProblemSpec:
 # -- pipeline -----------------------------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class Computation:
+    """What `compute` found, each value made once, by the stage it names."""
+
     spec: ProblemSpec
     partition: object  # holds the Newton polyhedra, Gamma_f first
-    counts: list = field(default_factory=list)
-    reports: dict = field(default_factory=dict)
-    terms: list = field(default_factory=list)
-    binomials: dict = field(default_factory=dict)  # Z's denominator, by (a, b)
-    zeta: object = None  # the reduced RationalFunction Z(t)
-    notes: tuple = ()  # the degeneracy watermark, under an override
-    poles: list = field(default_factory=list)
+    reports: dict
+    terms: list  # each ConeTerm holds its cone's counts
+    binomials: dict  # Z's denominator, by (a, b)
+    zeta: object  # the reduced RationalFunction Z(t)
+    notes: tuple  # the degeneracy watermark, under an override
 
     def factored(self):
         """Z's common-denominator view, over the binomials Z was summed on."""
         return zeta.common_denominator_form(self.zeta, self.binomials,
                                             self.spec.p)
+
+    def poles(self):
+        """The candidate poles, over the facet normals of the fan."""
+        return _poles(self.spec, self.partition.polyhedra,
+                      self.partition.fan_polyhedron)
 
 
 def _poles(spec, polyhedra, fan_polyhedron):
@@ -202,37 +207,31 @@ def poles(spec: ProblemSpec):
     return _poles(spec, (gamma_f, gamma_g), gamma_f + gamma_g)
 
 
-def build_geometry(spec: ProblemSpec) -> Computation:
+def build_geometry(spec: ProblemSpec):
+    """The ConePartition of Gamma_f, or of Gamma_f + Gamma_g for a pair."""
     gamma_f = NewtonPolyhedron.of(spec.fside)
-    partition = (partition_single(gamma_f) if spec.g is None else
-                 partition_pair(gamma_f, NewtonPolyhedron.of(spec.g)))
-    return Computation(spec, partition, poles=_poles(
-        spec, partition.polyhedra, partition.fan_polyhedron))
+    return (partition_single(gamma_f) if spec.g is None else
+            partition_pair(gamma_f, NewtonPolyhedron.of(spec.g)))
 
 
-def run_checks(comp: Computation) -> dict:
-    """All non-degeneracy reports the chosen mode relies on, at comp.spec.p,
-    on the polyhedra and partition that build_geometry made, and the
-    (N, P, Q) of every cone: one sweep per cone serves both."""
-    spec = comp.spec
-    comp.counts, comp.reports = counting.cone_checks(
-        None if spec.mode == "ideal" else spec.fside, spec.g, comp.partition,
-        spec.p)
-    return comp.reports
+def run_checks(spec: ProblemSpec, partition):
+    """(counts, reports) at spec.p: each cone's (N, P, Q) and every
+    non-degeneracy report the mode relies on, from one sweep per cone."""
+    return counting.cone_checks(None if spec.mode == "ideal" else spec.fside,
+                                spec.g, partition, spec.p)
 
 
 def compute(spec: ProblemSpec, override=False) -> Computation:
-    """Full pipeline, each stage once: geometry and candidate poles,
-    non-degeneracy checks and torus counts from one sweep per cone, then
-    (a degenerate input is refused here, unless `override` asks to go on
-    with a watermark) the per-cone L and S terms, and Z as their sum."""
-    comp = build_geometry(spec)
-    bad = [rep for rep in run_checks(comp).values() if not rep.ok]
+    """Full pipeline, each stage once: the fan, checks and torus counts
+    from one sweep per cone, then (a degenerate input is refused here unless
+    `override` asks for a watermark) the per-cone terms and Z, their sum."""
+    partition = build_geometry(spec)
+    counts, reports = run_checks(spec, partition)
+    bad = [rep for rep in reports.values() if not rep.ok]
     if bad and not override:
         raise DegeneracyError(bad[0])
-    comp.terms = zeta.cone_terms(comp.partition, comp.counts, spec.p,
-                                 spec.t_count)
-    comp.binomials = zeta.denominator_binomials(comp.terms, spec.t_count)
-    comp.zeta = zeta.assemble(comp.terms, spec.p, comp.binomials)
-    comp.notes = (DEGENERACY_NOTE,) if bad else ()
-    return comp
+    terms = zeta.cone_terms(partition, counts, spec.p, spec.t_count)
+    binomials = zeta.denominator_binomials(terms, spec.t_count)
+    return Computation(spec, partition, reports, terms, binomials,
+                       zeta.assemble(terms, spec.p, binomials),
+                       (DEGENERACY_NOTE,) if bad else ())

@@ -15,7 +15,7 @@ from igusa.counting import check_nondegenerate_single, count_triple
 from igusa.newton import NewtonPolyhedron
 from igusa.polynomials import (MonomialIdealSpec, PolynomialMapping,
                                parse_polynomial)
-from igusa.problem import ProblemSpec, build_geometry, compute
+from igusa.problem import ProblemSpec, compute
 from igusa.ratfun import Poly, RationalFunction
 from igusa.zeta import l_delta
 
@@ -45,7 +45,7 @@ EXPECTED_POLES = {Fraction(-1), Fraction(-12, 11), Fraction(-8, 5),
 
 def test_criterion_1_ray_table_and_poles():
     started = time.perf_counter()
-    comp = build_geometry(example_spec(13))
+    comp = compute(example_spec(13))
     assert set(partition_rays(comp.partition)) == set(RAY_TABLE)
     gamma_f, gamma_g = comp.partition.polyhedra
     for ray, (m_ideal, m_measure, sig) in RAY_TABLE.items():
@@ -53,7 +53,7 @@ def test_criterion_1_ray_table_and_poles():
         assert gamma_g.m_value(ray) == m_measure
         assert sum(ray) == sig
     assert gamma_f.m_value((2, 1)) == 8 and gamma_g.m_value((2, 1)) == 7
-    assert {cp.value for cp in comp.poles} == EXPECTED_POLES
+    assert {cp.value for cp in comp.poles()} == EXPECTED_POLES
     _report(1, "ray weights and candidate poles", started, 1.0)
 
 

@@ -10,7 +10,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from igusa import cli, counting, problem, zeta
+from igusa import cli, counting, linalg, problem, zeta
 from igusa.newton import NewtonPolyhedron, face_restriction
 from igusa.polynomials import (MonomialIdealSpec, PolynomialMapping,
                                parse_polynomial)
@@ -18,6 +18,7 @@ from igusa.problem import ProblemSpec, compute
 
 from conftest import example_spec
 from test_counting import cases
+from test_newton import supports
 
 FIXTURE = str(pathlib.Path(__file__).parent / "fixtures" / "example_ideal.txt")
 
@@ -64,6 +65,53 @@ def test_no_face_lattice_enumerated_twice(monkeypatch, spec):
            for pts in product(*(g.support for g in polyhedra))}
     assert [g.support for g, in enumerated] == [fan]
     assert [g.support for g, in searched] == [fan]
+
+
+def test_poles_only_where_printed(monkeypatch):
+    # only compute prints candidate poles, so only it computes them
+    poles = count_calls(monkeypatch, zeta, "candidate_poles")
+    calls = []
+    for argv in (["check", FIXTURE, "--sweep", "3,5,7"],
+                 ["oracle", FIXTURE, "--level", "2"], ["compute", FIXTURE]):
+        poles.clear()
+        cli.main(argv, out=io.StringIO())
+        calls.append(len(poles))
+    assert calls == [0, 0, 1]
+
+
+def fan_polyhedron(spec):
+    """A fresh polyhedron whose fan the formula sums over for spec."""
+    sides = [NewtonPolyhedron.of(side) for side in (spec.fside, spec.g)
+             if side is not None]
+    return sum(sides[1:], sides[0])
+
+
+def ranks_taken(call):
+    """call()'s result, and how many times it called linalg.rank."""
+    with pytest.MonkeyPatch.context() as patch:
+        calls = count_calls(patch, linalg, "rank")
+        return call(), len(calls)
+
+
+def check_ranks(gamma):
+    """facets() takes no rank, since a facet's label is read at the double
+    description's own offset; enumerate_faces() takes one per face that
+    is neither a facet nor gamma."""
+    facets, ranked = ranks_taken(gamma.facets)
+    assert facets and ranked == 0
+    faces, ranked = ranks_taken(gamma.enumerate_faces)
+    assert ranked == len(faces) - len(facets) - 1
+
+
+@pytest.mark.parametrize("spec", SPECS, ids=IDS)
+def test_fan_polyhedra_rank_only_the_faces_no_facet_gives(spec):
+    check_ranks(fan_polyhedron(spec))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(supports)
+def test_random_supports_rank_only_the_faces_no_facet_gives(shaped):
+    check_ranks(NewtonPolyhedron(shaped[1], shaped[0]))
 
 
 MAPPING = PolynomialMapping([parse_polynomial("x + z", 3),
@@ -113,7 +161,7 @@ def test_degenerate_compute_counts_nothing(monkeypatch, tmp_path):
 def test_override_still_counts():
     spec = example_spec(3)
     comp = compute(spec, override=True)
-    assert comp.counts == [
+    assert [term.counts for term in comp.terms] == [
         counting.count_triple(None, face_restriction(spec.g, cone.labels[1]),
                               spec.p)
         for cone in comp.partition.cones]
@@ -123,14 +171,13 @@ def test_override_still_counts():
 # -- one torus pass per distinct pair of restrictions -------------------
 
 
-def pairs_to_sweep(comp):
+def pairs_to_sweep(spec, partition):
     """The distinct (f restrictions, g restriction) pairs of the cones
     with a side that may vanish on the torus: one whose restrictions are
     none of them a single monomial with a unit coefficient mod p."""
-    spec = comp.spec
     p = spec.p
     swept = set()
-    for cone in comp.partition.cones:
+    for cone in partition.cones:
         fparts = None if spec.mode == "ideal" else tuple(
             face_restriction(c, cone.labels[0])
             for c in spec.fside.components)
@@ -148,15 +195,15 @@ def pairs_to_sweep(comp):
 def test_one_torus_pass_per_cone(monkeypatch, spec):
     calls = count_calls(monkeypatch, counting, "_torus")
     comp = compute(spec)
-    assert len(calls) == pairs_to_sweep(comp) <= len(comp.partition.cones)
-    geometry = problem.build_geometry(spec)
+    assert len(calls) == pairs_to_sweep(spec, comp.partition) <= len(
+        comp.partition.cones)
+    partition = problem.build_geometry(spec)
     for p in (2, 3, 5, 7, 11):
         calls.clear()
         pspec = dataclasses.replace(spec, p=p)
-        checked = dataclasses.replace(geometry, spec=pspec)
-        problem.run_checks(checked)
-        assert len(calls) == pairs_to_sweep(checked) <= len(
-            geometry.partition.cones)
+        problem.run_checks(pspec, partition)
+        assert len(calls) == pairs_to_sweep(pspec, partition) <= len(
+            partition.cones)
 
 
 def test_fixture_compute_sweeps_twice_at_most(monkeypatch):
@@ -228,41 +275,41 @@ def face_check(gamma, polys, p, condition):
 @settings(derandomize=True, max_examples=60, deadline=None)
 @given(specs())
 def test_cone_sweeps_match_face_and_cone_functions(spec):
-    comp = problem.build_geometry(spec)
-    reports = problem.run_checks(comp)
-    cones = comp.partition.cones
+    partition = problem.build_geometry(spec)
+    counts, reports = problem.run_checks(spec, partition)
+    cones = partition.cones
     p = spec.p
     expected = {}
     if spec.mode == "single":
-        gamma = comp.partition.polyhedra[0]
+        gamma = partition.polyhedra[0]
         expected["f"] = face_check(gamma, [spec.fside], p, counting.SINGULAR)
         assert counting.check_nondegenerate_single(
             spec.fside, gamma, p) == expected["f"]
     elif spec.mode == "mapping":
-        gamma = comp.partition.polyhedra[0]
+        gamma = partition.polyhedra[0]
         expected["f"] = face_check(gamma, spec.fside.components, p,
                                    f"Jacobian rank below {spec.fside.t}")
         assert counting.check_strong_nondegenerate(
             spec.fside, gamma, p) == expected["f"]
     if spec.g is not None:
-        gamma = comp.partition.polyhedra[1]
+        gamma = partition.polyhedra[1]
         expected["g"] = face_check(gamma, [spec.g], p, counting.SINGULAR)
         assert counting.check_nondegenerate_single(
             spec.g, gamma, p) == expected["g"]
         if spec.mode != "ideal":
             expected["pair"] = counting.check_pair_nondegenerate(
-                spec.fside, spec.g, comp.partition, p)
+                spec.fside, spec.g, partition, p)
     assert reports == expected
     fside = None if spec.mode == "ideal" else spec.fside
-    assert comp.counts == [counting.count_triple(
+    assert counts == [counting.count_triple(
         None if fside is None else PolynomialMapping(
             [face_restriction(c, cone.labels[0])
              for c in fside.components]),
         None if spec.g is None else face_restriction(spec.g, cone.labels[1]),
         p) for cone in cones]
     if fside is not None:
-        assert set(comp.partition.polyhedra[0].enumerate_faces()) <= {
+        assert set(partition.polyhedra[0].enumerate_faces()) <= {
             cone.labels[0] for cone in cones}
     if spec.g is not None:
-        assert set(comp.partition.polyhedra[1].enumerate_faces()) <= {
+        assert set(partition.polyhedra[1].enumerate_faces()) <= {
             cone.labels[1] for cone in cones}

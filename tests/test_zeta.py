@@ -14,7 +14,7 @@ from igusa.counting import CountTriple
 from igusa.errors import DegeneracyError, InternalConsistencyError
 from igusa.newton import NewtonPolyhedron
 from igusa.polynomials import PolynomialMapping, parse_polynomial
-from igusa.problem import ProblemSpec, build_geometry, compute
+from igusa.problem import ProblemSpec, compute
 from igusa.ratfun import Poly, RationalFunction
 from igusa.zeta import FactoredPiece
 
@@ -368,22 +368,22 @@ class TestCommonDenominatorForm:
 
 class TestCandidatePoles:
     def test_example_values(self):
-        comp = build_geometry(example_spec(13))
-        values = {cp.value for cp in comp.poles}
+        comp = compute(example_spec(13))
+        values = {cp.value for cp in comp.poles()}
         assert values == {Fraction(-1), Fraction(-12, 11), Fraction(-8, 5),
                           Fraction(-11, 7), Fraction(-3)}
 
     def test_sources_name_rays(self):
-        comp = build_geometry(example_spec(13))
-        by_value = {cp.value: cp.source for cp in comp.poles}
+        comp = compute(example_spec(13))
+        by_value = {cp.value: cp.source for cp in comp.poles()}
         assert by_value[Fraction(-12, 11)] == "ray (3, 1)"
         assert by_value[Fraction(-1)] == "ray (1, 0)"
 
     def test_trivial_measure_ideal(self):
         from igusa.polynomials import MonomialIdealSpec
         spec = ProblemSpec("ideal", 2, 5, MonomialIdealSpec(2, [(1, 1)]), None)
-        comp = build_geometry(spec)
-        values = {cp.value for cp in comp.poles}
+        comp = compute(spec)
+        values = {cp.value for cp in comp.poles()}
         # rays (1,0),(0,1),(1,1) with m = 1,1,2 and sigma = 1,1,2
         assert values == {Fraction(-1)}
 
@@ -391,15 +391,15 @@ class TestCandidatePoles:
         ff = PolynomialMapping([parse_polynomial("x + z", 3),
                                 parse_polynomial("y - z", 3)])
         g = parse_polynomial("x + y + z + x*y*z", 3)
-        comp = build_geometry(ProblemSpec("mapping", 3, 3, ff, g))
-        sources = {cp.value: cp.source for cp in comp.poles}
+        comp = compute(ProblemSpec("mapping", 3, 3, ff, g))
+        sources = {cp.value: cp.source for cp in comp.poles()}
         assert sources[Fraction(-2)] == "L-factor" or \
             "L-factor" in sources.get(Fraction(-2), "")
 
     def test_single_mode_includes_minus_one(self):
         f = parse_polynomial("x^2 + y^3", 2)
-        comp = build_geometry(ProblemSpec("single", 2, 5, f, None))
-        by_value = {cp.value: cp.source for cp in comp.poles}
+        comp = compute(ProblemSpec("single", 2, 5, f, None))
+        by_value = {cp.value: cp.source for cp in comp.poles()}
         assert "L-factor" in by_value[Fraction(-1)]
 
 
@@ -408,7 +408,7 @@ class TestCandidatePoles:
 def test_poles_from_facet_normals_match_the_fan_rays(drawn):
     # the facet normals of Gamma_f, or of Gamma_f + Gamma_g for a pair,
     # are the rays of the fan the formula sums over: the poles that
-    # `poles` and `build_geometry` read off them are the ones over the
+    # `poles` and `Computation.poles` read off them are the ones over the
     # rays of the fan's cones
     spec = problem.parse_problem_text(drawn[0])
     gamma_f = NewtonPolyhedron.of(spec.fside)
@@ -418,4 +418,7 @@ def test_poles_from_facet_normals_match_the_fan_rays(drawn):
         partition.polyhedra, partition_rays(partition),
         None if spec.mode == "ideal" else spec.t_count)
     assert problem.poles(spec) == expected
-    assert build_geometry(spec).poles == expected
+    # `Computation.poles` reads the spec and the fan alone, so the stages
+    # past the fan, which would double this test's time, are left empty
+    comp = problem.Computation(spec, partition, {}, [], {}, None, ())
+    assert comp.poles() == expected
