@@ -4,8 +4,9 @@ Subcommands: compute (full pipeline with per-cone table), check
 (non-degeneracy reports, optionally swept over primes), oracle
 (truncated-integral bracket vs formula value) and poles (candidate-pole
 table, read off the facet normals alone: no faces, no fan). Every
-report's JSON document is built here alone, and its text is a pure
-function of it, so JSON output round-trips to byte-identical text.
+report's JSON document, every word included, is built here alone from
+the spec and the pipeline's data, and its text is a pure function of
+it, so JSON output round-trips to byte-identical text.
 
 Exit codes: 0 ok, 1 parse error, 2 degeneracy, 3 size guard, 4 oracle
 violation, 5 internal error (a broken invariant, or any other exception
@@ -32,6 +33,10 @@ EXIT_DEGENERATE = 2
 EXIT_SIZE = 3
 EXIT_ORACLE = 4
 EXIT_INTERNAL = 5
+
+SINGULAR = "face polynomial has a singular torus zero"
+DEGENERACY_NOTE = ("unverified hypothesis: non-degeneracy fails; "
+                   "formula output is not certified")
 
 
 def _poly_str(coeffs):
@@ -99,7 +104,9 @@ def _spec_doc(spec):
 
 
 def _pole_rows(poles):
-    return [{"value": str(cp.value), "source": cp.source} for cp in poles]
+    return [{"value": str(cp.value), "source": "; ".join(
+        [f"ray {k}" for k in cp.normals] + ["L-factor"] * cp.l_factor)}
+        for cp in poles]
 
 
 def _ratfun_doc(rf):
@@ -107,17 +114,44 @@ def _ratfun_doc(rf):
             "den": [_fraction_str(c) for c in rf.den.coeffs]}
 
 
-def _report_doc(rep):
+def face_name(face):
+    pts = ",".join(str(tuple(pt)) for pt in sorted(face.touching))
+    rec = ",".join(map(str, sorted(face.recession)))
+    return f"face[dim={face.dim}; touching={pts}; recession={{{rec}}}]"
+
+
+def cone_name(cone):
+    rays = ",".join(str(tuple(r)) for r in cone.rays)
+    return f"cone[dim={cone.dim}; rays={rays}]"
+
+
+def _report_doc(rep, where, condition):
     return {"ok": rep.ok,
-            "witnesses": [{"where": str(where), "point": list(point),
+            "witnesses": [{"where": where(label), "point": list(a),
                            "condition": condition}
-                          for where, point, condition in rep.witnesses]}
+                          for label, points in rep.witnesses for a in points]}
+
+
+def _reports_doc(spec, reports):
+    """The reports in words: f and g name faces, pair names cones, and a
+    condition reads the mode and the f side's t."""
+    t = spec.t_count
+    words = {"f": (face_name, f"Jacobian rank below {t}"
+                   if spec.mode == "mapping" else SINGULAR),
+             "g": (face_name, SINGULAR),
+             "pair": (cone_name, f"stacked Jacobian rank below {t + 1}")}
+    return {name: _report_doc(rep, *words[name])
+            for name, rep in reports.items()}
+
+
+def _notes(comp):  # the watermark of a failed report, let through
+    return [DEGENERACY_NOTE] if not all(
+        rep.ok for rep in comp.reports.values()) else []
 
 
 def compute_report(comp):
     doc = {"command": "compute", "spec": _spec_doc(comp.spec)}
-    doc["reports"] = {name: _report_doc(rep)
-                      for name, rep in comp.reports.items()}
+    doc["reports"] = _reports_doc(comp.spec, comp.reports)
     rows = []
     for i, term in enumerate(comp.terms):
         cone = term.cone
@@ -135,8 +169,8 @@ def compute_report(comp):
         })
     doc["cones"] = rows
     doc["zeta"] = _ratfun_doc(comp.zeta)
-    if comp.notes:
-        doc["zeta"]["notes"] = list(comp.notes)
+    if notes := _notes(comp):
+        doc["zeta"]["notes"] = notes
     numerator, const, factors = comp.factored()
     _fraction_str(const)  # refused here, not half-way through the output
     doc["zeta_factored"] = {
@@ -178,14 +212,13 @@ def render_compute(doc):
     return "\n".join(lines) + "\n" + render_poles(doc)
 
 
-def check_report(reports_by_p):
+def check_report(spec, reports_by_p):
     doc = {"command": "check", "results": []}
     for p, reports in reports_by_p.items():
         doc["results"].append({
             "p": p,
             "ok": all(rep.ok for rep in reports.values()),
-            "reports": {name: _report_doc(rep)
-                        for name, rep in reports.items()},
+            "reports": _reports_doc(spec, reports),
         })
     return doc
 
@@ -222,8 +255,8 @@ def oracle_report(comp, s0, M):
                     "hi": _fraction_str(bracket.hi)},
         "contained": bracket.contains(value),
     }
-    if comp.notes:
-        doc["notes"] = list(comp.notes)
+    if notes := _notes(comp):
+        doc["notes"] = notes
     return doc
 
 
@@ -301,10 +334,7 @@ def main(argv=None, out=None):
             except ValueError as exc:
                 print(f"parse error: {exc}", file=sys.stderr)
                 return EXIT_PARSE
-            partition = problem.build_geometry(spec)  # the same for every p
-            primes = {pspec.p: pspec for pspec in pspecs}  # each one once
-            doc = check_report({p: problem.run_checks(pspec, partition)[1]
-                                for p, pspec in primes.items()})
+            doc = check_report(spec, problem.check(pspecs))
             _emit(doc, render_check, args.json, out)
             ok = all(result["ok"] for result in doc["results"])
             return EXIT_OK if ok else EXIT_DEGENERATE

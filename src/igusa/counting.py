@@ -12,6 +12,7 @@ checking units of the p-adic integers.
 Counts and checks share one pass per distinct pair of restrictions,
 `sweep`; its guard comes before any algebra or evaluator. A side with a
 unit monomial among its restrictions never vanishes, so it needs none.
+A check returns the failing faces or cones with their points, no words.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from .cones import partition_single
 from .errors import guard
 from .linalg import echelon, rank_mod, vec_dot, vec_sub
 from .newton import Face, NewtonPolyhedron, face_restriction
-from .polynomials import IntegerPolynomial, PolynomialMapping
+from .polynomials import IntegerPolynomial
 
 @dataclass(frozen=True)
 class CountTriple:
@@ -38,8 +39,11 @@ class CountTriple:
 
 @dataclass(frozen=True)
 class DegeneracyReport:
-    ok: bool
-    witnesses: tuple  # of (identifier, point, failed condition)
+    witnesses: tuple  # (label, points) pairs, label a Face or RationalCone
+
+    @property
+    def ok(self):
+        return not self.witnesses
 
 
 def _torus(p, n):
@@ -168,22 +172,14 @@ def count_triple(fpart, gpart, p) -> CountTriple:
     return sweep(None if fpart is None else fpart.components, gpart, p)[0]
 
 
-def _report(named_zeros, condition) -> DegeneracyReport:
-    """Each zero of each (identifier, zeros) pair as a witness."""
-    witnesses = tuple((name, a, condition)
-                      for name, zeros in named_zeros for a in zeros)
-    return DegeneracyReport(not witnesses, witnesses)
-
-
-def _face_report(labels, zeros, condition) -> DegeneracyReport:
-    """The report over the distinct faces among the cones' `labels`, in
-    face order, each with the zeros of the first cone that carries it."""
+def _face_report(labels, zeros) -> DegeneracyReport:
+    """The report over the distinct faces among the cones' `labels` that
+    have zeros, in face order (only they are sorted), each with the zeros
+    of the first cone that carries it."""
     first = dict(zip(reversed(labels), reversed(zeros)))  # the first wins
-    return _report(((face_name(face), first[face])
-                   for face in sorted(first, key=Face.order)), condition)
-
-
-SINGULAR = "face polynomial has a singular torus zero"
+    return DegeneracyReport(tuple(
+        (face, first[face])
+        for face in sorted(filter(first.get, first), key=Face.order)))
 
 
 def check_nondegenerate_single(ff, gamma: NewtonPolyhedron,
@@ -214,10 +210,10 @@ def check_pair_nondegenerate(fside, g, partition, p) -> DegeneracyReport:
 def cone_checks(fside, g, partition, p):
     """The (N, P, Q) of every cone and the reports that apply, from one
     sweep per distinct pair of restrictions: f over the cones' f faces, g
-    over their g faces, each face with the witnesses of the first cone
-    that carries it, and pair over the cones. The fan's labels are the
-    faces that the weights k >= 0 meet first, so they are every face the
-    checks need.
+    over their g faces, each face with the zeros of the first cone that
+    carries it, and pair over the cones, each keeping the labels that
+    have zeros. The fan's labels are the faces that the weights k >= 0
+    meet first, so they are every face the checks need.
     fside is None for a side that never vanishes (monomial ideal), g for
     the trivial measure."""
     fcomps = None if fside is None else fside.components
@@ -231,25 +227,11 @@ def cone_checks(fside, g, partition, p):
     fzeros, gzeros, pairzeros = zip(*singular)
     reports = {}
     if fcomps is not None:
-        t = len(fcomps)
-        reports["f"] = _face_report(
-            [c.labels[0] for c in cones], fzeros, f"Jacobian rank below {t}"
-            if isinstance(fside, PolynomialMapping) else SINGULAR)
+        reports["f"] = _face_report([c.labels[0] for c in cones], fzeros)
     if g is not None:
-        reports["g"] = _face_report([c.labels[1] for c in cones], gzeros,
-                                    SINGULAR)
+        reports["g"] = _face_report([c.labels[1] for c in cones], gzeros)
         if fcomps is not None:
-            reports["pair"] = _report(zip(map(cone_name, cones), pairzeros),
-                                     f"stacked Jacobian rank below {t + 1}")
+            reports["pair"] = DegeneracyReport(tuple(
+                (cone, zeros) for cone, zeros in zip(cones, pairzeros)
+                if zeros))
     return list(counts), reports
-
-
-def face_name(face):
-    pts = ",".join(str(tuple(pt)) for pt in sorted(face.touching))
-    rec = ",".join(map(str, sorted(face.recession)))
-    return f"face[dim={face.dim}; touching={pts}; recession={{{rec}}}]"
-
-
-def cone_name(cone):
-    rays = ",".join(str(tuple(r)) for r in cone.rays)
-    return f"cone[dim={cone.dim}; rays={rays}]"

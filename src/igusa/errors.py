@@ -41,8 +41,8 @@ class DegeneracyError(IgusaError):
     """A required non-degeneracy condition failed; carries the report."""
 
     def __init__(self, report):
-        super().__init__("non-degeneracy check failed: "
-                         f"{len(report.witnesses)} witness(es)")
+        count = sum(len(points) for _, points in report.witnesses)
+        super().__init__(f"non-degeneracy check failed: {count} witness(es)")
         self.report = report
 
 

@@ -20,8 +20,6 @@ from .polynomials import (MonomialIdealSpec, PolynomialMapping,
                           parse_monomial_generator, parse_polynomial)
 
 MODES = ("ideal", "single", "mapping")
-DEGENERACY_NOTE = ("unverified hypothesis: non-degeneracy fails; "
-                   "formula output is not certified")
 
 
 # Miller-Rabin to the first 13 prime bases is exact below psi_13, the
@@ -178,7 +176,6 @@ class Computation:
     terms: list  # each ConeTerm holds its cone's counts
     binomials: dict  # Z's denominator, by (a, b)
     zeta: object  # the reduced RationalFunction Z(t)
-    notes: tuple  # the degeneracy watermark, under an override
 
     def factored(self):
         """Z's common-denominator view, over the binomials Z was summed on."""
@@ -221,10 +218,21 @@ def run_checks(spec: ProblemSpec, partition):
                                 spec.g, partition, spec.p)
 
 
+def check(pspecs):
+    """{p: reports} for each prime's spec, each prime once, over one fan
+    (the same for every p); none for a monomial ideal with the trivial
+    measure, which has nothing to check."""
+    primes = {pspec.p: pspec for pspec in pspecs}
+    if pspecs[0].mode == "ideal" and pspecs[0].g is None:
+        return {p: {} for p in primes}
+    partition = build_geometry(pspecs[0])
+    return {p: run_checks(pspec, partition)[1] for p, pspec in primes.items()}
+
+
 def compute(spec: ProblemSpec, override=False) -> Computation:
     """Full pipeline, each stage once: the fan, checks and torus counts
     from one sweep per cone, then (a degenerate input is refused here unless
-    `override` asks for a watermark) the per-cone terms and Z, their sum."""
+    `override` asks to go on) the per-cone terms and Z, their sum."""
     partition = build_geometry(spec)
     counts, reports = run_checks(spec, partition)
     bad = [rep for rep in reports.values() if not rep.ok]
@@ -233,5 +241,4 @@ def compute(spec: ProblemSpec, override=False) -> Computation:
     terms = zeta.cone_terms(partition, counts, spec.p, spec.t_count)
     binomials = zeta.denominator_binomials(terms, spec.t_count)
     return Computation(spec, partition, reports, terms, binomials,
-                       zeta.assemble(terms, spec.p, binomials),
-                       (DEGENERACY_NOTE,) if bad else ())
+                       zeta.assemble(terms, spec.p, binomials))

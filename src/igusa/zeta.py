@@ -1,5 +1,6 @@
 """Assembly of the zeta function: per-cone local factors L and lattice
-sums S, their product-sum, and candidate-pole extraction.
+sums S, their product-sum, and candidate poles, each a value with the
+facet normals that give it and whether L's factor does.
 
 The prime p is a fixed integer, so everything is an exact rational
 function in t = p^(-s). Exponentials p^(a*s+b) turn into p^b * t^(-a);
@@ -42,7 +43,8 @@ class FactoredPiece:
 @dataclass(frozen=True)
 class CandidatePole:
     value: Fraction
-    source: str
+    normals: tuple  # the facet normals that give the value, as found
+    l_factor: bool  # whether L's factor p^(s+t) - 1 gives it
 
 
 # -- the S factor -------------------------------------------------------
@@ -221,10 +223,8 @@ def candidate_poles(polyhedra, normals, l_factor_t):
     found = {}
     for normal in normals:
         m, b = _exponents(polyhedra, normal)
-        if m == 0:
-            continue
-        value = Fraction(-b, m)
-        found.setdefault(value, []).append(f"ray {normal}")
-    if l_factor_t is not None:
-        found.setdefault(Fraction(-l_factor_t), []).append("L-factor")
-    return [CandidatePole(v, "; ".join(found[v])) for v in sorted(found)]
+        if m:
+            found.setdefault(Fraction(-b, m), []).append(normal)
+    l_values = set() if l_factor_t is None else {Fraction(-l_factor_t)}
+    return [CandidatePole(v, tuple(found.get(v, ())), v in l_values)
+            for v in sorted(found.keys() | l_values)]

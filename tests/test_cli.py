@@ -508,8 +508,8 @@ class TestOracle:
         json_code, payload = run(argv + ["--json"])
         assert code == json_code == 0
         doc = json.loads(payload)
-        assert doc["notes"] == [problem.DEGENERACY_NOTE]
-        assert f"note: {problem.DEGENERACY_NOTE}\nformula value:" in text
+        assert doc["notes"] == [cli.DEGENERACY_NOTE]
+        assert f"note: {cli.DEGENERACY_NOTE}\nformula value:" in text
         assert cli.render_oracle(doc) == text
         assert "notes" not in json.loads(run(["oracle", FIXTURE, "--level",
                                               "1", "--json"])[1])

@@ -12,14 +12,14 @@ from hypothesis import given, settings, strategies as st
 from igusa import cli
 from igusa.counting import (CountTriple, check_nondegenerate_single,
                             check_pair_nondegenerate,
-                            check_strong_nondegenerate, cone_name,
-                            count_triple, face_name, sweep)
+                            check_strong_nondegenerate, count_triple, sweep)
 from igusa.cones import partition_pair
 from igusa.errors import SizeGuardError
 from igusa.linalg import rank_mod
 from igusa.newton import NewtonPolyhedron, face_restriction
 from igusa.polynomials import (IntegerPolynomial, PolynomialMapping,
                                parse_polynomial)
+from igusa.problem import ProblemSpec
 from igusa.ratfun import Poly, RationalFunction
 
 from conftest import (evaluate, example_measure, point_test, rank_mod_p,
@@ -125,7 +125,7 @@ class TestSingleCheck:
     def test_witness_is_singular_zero(self):
         g = example_measure()
         report = check_nondegenerate_single(g, NewtonPolyhedron.of(g), 3)
-        _, point, _ = report.witnesses[0]
+        _, (point, *_) = report.witnesses[0]
         assert evaluate(g, point) % 3 == 0
 
     def test_monomial_always_ok(self):
@@ -169,7 +169,10 @@ class TestStrongCheck:
         gamma = NewtonPolyhedron.of(ff)
         report = check_strong_nondegenerate(ff, gamma, 2)
         assert not report.ok
-        assert {w[1:] for w in report.witnesses} == {
+        rows = cli.check_report(ProblemSpec("mapping", 1, 2, ff, None),
+                                {2: {"f": report}})["results"][0]["reports"]
+        assert {(tuple(w["point"]), w["condition"])
+                for w in rows["f"]["witnesses"]} == {
             ((1,), "Jacobian rank below 2")}
         assert check_strong_nondegenerate(ff, gamma, 3).ok  # no torus zero
 
@@ -210,7 +213,8 @@ class TestPairCheck:
         f = parse_polynomial("x + y", 2)
         g = parse_polynomial("3*y", 2)
         report = check_pair_nondegenerate(f, g, self._partition(f, g), 3)
-        assert [w[1] for w in report.witnesses] == [(1, 2), (2, 1)] * 2
+        assert [points for _, points in report.witnesses] == [
+            ((1, 2), (2, 1))] * 2
         assert check_pair_nondegenerate(f, g, self._partition(f, g), 5).ok
 
 
@@ -263,12 +267,12 @@ class TestAgainstExactArithmetic:
     def test_single_check_witnesses(self, case):
         n, p, (f,) = case
         gamma = NewtonPolyhedron.of(f)
-        expected = [(face_name(face), a)
+        expected = [(face, tuple(zeros))
                     for face in gamma.enumerate_faces()
-                    for a in exact_singular_zeros(
-                        [face_restriction(f, face)], n, p, 1)]
+                    if (zeros := exact_singular_zeros(
+                        [face_restriction(f, face)], n, p, 1))]
         report = check_nondegenerate_single(f, gamma, p)
-        assert [w[:2] for w in report.witnesses] == expected
+        assert list(report.witnesses) == expected
 
     @PROPERTY
     @given(cases(2))
@@ -277,13 +281,13 @@ class TestAgainstExactArithmetic:
         ff = PolynomialMapping(comps[:n])
         gamma = NewtonPolyhedron.of(ff)
         target = min(ff.t, n)
-        expected = [(face_name(face), a)
+        expected = [(face, tuple(zeros))
                     for face in gamma.enumerate_faces()
-                    for a in exact_singular_zeros(
+                    if (zeros := exact_singular_zeros(
                         [face_restriction(c, face) for c in ff.components],
-                        n, p, target)]
+                        n, p, target))]
         report = check_strong_nondegenerate(ff, gamma, p)
-        assert [w[:2] for w in report.witnesses] == expected
+        assert list(report.witnesses) == expected
 
     @PROPERTY
     @given(cases(3, min_n=2, max_terms=3), st.booleans())
@@ -301,10 +305,10 @@ class TestAgainstExactArithmetic:
             face_f, face_g = cone.labels
             parts = [face_restriction(c, face_f) for c in comps] + [
                 face_restriction(g, face_g)]
-            expected += [(cone_name(cone), a) for a in exact_singular_zeros(
-                parts, n, p, len(comps) + 1)]
+            zeros = exact_singular_zeros(parts, n, p, len(comps) + 1)
+            expected += [(cone, tuple(zeros))] if zeros else []
         report = check_pair_nondegenerate(fside, g, partition, p)
-        assert [w[:2] for w in report.witnesses] == expected
+        assert list(report.witnesses) == expected
 
 
 # -- the reduced sweep against a walk over the whole torus ---------------

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from igusa import cli, counting, linalg, problem, zeta
-from igusa.newton import NewtonPolyhedron, face_restriction
+from igusa.newton import Face, NewtonPolyhedron, face_restriction
 from igusa.polynomials import (MonomialIdealSpec, PolynomialMapping,
                                parse_polynomial)
 from igusa.problem import ProblemSpec, compute
@@ -147,6 +147,61 @@ def test_check_sweep_builds_geometry_once(monkeypatch):
     assert len(calls) == 1
 
 
+def test_check_builds_no_fan_with_nothing_to_check(monkeypatch, tmp_path):
+    # a monomial ideal never vanishes on the torus and the trivial measure
+    # has no faces: no report, so no fan, whose 2^20 faces the face guard
+    # would refuse
+    calls = count_calls(monkeypatch, problem, "build_geometry")
+    path = tmp_path / "ideal.txt"
+    path.write_text("mode=ideal\nn=20\np=2\ngenerators=x1\n")
+    out = io.StringIO()
+    assert cli.main(["check", str(path)], out=out) == cli.EXIT_OK
+    assert out.getvalue() == "p=2: ok\n"
+    assert calls == []
+
+
+def test_one_component_mapping_reports_as_its_polynomial():
+    # the checks return the same faces and points; only cli's words differ
+    f = parse_polynomial("x^3 + y^3", 2)
+    specs = [ProblemSpec("single", 2, 3, f, None),
+             ProblemSpec("mapping", 2, 3, PolynomialMapping([f]), None)]
+    single, mapping = (
+        problem.run_checks(spec, problem.build_geometry(spec))[1]
+        for spec in specs)
+    assert single == mapping
+    assert not single["f"].ok
+    single_text, mapping_text = (
+        cli.render_check(cli.check_report(spec, {3: single}))
+        for spec in specs)
+    assert single_text.count(cli.SINGULAR) == 4
+    assert mapping_text == single_text.replace(cli.SINGULAR,
+                                               "Jacobian rank below 1")
+
+
+def test_passing_checks_name_and_sort_no_face(monkeypatch):
+    # the orthant x1 in n = 10 has 2^10 faces, none with a witness
+    spec = ProblemSpec("single", 10, 2, parse_polynomial("x1", 10), None)
+    partition = problem.build_geometry(spec)
+    orders = count_calls(monkeypatch, Face, "order")
+    names = count_calls(monkeypatch, cli, "face_name")
+    for p in (2, 3):
+        _, reports = problem.run_checks(dataclasses.replace(spec, p=p),
+                                        partition)
+        assert reports["f"].ok
+    assert orders == names == []
+
+
+def test_degeneracy_counts_witness_points(tmp_path, capsys):
+    # x^3 + y^3 = (x + y)^3 mod 3: two singular torus zeros on each of the
+    # two faces that carry both monomials
+    path = tmp_path / "cube.txt"
+    path.write_text("mode=single\nn=2\np=3\nf=x^3 + y^3\n")
+    assert cli.main(["compute", str(path)], out=io.StringIO()) == \
+        cli.EXIT_DEGENERATE
+    assert capsys.readouterr().err == (
+        "degenerate input: non-degeneracy check failed: 4 witness(es)\n")
+
+
 def test_degenerate_compute_counts_nothing(monkeypatch, tmp_path):
     # the counts come from the checks' own sweep; a degenerate input must
     # stop before the per-cone formula
@@ -165,7 +220,8 @@ def test_override_still_counts():
         counting.count_triple(None, face_restriction(spec.g, cone.labels[1]),
                               spec.p)
         for cone in comp.partition.cones]
-    assert comp.notes == (problem.DEGENERACY_NOTE,)
+    assert cli.compute_report(comp)["zeta"]["notes"] == [
+        cli.DEGENERACY_NOTE]
 
 
 # -- one torus pass per distinct pair of restrictions -------------------
@@ -261,15 +317,13 @@ def specs(draw):
     return ProblemSpec(mode, n, p, fside, g if with_g else None)
 
 
-def face_check(gamma, polys, p, condition):
-    """The f-side condition on every face of gamma from one sweep per
-    face, apart from the cones of any fan."""
-    witnesses = tuple(
-        (counting.face_name(face), a, condition)
-        for face in gamma.enumerate_faces()
-        for a in counting.sweep([face_restriction(c, face) for c in polys],
-                                None, p)[1][0])
-    return counting.DegeneracyReport(not witnesses, witnesses)
+def face_check(gamma, polys, p):
+    """The f-side report on every face of gamma from one sweep per face,
+    apart from the cones of any fan."""
+    return counting.DegeneracyReport(tuple(
+        (face, zeros) for face in gamma.enumerate_faces()
+        if (zeros := counting.sweep([face_restriction(c, face)
+                                     for c in polys], None, p)[1][0])))
 
 
 @settings(derandomize=True, max_examples=60, deadline=None)
@@ -282,18 +336,17 @@ def test_cone_sweeps_match_face_and_cone_functions(spec):
     expected = {}
     if spec.mode == "single":
         gamma = partition.polyhedra[0]
-        expected["f"] = face_check(gamma, [spec.fside], p, counting.SINGULAR)
+        expected["f"] = face_check(gamma, [spec.fside], p)
         assert counting.check_nondegenerate_single(
             spec.fside, gamma, p) == expected["f"]
     elif spec.mode == "mapping":
         gamma = partition.polyhedra[0]
-        expected["f"] = face_check(gamma, spec.fside.components, p,
-                                   f"Jacobian rank below {spec.fside.t}")
+        expected["f"] = face_check(gamma, spec.fside.components, p)
         assert counting.check_strong_nondegenerate(
             spec.fside, gamma, p) == expected["f"]
     if spec.g is not None:
         gamma = partition.polyhedra[1]
-        expected["g"] = face_check(gamma, [spec.g], p, counting.SINGULAR)
+        expected["g"] = face_check(gamma, [spec.g], p)
         assert counting.check_nondegenerate_single(
             spec.g, gamma, p) == expected["g"]
         if spec.mode != "ideal":

@@ -8,7 +8,7 @@ from math import prod
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from igusa import problem, zeta
+from igusa import cli, problem, zeta
 from igusa.cones import partition_pair, partition_single
 from igusa.counting import CountTriple
 from igusa.errors import DegeneracyError, InternalConsistencyError
@@ -192,7 +192,7 @@ class TestAssembly:
             compute(spec)
         comp = compute(spec, override=True)
         assert any("unverified hypothesis" in note
-                   for note in comp.notes)
+                   for note in cli.compute_report(comp)["zeta"]["notes"])
 
     def test_redundant_generator_invariance(self):
         from igusa.polynomials import MonomialIdealSpec
@@ -375,9 +375,11 @@ class TestCandidatePoles:
 
     def test_sources_name_rays(self):
         comp = compute(example_spec(13))
-        by_value = {cp.value: cp.source for cp in comp.poles()}
-        assert by_value[Fraction(-12, 11)] == "ray (3, 1)"
-        assert by_value[Fraction(-1)] == "ray (1, 0)"
+        by_value = {cp.value: cp for cp in comp.poles()}
+        assert by_value[Fraction(-12, 11)] == zeta.CandidatePole(
+            Fraction(-12, 11), ((3, 1),), False)
+        assert by_value[Fraction(-1)] == zeta.CandidatePole(
+            Fraction(-1), ((1, 0),), False)
 
     def test_trivial_measure_ideal(self):
         from igusa.polynomials import MonomialIdealSpec
@@ -392,15 +394,14 @@ class TestCandidatePoles:
                                 parse_polynomial("y - z", 3)])
         g = parse_polynomial("x + y + z + x*y*z", 3)
         comp = compute(ProblemSpec("mapping", 3, 3, ff, g))
-        sources = {cp.value: cp.source for cp in comp.poles()}
-        assert sources[Fraction(-2)] == "L-factor" or \
-            "L-factor" in sources.get(Fraction(-2), "")
+        by_value = {cp.value: cp for cp in comp.poles()}
+        assert by_value[Fraction(-2)].l_factor
 
     def test_single_mode_includes_minus_one(self):
         f = parse_polynomial("x^2 + y^3", 2)
         comp = compute(ProblemSpec("single", 2, 5, f, None))
-        by_value = {cp.value: cp.source for cp in comp.poles()}
-        assert "L-factor" in by_value[Fraction(-1)]
+        by_value = {cp.value: cp for cp in comp.poles()}
+        assert by_value[Fraction(-1)].l_factor
 
 
 @settings(derandomize=True, max_examples=100, deadline=None)
@@ -420,5 +421,5 @@ def test_poles_from_facet_normals_match_the_fan_rays(drawn):
     assert problem.poles(spec) == expected
     # `Computation.poles` reads the spec and the fan alone, so the stages
     # past the fan, which would double this test's time, are left empty
-    comp = problem.Computation(spec, partition, {}, [], {}, None, ())
+    comp = problem.Computation(spec, partition, {}, [], {}, None)
     assert comp.poles() == expected
